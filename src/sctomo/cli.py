@@ -82,7 +82,7 @@ def cmd_reconstruct(args) -> int:
     print(f"converged {'true' if result.converged else 'false'}")
     print(f"written {args.out}", file=sys.stderr)
     if not result.converged:
-        print("sct: warning: no start converged; best effort written",
+        print("sct: warning: the polish did not converge; best effort written",
               file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK

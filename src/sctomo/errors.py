@@ -61,10 +61,6 @@ class StructuralSingularity(SctError):
     """A declared unknown does not influence the protocol's statistics anywhere."""
 
 
-class BlockFailure(SctError):
-    """A stage of the block-sequential solve failed; message carries the block index."""
-
-
 class SchemaError(SctError):
     """A file failed schema validation; message names the offending field."""
 

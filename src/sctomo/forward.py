@@ -409,6 +409,15 @@ class ProtocolLayout:
             cols.extend([z.real, z.imag])
         return np.stack(cols, axis=1).reshape(p, s, len(cols))
 
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
+        """Cartesian state coordinates of each row of x (and of `fixed`):
+        (P, C), in the column order of `design`, so that
+        statistics(x) = design(x) @ coordinates(x) row by row."""
+        pops, mags, sph, _, _ = self._decode(x)
+        pairs = np.stack([2.0 * mags * np.cos(sph), 2.0 * mags * np.sin(sph)],
+                         axis=2)
+        return np.concatenate([pops, pairs.reshape(len(pops), -1)], axis=1)
+
 
 def predicted_statistics(protocol: Protocol, state: DensityParams,
                          unknowns: UnknownParams = None,

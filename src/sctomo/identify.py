@@ -26,11 +26,6 @@ NEAR_ZERO_FLAG_RTOL = 1e-8
 PATTERN_ABS_TOL = 1e-10
 
 
-def fd_step(x: float) -> float:
-    """Central-difference step: 1e-6 * max(1, |x|)."""
-    return FD_SCALE * max(1.0, abs(x))
-
-
 @dataclass(frozen=True)
 class JacobianReport:
     """Numeric Jacobian of the measurement map at a point.
@@ -56,22 +51,33 @@ class JacobianReport:
         return np.abs(self.matrix) < tol
 
 
+def central_differences(fn, x: np.ndarray, cols=None,
+                        step_scale: float = 1.0):
+    """Central-difference Jacobians of fn at each row of x.
+
+    fn maps rows of parameters (N, K) to rows of values (N, S).  Only the
+    columns `cols` (default all) are differenced, each with the step
+    FD_SCALE * max(1, |x|) times step_scale.  Returns the Jacobians
+    (P, S, len(cols)) and the steps (P, len(cols)).
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    cols = list(range(x.shape[1])) if cols is None else list(cols)
+    p, k = x.shape[0], len(cols)
+    steps = step_scale * (FD_SCALE * np.maximum(1.0, np.abs(x[:, cols])))
+    probes = np.repeat(x[:, None, :], 2 * k, axis=1)
+    for c, col in enumerate(cols):
+        probes[:, 2 * c, col] += steps[:, c]
+        probes[:, 2 * c + 1, col] -= steps[:, c]
+    values = fn(probes.reshape(p * 2 * k, -1)).reshape(p, 2 * k, -1)
+    jac = (values[:, 0::2] - values[:, 1::2]) / (2 * steps)[:, :, None]
+    return jac.transpose(0, 2, 1), steps
+
+
 def _jacobian_from_vector(layout: ProtocolLayout, x0: np.ndarray,
                           step_scale: float = 1.0):
-    x0 = np.asarray(x0, dtype=float)
-    k = x0.size
-    steps = step_scale * np.array([fd_step(v) for v in x0])
-    probes = np.empty((2 * k, k))
-    for i in range(k):
-        probes[2 * i] = x0
-        probes[2 * i, i] += steps[i]
-        probes[2 * i + 1] = x0
-        probes[2 * i + 1, i] -= steps[i]
-    stats = layout.statistics(probes)  # (2k, S)
-    jac = np.empty((stats.shape[1], k))
-    for i in range(k):
-        jac[:, i] = (stats[2 * i] - stats[2 * i + 1]) / (2 * steps[i])
-    return jac, steps
+    jac, steps = central_differences(layout.statistics, x0,
+                                     step_scale=step_scale)
+    return jac[0], steps[0]
 
 
 def jacobian_from_vector(protocol: Protocol, x0, names=None, fixed=None,

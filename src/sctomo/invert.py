@@ -14,9 +14,13 @@ Three routes are provided and cross-checked against each other:
 * `grid_oracle`, a brute-force recursive grid search used to validate the
   solver.
 
-`block_solve_v` exploits the triangular information structure of the V-type
-protocol (ground-excited pair 1, then pair 2, then the excited-excited
-coherence) and must agree with the joint solve on exact data.
+`block_solve_v` runs the same profile scan along the triangular information
+structure of the V-type protocol: ground-excited pair 1 on its own settings,
+then pair 2 on its own settings with pair 1 held, then the excited-excited
+coherence by one linear solve.  It must agree with the joint solve on exact
+data.  The damped Gauss-Newton polish is the one iterative solver over the
+full parameter vector, and `identify.central_differences` the one
+finite-difference rule.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import identify
-from .errors import (BlockFailure, DimensionMismatch, InvalidRange,
-                     RankDeficient, SingularAtSolutionWarning,
-                     StructuralSingularity, TooManyDims)
+from .errors import (DimensionMismatch, InvalidRange, RankDeficient,
+                     SingularAtSolutionWarning, StructuralSingularity,
+                     TooManyDims)
 from .forward import ProtocolLayout, observed_values
 from .model import (COHERENCE_PAIRS, DensityParams, TWO_PI, state_matrix,
                     state_params_from_matrix, wrap_phase)
@@ -42,25 +46,22 @@ OBJECTIVES = ("least_squares", "poisson_mle")
 LAM_FLOOR = 1e-9
 TINY_MAG = 1e-8
 PHASE_NAMES = {2: ("gamma",), 3: ("gamma01", "gamma02", "gamma12")}
+GRAD_TOL = 1e-10  # times max(1, |y|^2), on the largest gradient component
+STEP_TOL = 1e-12  # times 1 + max |x|, on the largest step component
 
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """The objective of the damped Gauss-Newton polish of `reconstruct` and
+    `polish`, and its iteration limit.  `block_solve_v` fits by least
+    squares and reports its residual and gradient under `objective`."""
+
     objective: str = "least_squares"
     max_iter: int = 200
-    grad_tol: float = 1e-10
-    step_tol: float = 1e-12
-    n_phase_starts: int = 8
-    n_lambda_starts: int = 8
-    prune_after: int = 8
-    prune_keep: int = 12
-    magnitude_cap: float = None
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise InvalidRange(f"objective {self.objective!r} not in {OBJECTIVES}")
-        if self.grad_tol <= 0 or self.step_tol <= 0:
-            raise InvalidRange("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,16 @@ class LinearInversionResult:
     residual: float
 
 
+def _count_vector(counts, protocol: Protocol) -> np.ndarray:
+    """Observed statistics as an array: one per setting, all finite."""
+    y = counts if isinstance(counts, np.ndarray) else observed_values(counts)
+    if len(y) != protocol.n_settings:
+        raise DimensionMismatch("count vector length differs from settings")
+    if not np.all(np.isfinite(y)):
+        raise InvalidRange("counts must be finite")
+    return y
+
+
 def linear_invert(counts, protocol: Protocol) -> LinearInversionResult:
     """Least-squares solve in Cartesian coordinates, then magnitude/phase form.
 
@@ -132,9 +143,7 @@ def linear_invert(counts, protocol: Protocol) -> LinearInversionResult:
     """
     if protocol.process_unknown_names:
         raise InvalidRange("linear inversion needs fully known rotations")
-    y = counts if isinstance(counts, np.ndarray) else observed_values(counts)
-    if len(y) != protocol.n_settings:
-        raise DimensionMismatch("count vector length differs from settings")
+    y = _count_vector(counts, protocol)
     a = design_matrix(protocol)
     ncols = a.shape[1]
     sol, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
@@ -224,7 +233,7 @@ def objective_eval(params, counts, protocol: Protocol, kind: str = "least_square
 
 
 # ---------------------------------------------------------------------------
-# Batched damped Gauss-Newton (the polish, and the block solve's starts)
+# Damped Gauss-Newton (the polish)
 # ---------------------------------------------------------------------------
 
 
@@ -258,175 +267,77 @@ def _project(x, lo, hi, phase_mask):
     return out
 
 
+def _cap_for(y: np.ndarray, mags=()) -> float:
+    """Upper bound on populations and magnitudes: twice the largest count or
+    the largest of `mags` (a start's), since a protocol that projects on one
+    label can see counts well below a population."""
+    top = max(float(np.max(y, initial=0.0)), float(np.max(mags, initial=0.0)))
+    return max(2.0 * top, 1e-6)
+
+
 @dataclass
 class _FitOutcome:
     x: np.ndarray
     f: float
     converged: bool
     gradient_norm: float
-    n_starts: int
-    start_index: int
 
 
-def _batch_jacobians(layout: ProtocolLayout, x: np.ndarray) -> np.ndarray:
-    """Central-difference model Jacobians for each row of x: (P, S, K)."""
-    p, k = x.shape
-    steps = np.maximum(1.0, np.abs(x)) * identify.FD_SCALE
-    probes = np.empty((p, 2 * k, k))
-    for c in range(k):
-        probes[:, 2 * c] = x
-        probes[:, 2 * c, c] += steps[:, c]
-        probes[:, 2 * c + 1] = x
-        probes[:, 2 * c + 1, c] -= steps[:, c]
-    stats = layout.statistics(probes.reshape(p * 2 * k, k))
-    stats = stats.reshape(p, 2 * k, -1)
-    jac = np.empty((p, stats.shape[2], k))
-    for c in range(k):
-        jac[:, :, c] = (stats[:, 2 * c] - stats[:, 2 * c + 1]) / \
-            (2 * steps[:, c])[:, None]
-    return jac
+def _lm_multistart(layout: ProtocolLayout, y: np.ndarray, start: np.ndarray,
+                   kind: str, options: SolverOptions) -> _FitOutcome:
+    """Damped Gauss-Newton on the objective `kind` from one start.
 
-
-def _lm_multistart(layout: ProtocolLayout, y: np.ndarray, starts: np.ndarray,
-                   kind: str, options: SolverOptions, cap: float) -> _FitOutcome:
+    Strengths stay in [LAM_FLOOR, 2*pi], populations and magnitudes in
+    [0, `_cap_for`] with the cap covering the start, and phases are wrapped.
+    Accepted steps never increase the objective; `converged` reports whether
+    the gradient (GRAD_TOL) or the step (STEP_TOL) test was met.  (The name
+    is the one the benchmark's tracer hooks, `sctbench/tracer.py`.)
+    """
     names = layout.names
-    lo, hi, phase_mask = _bounds_for(names, cap)
-    x = _project(np.array(starts, dtype=float, copy=True), lo, hi, phase_mask)
-    p, k = x.shape
+    x = np.array(start, dtype=float)
+    mags = [k for k, n in enumerate(names) if _param_kind(n) == "mag"]
+    lo, hi, phase_mask = _bounds_for(names, _cap_for(y, x[mags]))
+    x = _project(x, lo, hi, phase_mask)
     scale = max(1.0, float((y ** 2).sum()))
-
-    f = _objective_values(layout.statistics(x), y, kind)
-    mu = np.full(p, 1e-3)
-    done = np.zeros(p, dtype=bool)
-    converged = np.zeros(p, dtype=bool)
-    gnorm = np.full(p, np.inf)
-    jac = np.zeros((p, layout.labels.size, k))
-    need_jac = np.ones(p, dtype=bool)
-
-    for it in range(options.max_iter):
-        act = np.flatnonzero(~done)
-        if act.size == 0:
-            break
-        if it == options.prune_after and act.size > options.prune_keep:
-            order = act[np.argsort(f[act], kind="stable")]
-            done[order[options.prune_keep:]] = True
-            act = np.flatnonzero(~done)
-
-        refresh = act[need_jac[act]]
-        if refresh.size:
-            jac[refresh] = _batch_jacobians(layout, x[refresh])
-            need_jac[refresh] = False
-
-        n_model = layout.statistics(x[act])
-        f[act] = _objective_values(n_model, y, kind)
-        g, h = _grad_hess(n_model, jac[act], y, kind)
-        if kind != "least_squares":
-            bad = ~np.isfinite(f[act])
-            if bad.any():  # invalid Poisson point: descend on least squares
-                g_ls, h_ls = _grad_hess(n_model[bad], jac[act][bad], y,
-                                        "least_squares")
-                g[bad] = g_ls
-                h[bad] = h_ls
+    eye = np.eye(x.size)
+    n_model = layout.statistics(x[None, :])
+    f = float(_objective_values(n_model, y, kind)[0])
+    mu, converged, gnorm, jac = 1e-3, False, math.inf, None
+    for _ in range(options.max_iter):
+        if jac is None:
+            jac = identify._jacobian_from_vector(layout, x)[0]
+        # an invalid Poisson point descends on least squares
+        g, h = _grad_hess(n_model, jac[None], y,
+                          kind if math.isfinite(f) else "least_squares")
+        g, h = g[0], h[0]
         # a component at a bound whose descent direction leaves the box is
         # held (projected gradient), so a constrained optimum can converge
-        blocked = (((x[act] <= lo) & (g > 0)) | ((x[act] >= hi) & (g < 0)))
+        blocked = ((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))
         g[blocked] = 0.0
-        h[blocked[:, :, None] | blocked[:, None, :]] = 0.0
-        gn = np.abs(g).max(axis=1)
-        gnorm[act] = gn
-
-        hit = gn <= options.grad_tol * scale
-        if hit.any():
-            converged[act[hit]] = True
-            done[act[hit]] = True
-            act = act[~hit]
-            if act.size == 0:
-                continue
-            g, h = g[~hit], h[~hit]
-
-        eye = np.eye(k)
-        hd = h + mu[act][:, None, None] * eye
+        h[blocked[:, None] | blocked[None, :]] = 0.0
+        gnorm = float(np.abs(g).max())
+        if gnorm <= GRAD_TOL * scale:
+            converged = True
+            break
         try:
-            delta = -np.linalg.solve(hd, g[..., None])[..., 0]
+            delta = -np.linalg.solve(h + mu * eye, g)
         except np.linalg.LinAlgError:
-            delta = -np.linalg.solve(hd + 1e-8 * eye, g[..., None])[..., 0]
-
-        trial = _project(x[act] + delta, lo, hi, phase_mask)
-        f_trial = _objective_values(layout.statistics(trial), y, kind)
-        with np.errstate(invalid="ignore"):
-            accept = f_trial <= f[act]
-        small = np.abs(delta).max(axis=1) <= options.step_tol * (
-            1.0 + np.abs(x[act]).max(axis=1))
-
-        acc = act[accept]
-        x[acc] = trial[accept]
-        f[acc] = f_trial[accept]
-        need_jac[acc] = True
-        mu[acc] = np.maximum(mu[acc] / 3.0, 1e-14)
-        rej = act[~accept]
-        mu[rej] = np.minimum(mu[rej] * 7.0, 1e14)
-
-        converged[act[small]] = True
-        done[act[small]] = True
-        done[rej[mu[rej] >= 1e14]] = True
-
-    cand = np.flatnonzero(converged) if converged.any() else np.arange(p)
-    best = min(cand, key=lambda i: (f[i], i))
-    return _FitOutcome(x[best].copy(), float(f[best]), bool(converged[best]),
-                       float(gnorm[best]), p, int(best))
-
-
-# ---------------------------------------------------------------------------
-# Start grids
-# ---------------------------------------------------------------------------
-
-
-def _magnitude_seeds(names, settings, y: np.ndarray) -> dict:
-    """Seed populations from identity-direction settings, the rest from scale."""
-    seeds = {}
-    for idx, s in enumerate(settings):
-        unrotated = (all(m == 0 for m in s.multipliers)
-                     and all(fc == 0 for fc in s.fixed_couplings)
-                     and s.mz == 0 and s.fixed_diag == 0)
-        if unrotated:
-            seeds[f"rho{s.label}{s.label}"] = max(float(y[idx]), 0.0)
-    med = max(float(np.median(y)), 1e-3 * max(float(y.max(initial=0.0)), 1e-6))
-    for name in names:
-        if _param_kind(name) != "mag" or name in seeds:
-            continue
-        i, j = name[3], name[4]
-        seeds[name] = med if i == j else 0.5 * med
-    return seeds
-
-
-def _build_starts(settings, names, y: np.ndarray,
-                  options: SolverOptions) -> np.ndarray:
-    """Full product of phase and strength grids around magnitude seeds (used
-    by the block solve, whose blocks have at most two such axes)."""
-    names = tuple(names)
-    seeds = _magnitude_seeds(names, settings, y)
-    phase_vals = np.arange(options.n_phase_starts) * (TWO_PI / options.n_phase_starts)
-    lam_vals = (np.arange(options.n_lambda_starts) + 1) * (
-        TWO_PI / options.n_lambda_starts)
-    scan_axes = []
-    base = np.empty(len(names))
-    for idx, n in enumerate(names):
-        kind = _param_kind(n)
-        if kind == "mag":
-            base[idx] = seeds.get(n, max(float(np.median(y)), 1e-6))
-        elif kind == "phase":
-            base[idx] = phase_vals[2]
-            scan_axes.append((idx, phase_vals))
+            delta = -np.linalg.solve(h + mu * eye + 1e-8 * eye, g)
+        small = np.abs(delta).max() <= STEP_TOL * (1.0 + np.abs(x).max())
+        trial = _project(x + delta, lo, hi, phase_mask)
+        n_trial = layout.statistics(trial[None, :])
+        f_trial = float(_objective_values(n_trial, y, kind)[0])
+        if f_trial <= f:
+            x, f, n_model, jac = trial, f_trial, n_trial, None
+            mu = max(mu / 3.0, 1e-14)
         else:
-            base[idx] = lam_vals[len(lam_vals) // 2 - 1]
-            scan_axes.append((idx, lam_vals))
-    if not scan_axes:
-        return base[None, :]
-    combos = np.array(list(itertools.product(*(v for _, v in scan_axes))))
-    starts = np.tile(base, (combos.shape[0], 1))
-    for col, (idx, _) in enumerate(scan_axes):
-        starts[:, idx] = combos[:, col]
-    return starts
+            mu = min(mu * 7.0, 1e14)
+        if small:
+            converged = True
+            break
+        if mu >= 1e14:
+            break
+    return _FitOutcome(x, f, converged, gnorm)
 
 
 # ---------------------------------------------------------------------------
@@ -466,27 +377,35 @@ def _free_coordinates(protocol: Protocol) -> list:
 class _Profile:
     """Least-squares state at fixed strengths for one protocol and count
     vector, over the Cartesian coordinates `cols` (default: all that the
-    declared unknowns move); strengths are passed as rows in name order."""
+    declared unknowns move), with the parameters in `held` (name -> value,
+    as `ProtocolLayout` takes `fixed`) held; strengths are passed as rows
+    in name order."""
 
-    def __init__(self, protocol: Protocol, y: np.ndarray, cols=None):
-        self.layout = ProtocolLayout(protocol)
+    def __init__(self, protocol: Protocol, y: np.ndarray, cols=None,
+                 held=None):
+        self.layout = ProtocolLayout(protocol, fixed=held)
         self.y = y
         self.lam_cols = [k for k, n in enumerate(self.layout.names)
                          if _param_kind(n) == "lam"]
         self.cols = _free_coordinates(protocol) if cols is None else cols
         self.scale = max(1.0, float((y ** 2).sum()))
+        # coordinates of the held state alone: every declared parameter at 0
+        self.held = self.layout.coordinates(
+            np.zeros((1, len(self.layout.names))))[0]
 
     def fit(self, lam, rows=None):
         """Coordinates (P, C) and residual vectors (P, S) at each row of lam,
-        fit on the settings `rows` (default all)."""
+        fit on the settings `rows` (default all) to the counts less the
+        held state's statistics."""
         lam = np.atleast_2d(lam)
         x = np.zeros((lam.shape[0], len(self.layout.names)))
         x[:, self.lam_cols] = lam
-        a = self.layout.design(x)[:, :, self.cols]
-        y = self.y
+        design = self.layout.design(x)
+        a = design[:, :, self.cols]
+        y = self.y - design @ self.held
         if rows is not None:
-            a, y = a[:, rows], y[rows]
-        coords = np.einsum("pcs,s->pc", np.linalg.pinv(a, rcond=1e-10), y)
+            a, y = a[:, rows], y[:, rows]
+        coords = np.einsum("pcs,ps->pc", np.linalg.pinv(a, rcond=1e-10), y)
         return coords, np.einsum("psc,pc->ps", a, coords) - y
 
     def objective(self, lam, rows=None) -> np.ndarray:
@@ -516,8 +435,8 @@ class _Profile:
 
     def refine(self, lam, free, rows=None):
         """Levenberg-Marquardt on the projected residual over the strengths
-        `free` (central differences), from each row of lam; returns the end
-        points and their objectives on `rows`."""
+        `free` (`identify.central_differences`), from each row of lam;
+        returns the end points and their objectives on `rows`."""
         lam = np.array(lam, dtype=float)
         k = len(free)
         r = self.fit(lam, rows)[1]
@@ -530,16 +449,10 @@ class _Profile:
             if act.size == 0:
                 break
             x = lam[act]
-            h = identify.FD_SCALE * np.maximum(1.0, np.abs(x[:, free]))
-            probes = np.repeat(x[:, None, :], 2 * k, axis=1)
-            for c, col in enumerate(free):
-                probes[:, 2 * c, col] += h[:, c]
-                probes[:, 2 * c + 1, col] -= h[:, c]
-            rp = self.fit(probes.reshape(-1, x.shape[1]), rows)[1]
-            rp = rp.reshape(act.size, 2 * k, -1)
-            jac = (rp[:, 0::2] - rp[:, 1::2]) / (2 * h)[:, :, None]
-            g = np.einsum("aks,as->ak", jac, r[act])
-            hess = np.einsum("aks,ajs->akj", jac, jac)
+            jac, _ = identify.central_differences(
+                lambda p: self.fit(p, rows)[1], x, free)
+            g = np.einsum("ask,as->ak", jac, r[act])
+            hess = np.einsum("ask,asj->akj", jac, jac)
             step = -np.linalg.solve(hess + mu[act, None, None] * np.eye(k),
                                     g[..., None])[..., 0]
             trial = x.copy()
@@ -684,6 +597,16 @@ def _branch_key(layout: ProtocolLayout, x: np.ndarray, index: int) -> tuple:
     return (bool(unphysical), n_large, index)
 
 
+def _tie_choice(layout: ProtocolLayout, points, f: np.ndarray,
+                scale: float) -> int:
+    """Index of the member chosen by `_branch_key` among those whose
+    objective f ties with the lowest (within TIE_RTOL of it, or TIE_ATOL
+    times scale)."""
+    tol = max(TIE_RTOL * f.min(), TIE_ATOL * scale)
+    ties = np.flatnonzero(f <= f.min() + tol)
+    return min(ties, key=lambda i: _branch_key(layout, points[i], i))
+
+
 def resolve_twin_family(profile: _Profile, cand: np.ndarray) -> tuple:
     """Pick the member of the exact-tie family of the best profile minimum.
 
@@ -707,10 +630,8 @@ def resolve_twin_family(profile: _Profile, cand: np.ndarray) -> tuple:
     members = np.vstack(members)
     coords, resid = profile.fit(members)
     f = (resid ** 2).sum(axis=1)
-    tol = max(TIE_RTOL * f.min(), TIE_ATOL * profile.scale)
     points = [profile.point(lam, c) for lam, c in zip(members, coords)]
-    ties = np.flatnonzero(f <= f.min() + tol)
-    chosen = min(ties, key=lambda i: _branch_key(profile.layout, points[i], i))
+    chosen = _tie_choice(profile.layout, points, f, profile.scale)
     return points[chosen], float(f[chosen]), len(members)
 
 
@@ -828,18 +749,6 @@ def _check_structure(protocol: Protocol) -> None:
             f"{', '.join(dead)} anywhere in parameter space.{hint}")
 
 
-def _cap_for(y: np.ndarray, options: SolverOptions, start=None) -> float:
-    """Upper bound on populations and magnitudes: the option when set, else
-    twice the largest count or the largest start magnitude (a protocol
-    that projects on one label can see counts well below a population)."""
-    if options.magnitude_cap is not None:
-        return float(options.magnitude_cap)
-    top = float(np.max(y, initial=0.0))
-    if start is not None:
-        top = max(top, float(np.max(start, initial=0.0)))
-    return max(2.0 * top, 1e-6)
-
-
 def reconstruct(counts, protocol: Protocol,
                 options: SolverOptions = None) -> ReconstructionResult:
     """Variable-projection estimate of all declared unknowns.
@@ -857,41 +766,41 @@ def reconstruct(counts, protocol: Protocol,
        the lowest objective the member chosen is physical first, then has
        the fewest strengths above pi (`resolve_twin_family`).
     3. Polish.  Damped Gauss-Newton from the chosen member on the selected
-       objective; the Poisson deviance thus starts from the least-squares
-       profile solution.  Accepted steps never increase the objective, and
-       `converged` reports whether the gradient or step tolerance was met.
+       objective (`_lm_multistart`); the Poisson deviance thus starts from
+       the least-squares profile solution.  Accepted steps never increase
+       the objective, and `converged` reports whether the gradient or step
+       tolerance was met.
 
     The result is gauge-fixed and PSD-clipped, with Jacobian diagnostics at
     the solution.  A structurally singular protocol (scenario C as shipped)
-    is refused.
+    is refused, and so are non-finite counts.
     """
     options = options or SolverOptions()
-    y = counts if isinstance(counts, np.ndarray) else observed_values(counts)
-    if len(y) != protocol.n_settings:
-        raise DimensionMismatch("count vector length differs from settings")
+    y = _count_vector(counts, protocol)
     if len(y) < len(protocol.unknown_names):
         raise InvalidRange("fewer settings than unknowns")
     _check_structure(protocol)
     profile = _Profile(protocol, y)
     x0, _, n_members = resolve_twin_family(
         profile, _scan(profile, _scan_stages(protocol)))
-    mags = [k for k, n in enumerate(profile.layout.names)
-            if _param_kind(n) == "mag"]
-    outcome = _lm_multistart(profile.layout, y, x0[None, :], options.objective,
-                             options, _cap_for(y, options, x0[mags]))
+    outcome = _lm_multistart(profile.layout, y, x0, options.objective, options)
     return _package_result(protocol, outcome.x, outcome.f, outcome.gradient_norm,
                            n_members, outcome.converged, options.objective, y=y)
 
 
 def polish(counts, protocol: Protocol, x0, options: SolverOptions = None,
            names=None, fixed=None) -> _FitOutcome:
-    """Single-start descent from an explicit vector (used after the oracle)."""
+    """Damped Gauss-Newton from an explicit vector (used after the oracle).
+
+    The same descent and box as the last stage of `reconstruct`: the
+    population and magnitude bound covers the start, so a start outside
+    twice the largest count is not clipped back into it.
+    """
     options = options or SolverOptions()
-    y = counts if isinstance(counts, np.ndarray) else observed_values(counts)
+    y = _count_vector(counts, protocol)
     layout = ProtocolLayout(protocol, names=names, fixed=fixed)
-    cap = _cap_for(y, options)
-    return _lm_multistart(layout, y, np.atleast_2d(np.asarray(x0, float)),
-                          options.objective, options, cap)
+    return _lm_multistart(layout, y, np.asarray(x0, dtype=float),
+                          options.objective, options)
 
 
 # ---------------------------------------------------------------------------
@@ -905,81 +814,80 @@ def _beta_names(names, beta_mode):
     return tuple(PHASE_TO_BETA.get(n, n) for n in names)
 
 
+def _block_fit(protocol: Protocol, y: np.ndarray, block: int,
+               held: dict) -> dict:
+    """Profile fit of V block `block` (an index into V_BLOCKS) on its own
+    settings, with the values in `held` held; returns the block's values by
+    name.  A block without a strength (block 3) is one linear solve."""
+    indices, base_names = V_BLOCKS[block]
+    names = _beta_names(base_names, not protocol.phase_known)
+    sub = Protocol(name=f"V#b{block + 1}", dim=3,
+                   settings=tuple(protocol.settings[i] for i in indices),
+                   unknown_names=names, phase_known=protocol.phase_known)
+    profile = _Profile(sub, y[list(indices)], held=held)
+    cand = _scan(profile, _scan_stages(sub))
+    coords, resid = profile.fit(cand)
+    best = int(np.argmin((resid ** 2).sum(axis=1)))
+    return dict(zip(names, profile.point(cand[best], coords[best])))
+
+
+def _v_branches(protocol: Protocol, y: np.ndarray, b12: dict) -> tuple:
+    """Resolve the reflection twins of V blocks 1 and 2 (values in b12).
+
+    Neither single-pair block can tell its strength from the reflection
+    lam_j -> 2*pi - lam_j with its pair phase shifted by pi.  For each of
+    the four combinations block 3 is re-solved linearly with blocks 1 and 2
+    held; the members whose least-squares objective over all settings ties
+    with the lowest go by `_branch_key`.  Returns the chosen parameter
+    vector, its objective and the number of members compared.
+    """
+    keys = list(b12)
+    base = np.array([b12[n] for n in keys])
+    pairs = _twin_index_pairs(keys)
+    members = []
+    for flips in itertools.product((False, True), repeat=len(pairs)):
+        x = base
+        for flip, pair in zip(flips, pairs):
+            if flip:
+                x = _twin_image(x, *pair)
+        held = dict(zip(keys, x))
+        solved = {**held, **_block_fit(protocol, y, 2, held)}
+        members.append([solved[n] for n in protocol.unknown_names])
+    members = np.array(members)
+    layout = ProtocolLayout(protocol)
+    f = _objective_values(layout.statistics(members), y, "least_squares")
+    chosen = _tie_choice(layout, members, f, max(1.0, float((y ** 2).sum())))
+    return members[chosen], float(f[chosen]), len(members)
+
+
 def block_solve_v(counts, protocol: Protocol,
                   options: SolverOptions = None) -> ReconstructionResult:
-    """Solve the V-type protocol in three stages along its block structure.
+    """Solve the V-type protocol block by block along its triangular structure.
 
-    Stage 1 uses the first five settings for the ground/first-excited pair
-    plus its coupling strength; stage 2 the next four for the second pair
-    (ground population held fixed); stage 3 the last two for the
-    excited-excited coherence.  On exact data the assembled estimate must
-    agree with the joint `reconstruct`.  Block failures propagate with the
-    block index.
+    Block 1 (settings 0-4: rho00, rho11, rho01, lam1, gamma01) is fit on its
+    own settings by the profile scan of `reconstruct`; block 2 (settings
+    5-8: rho22, rho02, lam2, gamma02) likewise, with block 1 held (only
+    rho00 enters its statistics); block 3 (settings 9-10: rho12, gamma12)
+    is one linear solve with both held, once for each reflection
+    combination of blocks 1 and 2 (`_v_branches`).  No stage runs the
+    polish, so this is a different decomposition from the joint solve, and
+    on exact data the two must agree.  The fits are least squares;
+    `options.objective` sets the reported residual and gradient, and
+    `converged` reports whether that gradient meets the polish's gradient
+    test.
     """
     options = options or SolverOptions()
     if protocol.name.split("~")[0] != "V" or protocol.dim != 3:
         raise InvalidRange("block solve is defined for the V-type protocol")
-    y_all = counts if isinstance(counts, np.ndarray) else observed_values(counts)
-    if len(y_all) != protocol.n_settings:
-        raise DimensionMismatch("count vector length differs from settings")
-    cap = _cap_for(y_all, options)
-    beta_mode = not protocol.phase_known
-
-    def solve_block(block_idx, fixed):
-        indices, base_names = V_BLOCKS[block_idx - 1]
-        names = _beta_names(base_names, beta_mode)
-        sub_settings = tuple(protocol.settings[i] for i in indices)
-        sub = Protocol(name=f"V#b{block_idx}", dim=3, settings=sub_settings,
-                       unknown_names=names, phase_known=protocol.phase_known)
-        y = y_all[list(indices)]
-        layout = ProtocolLayout(sub, names=names, fixed=fixed)
-        starts = _build_starts(sub_settings, names, y, options)
-        outcome = _lm_multistart(layout, y, starts, options.objective,
-                                 options, cap)
-        if not outcome.converged:
-            raise BlockFailure(f"block {block_idx}: no start converged")
-        return dict(zip(names, outcome.x))
-
-    def twin_candidates(block: dict) -> list:
-        pairs = _twin_index_pairs(tuple(block))
-        if not pairs:
-            return [block]
-        names = list(block)
-        twin = _twin_image(np.array([block[n] for n in names]), *pairs[0])
-        return [block, dict(zip(names, twin))]
-
-    b1 = solve_block(1, {})
-    b2 = solve_block(2, b1)
-
-    # each single-pair block alone cannot distinguish its reflection twin;
-    # the dual-coupling settings of block 3 arbitrate all four combinations,
-    # and exact ties among them go by the rule of `_branch_key`
-    layout_full = ProtocolLayout(protocol)
-    branches = []
-    for c1 in twin_candidates(b1):
-        for c2 in twin_candidates(b2):
-            fixed12 = {**c1, **c2}
-            try:
-                b3 = solve_block(3, fixed12)
-            except BlockFailure:
-                continue
-            solved = {**fixed12, **b3}
-            x_full = np.array([solved[n] for n in protocol.unknown_names])
-            f_full = float(_objective_values(
-                layout_full.statistics(x_full[None, :]), y_all,
-                options.objective)[0])
-            branches.append((f_full, x_full))
-    if not branches:
-        raise BlockFailure("block 3: no start converged for any twin branch")
-    f_min = min(f for f, _ in branches)
-    tol = max(1e-10 * max(1.0, float((y_all ** 2).sum())), 1e-6 * f_min)
-    ties = [i for i, (f, _) in enumerate(branches) if f <= f_min + tol]
-    f_full, x_full = branches[min(
-        ties, key=lambda i: _branch_key(layout_full, branches[i][1], i))]
-    _, grad = objective_eval(x_full, y_all, protocol, options.objective)
-    return _package_result(protocol, x_full, f_full,
-                           float(np.abs(grad).max()), 3, True,
-                           options.objective, y=y_all)
+    y = _count_vector(counts, protocol)
+    b1 = _block_fit(protocol, y, 0, {})
+    b2 = _block_fit(protocol, y, 1, b1)
+    x, _, n_members = _v_branches(protocol, y, {**b1, **b2})
+    f, grad = objective_eval(x, y, protocol, options.objective)
+    gnorm = float(np.abs(grad).max())
+    converged = gnorm <= GRAD_TOL * max(1.0, float((y ** 2).sum()))
+    return _package_result(protocol, x, f, gnorm, n_members, converged,
+                           options.objective, y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -1006,37 +914,13 @@ def _axis_points(name: str, lo: float, hi: float, grid: int,
 
 def _oracle_core(protocol: Protocol, indices, names, fixed, y, grid,
                  levels, cap) -> OracleResult:
-    dim = protocol.dim
     names = tuple(names)
     lam_names = [n for n in names if _param_kind(n) == "lam"]
     state_names = [n for n in names if _param_kind(n) != "lam"]
     fixed = dict(fixed or {})
-    lam_layout = ProtocolLayout(
-        protocol, names=lam_names,
-        fixed={k: v for k, v in fixed.items() if _param_kind(k) == "lam"})
-
-    def gamma_value(pair_idx, values: dict):
-        base = PHASE_NAMES[dim][pair_idx]
-        beta = PHASE_TO_BETA[base]
-        if base in values:
-            return values[base]
-        if beta in values:
-            b = values[beta]
-            return b if base == "gamma12" else -np.asarray(b)
-        return 0.0
-
-    def coords_from(values: dict) -> np.ndarray:
-        merged = dict(fixed)
-        merged.update(values)
-        arrs = [np.asarray(merged.get(f"rho{i}{i}", 0.0), dtype=float)
-                for i in range(dim)]
-        for k, (i, j) in enumerate(COHERENCE_PAIRS[dim]):
-            mag = np.asarray(merged.get(f"rho{i}{j}", 0.0), dtype=float)
-            gam = np.asarray(gamma_value(k, merged), dtype=float)
-            arrs.append(2.0 * mag * np.cos(gam))
-            arrs.append(2.0 * mag * np.sin(gam))
-        flat = np.broadcast_arrays(*arrs)
-        return np.stack([a.ravel() for a in flat], axis=1)
+    # the design depends on the strengths alone, the coordinates on the state
+    lam_layout = ProtocolLayout(protocol, names=lam_names, fixed=fixed)
+    state_layout = ProtocolLayout(protocol, names=state_names, fixed=fixed)
 
     windows = {n: (0.0, cap if _param_kind(n) == "mag" else TWO_PI)
                for n in names}
@@ -1050,12 +934,10 @@ def _oracle_core(protocol: Protocol, indices, names, fixed, y, grid,
                      for n in state_names]
         if state_pts:
             meshes = np.meshgrid(*state_pts, indexing="ij")
-            grid_values = dict(zip(state_names, meshes))
             state_combo = np.stack([m.ravel() for m in meshes], axis=1)
         else:
-            grid_values = {}
             state_combo = np.zeros((1, 0))
-        coords = coords_from(grid_values)
+        coords = state_layout.coordinates(state_combo)
         lam_combos = list(itertools.product(*lam_pts))
         designs = lam_layout.design(np.array(lam_combos).reshape(
             len(lam_combos), len(lam_names)))[:, list(indices)]
@@ -1096,53 +978,27 @@ def grid_oracle(counts, protocol: Protocol, grid: int = 15,
     matrix and the state grid is swept with dense linear algebra.  The
     refinement window shrinks by (grid-1)/2 per level (at least 2) around
     the incumbent.  Deterministic.  The V-type protocol is searched block by
-    block; any other protocol with more than six unknowns is refused.
+    block: blocks 1 and 2 on the grid, each on its own settings, and block 3
+    by the linear re-solve of `_v_branches`, which also settles the
+    reflection twins.  Any other protocol with more than six unknowns is
+    refused.
     """
-    y = counts if isinstance(counts, np.ndarray) else observed_values(counts)
-    if len(y) != protocol.n_settings:
-        raise DimensionMismatch("count vector length differs from settings")
-    cap = max(2.0 * float(np.max(y, initial=0.0)), 1e-6)
+    y = _count_vector(counts, protocol)
+    cap = _cap_for(y)
     names = protocol.unknown_names
     if protocol.name.split("~")[0] == "V" and protocol.dim == 3:
         beta_mode = not protocol.phase_known
 
-        def block_oracle(block_idx, fixed):
-            indices, base_names = V_BLOCKS[block_idx - 1]
+        def block_oracle(block, fixed):
+            indices, base_names = V_BLOCKS[block]
             block_names = _beta_names(base_names, beta_mode)
             res = _oracle_core(protocol, indices, block_names, fixed,
                                y[list(indices)], grid, refine_levels, cap)
             return dict(zip(res.names, res.values))
 
-        def twin_candidates(block: dict) -> list:
-            pairs = _twin_index_pairs(tuple(block))
-            if not pairs:
-                return [block]
-            keys = list(block)
-            x = np.array([block[n] for n in keys])
-            li, pi_ = pairs[0]
-            twin = dict(zip(keys, _twin_image(x, li, pi_)))
-            return [block, twin] if x[li] <= math.pi else [twin, block]
-
-        b1 = block_oracle(1, {})
-        b2 = block_oracle(2, b1)
-        layout = ProtocolLayout(protocol)
-        tie_tol = 1e-10 * max(1.0, float((y ** 2).sum()))
-        best = None
-        # single-pair blocks cannot see their reflection twins; let the
-        # dual-coupling settings arbitrate, as in block_solve_v (ties keep
-        # the earlier, canonically ordered branch)
-        for c1 in twin_candidates(b1):
-            for c2 in twin_candidates(b2):
-                fixed12 = {**c1, **c2}
-                b3 = block_oracle(3, fixed12)
-                solved = {**fixed12, **b3}
-                values = np.array([solved[n] for n in names])
-                total = float(_objective_values(
-                    layout.statistics(values[None, :]), y, "least_squares")[0])
-                if best is None or total < best[0] - max(tie_tol,
-                                                         1e-6 * best[0]):
-                    best = (total, values)
-        total, values = best
+        b1 = block_oracle(0, {})
+        b2 = block_oracle(1, b1)
+        values, total, _ = _v_branches(protocol, y, {**b1, **b2})
         return OracleResult(tuple(names), values, total)
     if len(names) > 6:
         raise TooManyDims(f"{len(names)} unknowns exceed the full-grid limit of 6")

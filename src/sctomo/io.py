@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DimensionMismatch, SchemaError
-from .forward import CountRecord, NoiseModel
+from .forward import NOISE_KINDS, CountRecord, NoiseModel
 from .model import DensityParams, state_from_dict, STATE_KEYS
 from .protocol import (Protocol, UnknownParams, scenario, scenario_names,
                        unknowns_from_dict)
@@ -99,6 +99,16 @@ def protocol_fingerprint(protocol: Protocol) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _has_type(value, kind: type) -> bool:
+    """JSON type test: a float field accepts an integer (1.0 is written as
+    1), and true/false count only as bool, never as a number."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
 def _check_fields(obj: dict, required: dict, optional: dict, context: str) -> None:
     if not isinstance(obj, dict):
         raise SchemaError(f"{context}: expected an object")
@@ -108,6 +118,11 @@ def _check_fields(obj: dict, required: dict, optional: dict, context: str) -> No
     for name in required:
         if name not in obj:
             raise SchemaError(f"{context}: missing field {name!r}")
+    for name, value in obj.items():
+        kind = required.get(name, optional.get(name))
+        if not _has_type(value, kind):
+            raise SchemaError(f"{context}.{name}: expected {kind.__name__}, "
+                              f"got {type(value).__name__}")
 
 
 def _check_version(obj: dict, context: str) -> None:
@@ -136,7 +151,7 @@ def _parse_noise(obj, seed: int) -> NoiseModel:
     _check_fields(obj, {"kind": str}, {"shots": int, "sigma": float,
                                        "seed": int}, "noise")
     kind = obj["kind"]
-    if kind not in ("exact", "poisson", "gaussian"):
+    if kind not in NOISE_KINDS:
         raise SchemaError(f"noise.kind: unknown kind {kind!r}")
     kwargs = {"kind": kind, "seed": obj.get("seed", seed)}
     if "shots" in obj:
@@ -249,24 +264,29 @@ def write_counts(path, protocol: Protocol, records) -> None:
 
 
 def load_counts(path):
-    """Returns (fingerprint, records); setting_index must strictly increase."""
+    """Returns (fingerprint, records).  Record k must have setting_index k,
+    a finite value >= 0 and a noise_kind from forward.NOISE_KINDS."""
     obj = read_json(path)
     _check_fields(obj, {"schema_version": int, "protocol_fingerprint": str,
                         "records": list}, {}, "counts")
     _check_version(obj, "counts")
     records = []
-    last = -1
     for k, rec in enumerate(obj["records"]):
+        context = f"records[{k}]"
         _check_fields(rec, {"setting_index": int, "value": float,
-                            "shots": int, "noise_kind": str},
-                      {}, f"records[{k}]")
-        idx = int(rec["setting_index"])
-        if idx <= last:
+                            "shots": int, "noise_kind": str}, {}, context)
+        if rec["setting_index"] != k:
             raise SchemaError(
-                f"records[{k}].setting_index: not strictly increasing")
-        last = idx
-        records.append(CountRecord(idx, float(rec["value"]),
-                                   int(rec["shots"]), str(rec["noise_kind"])))
+                f"{context}.setting_index: {rec['setting_index']} breaks the "
+                f"strictly increasing run 0, 1, 2, ... (expected {k})")
+        value = float(rec["value"])
+        if not (math.isfinite(value) and value >= 0.0):
+            raise SchemaError(
+                f"{context}.value: must be finite and >= 0, got {value}")
+        if rec["noise_kind"] not in NOISE_KINDS:
+            raise SchemaError(f"{context}.noise_kind: {rec['noise_kind']!r} "
+                              f"not one of {NOISE_KINDS}")
+        records.append(CountRecord(k, value, rec["shots"], rec["noise_kind"]))
     return str(obj["protocol_fingerprint"]), records
 
 

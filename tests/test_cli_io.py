@@ -277,3 +277,39 @@ def test_protocol_file_roundtrip(tmp_path):
     assert loaded == proto
     with pytest.raises(SchemaError):
         io.load_protocol("no-such-protocol")
+
+
+# field and value written into the last record of a valid 5-setting file
+MALFORMED_COUNTS = {
+    "value-string": ("value", "abc"),
+    "value-list": ("value", [1]),
+    "value-bool": ("value", True),
+    "value-nan": ("value", float("nan")),
+    "value-infinity": ("value", float("inf")),
+    "value-negative": ("value", -0.1),
+    "index-gap": ("setting_index", 9),  # indices 0, 1, 2, 3, 9
+    "index-string": ("setting_index", "4"),
+    "shots-float": ("shots", 1.5),
+    "noise-kind-unknown": ("noise_kind", "bogus"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COUNTS))
+def test_malformed_counts_exit_2(tmp_path, capsys, case):
+    config = tmp_path / "config.json"
+    write_config(config)
+    counts = tmp_path / "counts.json"
+    assert cli.main(["simulate", "--config", str(config),
+                     "--out", str(counts)]) == 0
+    obj = json.loads(counts.read_text())
+    field, value = MALFORMED_COUNTS[case]
+    obj["records"][-1][field] = value
+    # json.dumps, not canonical_json: NaN and Infinity stay literal tokens
+    counts.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code = cli.main(["reconstruct", "--counts", str(counts), "--protocol", "B",
+                     "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("sct: error: ")
+    assert not (tmp_path / "r.json").exists()

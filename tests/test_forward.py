@@ -190,6 +190,25 @@ def test_layout_matches_scalar_path():
             assert np.abs(batch - scalar).max() < 1e-13
 
 
+def test_layout_statistics_are_design_times_coordinates():
+    from sctomo.protocol import with_unknown_phase
+    rng = np.random.default_rng(39)
+    for proto in (scenario("B"), with_unknown_phase(scenario("B")),
+                  scenario("V"), with_unknown_phase(scenario("V"))):
+        names = proto.unknown_names
+        x = np.array([rng.uniform(0.2, 6.0) if n.startswith(("lam", "gamma",
+                                                             "beta"))
+                      else rng.uniform(0.05, 0.5) for n in names])
+        layout = ProtocolLayout(proto)
+        stats = np.einsum("sc,c->s", layout.design(x[None, :])[0],
+                          layout.coordinates(x[None, :])[0])
+        assert np.abs(stats - layout.statistics(x[None, :])[0]).max() < 1e-13
+        # parameters held in `fixed` enter the coordinates as declared ones do
+        held = ProtocolLayout(proto, names=names[1:], fixed={names[0]: x[0]})
+        assert np.array_equal(held.coordinates(x[None, 1:]),
+                              layout.coordinates(x[None, :]))
+
+
 def test_simulate_exact_and_deterministic():
     proto = scenario("A")
     mixed = qubit_state(0.5, 0.5, 0, 0)

@@ -1,4 +1,4 @@
-"""Tests for linear inversion, the multi-start solver, block solve and oracle."""
+"""Tests for linear inversion, the profile-scan solver, block solve and oracle."""
 
 import math
 
@@ -157,6 +157,15 @@ def test_reconstruct_poisson_mle():
     assert result.residual >= 0.0
 
 
+def test_reconstruct_rejects_non_finite_counts():
+    counts = np.array([0.3, 0.2, np.nan, 0.25, 0.1])
+    with pytest.raises(InvalidRange, match="finite"):
+        reconstruct(counts, scenario("B"))
+    counts[2] = np.inf
+    with pytest.raises(InvalidRange, match="finite"):
+        reconstruct(counts, scenario("B"))
+
+
 def test_reconstruct_refuses_structurally_singular_protocol():
     truth = qubit_state(0.55, 0.45, 0.2, 2.0)
     unknowns = qubit_unknowns(lam_c=1.3, lam_z=1.1)
@@ -177,13 +186,14 @@ def test_reconstruct_c_alt_roundtrip():
 
 
 def test_block_solve_matches_joint():
+    # known control phases, then unknown ones (the beta parametrization)
     rng = np.random.default_rng(52)
-    proto = scenario("V")
     state, unknowns = sample_truth("V", rng)
-    counts = predicted_statistics(proto, state, unknowns)
-    joint = reconstruct(counts, proto)
-    block = block_solve_v(counts, proto)
-    assert max_param_error(proto.unknown_names, block.x, joint.x) < 1e-6
+    for proto in (scenario("V"), with_unknown_phase(scenario("V"))):
+        counts = predicted_statistics(proto, state, unknowns)
+        joint = reconstruct(counts, proto)
+        block = block_solve_v(counts, proto)
+        assert max_param_error(proto.unknown_names, block.x, joint.x) < 1e-6
 
 
 @pytest.mark.filterwarnings("ignore::sctomo.errors.SingularAtSolutionWarning")
@@ -242,6 +252,35 @@ def test_grid_oracle_scenario_b():
     out = polish(counts, proto, oracle.values)
     assert out.f < 1e-16
     assert max_param_error(proto.unknown_names, out.x, expected) < 1e-8
+
+
+def test_polish_box_covers_start():
+    # criterion 6's seed-106 B truth #2: rho00 lies above twice the largest
+    # count, outside a magnitude box taken from the counts alone
+    truth = qubit_state(0.7548124626278403, 0.2451875373721597,
+                        0.4024406084746919, 2.7106494081574346)
+    unknowns = qubit_unknowns(lam_c=0.8222451317939832)
+    proto = scenario("B")
+    counts = exact_counts("B", truth, unknowns)
+    expected = pack_values(proto.unknown_names, truth, unknowns)
+    assert expected[0] > 2 * counts.max()
+    out = polish(counts, proto, expected)
+    assert max_param_error(proto.unknown_names, out.x, expected) <= 1e-6
+    oracle = grid_oracle(counts, proto, grid=15, refine_levels=4)
+    out = polish(counts, proto, oracle.values)
+    assert max_param_error(proto.unknown_names, out.x, expected) <= 1e-6
+
+
+def test_grid_oracle_v_then_polish():
+    rng = np.random.default_rng(54)
+    proto = scenario("V")
+    for _ in range(3):
+        state, unknowns = sample_truth("V", rng)
+        counts = predicted_statistics(proto, state, unknowns)
+        expected = pack_values(proto.unknown_names, state, unknowns)
+        oracle = grid_oracle(counts, proto, grid=15, refine_levels=4)
+        out = polish(counts, proto, oracle.values)
+        assert max_param_error(proto.unknown_names, out.x, expected) <= 1e-6
 
 
 def test_grid_oracle_objective_reaches_truth_floor():
