@@ -10,8 +10,10 @@ singularity, 5 fingerprint mismatch.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from io import StringIO
 
 import numpy as np
 
@@ -107,10 +109,13 @@ def cmd_jacobian(args) -> int:
 def _parse_axis(spec: str):
     try:
         name, rng = spec.split("=", 1)
-        lo, hi = rng.split(":", 1)
-        return name.strip(), (float(lo), float(hi))
+        lo, hi = (float(v) for v in rng.split(":", 1))
     except ValueError as exc:
         raise SchemaError(f"axis spec {spec!r} (expected NAME=LO:HI)") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise SchemaError(
+            f"axis spec {spec!r}: LO and HI must be finite with LO < HI")
+    return name.strip(), (lo, hi)
 
 
 def cmd_sweep(args) -> int:
@@ -118,8 +123,9 @@ def cmd_sweep(args) -> int:
     state, unknowns = io.load_point(args.point, protocol.dim)
     axes = dict(_parse_axis(spec) for spec in args.axis)
     scan = identify.singularity_scan(protocol, state, unknowns, axes, args.grid)
-    with open(args.out, "w", encoding="utf-8") as stream:
-        scan.to_csv(stream)
+    stream = StringIO()
+    scan.to_csv(stream)
+    io.write_text(args.out, stream.getvalue())
     flagged = sum(1 for row in scan.rows if row[-1])
     print(f"rows {len(scan.rows)}")
     print(f"flagged {flagged}")
@@ -131,9 +137,7 @@ def cmd_validate(args) -> int:
     results = validation.run_suite(args.suite, seed=args.seed)
     for check in results:
         print(check.line())
-    report = validation.conventions_report()
-    with open(args.conventions_out, "w", encoding="utf-8") as stream:
-        stream.write(report)
+    io.write_text(args.conventions_out, validation.conventions_report())
     print(f"conventions report written to {args.conventions_out}",
           file=sys.stderr)
     return EXIT_OK if all(c.passed for c in results) else 1

@@ -1,12 +1,21 @@
 """Forward measurement model: evolution, exact statistics, closed-form
 coefficient cross-checks, and noisy count simulation.
 
-The single source of truth for a statistic is the direct trace
-n = tr(rho' U^dag |j><j| U) with U = exp(-iG); the closed-form coefficient
-functions are transcriptions whose residual sign ambiguity (the statistics
-are odd in the phase differences beta through their sine terms) is resolved
-empirically against the trace path, per dimension, and cached.  The resolved
-convention is reported by the validation suite.
+A statistic is the direct trace n = tr(rho' U^dag |j><j| U) with
+U = exp(-iG).  Two paths compute it:
+
+* the scalar path (`evolve`, `probability`, `predicted_statistics`, and so
+  `simulate_counts`) takes U from the Hermitian eigensolver of `smallmat`;
+* `ProtocolLayout`, the batched path every solver uses, takes the label row
+  of U from a closed form in the rotation angle, and the derivative of the
+  statistics in the strengths and the state in closed form too.  The tests
+  hold it to the scalar path and to central differences.
+
+The closed-form coefficient functions are transcriptions of the paper whose
+residual sign ambiguity (the statistics are odd in the phase differences
+beta through their sine terms) is resolved empirically against the trace
+path, per dimension, and cached.  The resolved convention is reported by the
+validation suite.
 
 Counts are sampled deterministically: each record draws from an independent
 PCG64 stream seeded by (seed, setting_index), so results do not depend on
@@ -24,10 +33,12 @@ from . import smallmat
 from .errors import BadLabel, DimensionMismatch, InvalidRange
 from .model import (COHERENCE_PAIRS, DensityParams, GeneratorParams,
                     assemble_generator, derived_angles, state_matrix)
-from .protocol import (COUPLING_UNKNOWNS, BETA_TO_PHASE, Protocol,
-                       UnknownParams, resolve)
+from .protocol import (COUPLING_UNKNOWNS, BETA_TO_PHASE, DIAG_UNKNOWN,
+                       Protocol, UnknownParams, resolve)
 
 NOISE_KINDS = ("exact", "poisson", "gaussian")
+# the strengths a generator is affine in, in `ProtocolLayout` order
+STRENGTHS = {2: COUPLING_UNKNOWNS[2] + (DIAG_UNKNOWN,), 3: COUPLING_UNKNOWNS[3]}
 
 
 @dataclass(frozen=True)
@@ -266,22 +277,30 @@ class ProtocolLayout:
     Maps vectors of parameter values (rows of X) to the full arrays the
     vectorized statistics kernel needs.  Parameters absent from the name
     list are held at the values in `fixed` (default 0).
+
+    The kernel is closed-form.  Every generator has the spectrum
+    {-Ω/2, (0,) +Ω/2} with Ω² = 2 tr G², so
+        U = exp(-iG) = I - i f1(Ω) G + f2(Ω) G²,
+        f1 = sin(Ω/2)/(Ω/2),  f2 = 4 (cos(Ω/2) - 1)/Ω²,
+    both entire in Ω.  G is affine in the strengths (`STRENGTHS`): per
+    setting, G = base + sum_l lam_l * unit_l, so ∂G/∂lam_l = unit_l and
+    ∂Ω/∂lam_l = 2 tr(G unit_l)/Ω, which gives the strength derivative of the
+    design in closed form too.  Only the label row of U is formed.
     """
 
     def __init__(self, protocol: Protocol, names=None, fixed=None):
         self.protocol = protocol
-        self.dim = protocol.dim
+        self.dim = d = protocol.dim
         self.names = tuple(names if names is not None else protocol.unknown_names)
         self.fixed = dict(fixed or {})
-        npair = len(COHERENCE_PAIRS[self.dim])
-        # slots: populations, coherence mags, state phases (with sign), lambdas
-        self._pop = {f"rho{i}{i}": i for i in range(self.dim)}
+        self.npair = len(COHERENCE_PAIRS[d])
+        # slots: populations, coherence mags, state phases (with sign), strengths
+        self._pop = {f"rho{i}{i}": i for i in range(d)}
         self._mag = {f"rho{i}{j}": k for k, (i, j) in
-                     enumerate(COHERENCE_PAIRS[self.dim])}
-        phase_names = {2: ("gamma",), 3: ("gamma01", "gamma02", "gamma12")}[self.dim]
+                     enumerate(COHERENCE_PAIRS[d])}
+        phase_names = {2: ("gamma",), 3: ("gamma01", "gamma02", "gamma12")}[d]
         self._phase = {n: k for k, n in enumerate(phase_names)}
-        self._lam = {n: k for k, n in enumerate(COUPLING_UNKNOWNS[self.dim])}
-        self.npair = npair
+        self._lam = {n: k for k, n in enumerate(STRENGTHS[d])}
 
         def decode(name):
             if name in self._pop:
@@ -296,75 +315,107 @@ class ProtocolLayout:
                 return ("phase", self._phase[target], sign)
             if name in self._lam:
                 return ("lam", self._lam[name], 1.0)
-            if name == "lam_z":
-                return ("lam_z", 0, 1.0)
             raise InvalidRange(f"unrecognized parameter name {name!r}")
 
         self._slots = [decode(n) for n in self.names]
-        self._fixed_slots = [(decode(n), float(v)) for n, v in self.fixed.items()]
+        # positions in `names` of the strengths, and their indices in STRENGTHS
+        self.lam_cols = [k for k, s in enumerate(self._slots) if s[0] == "lam"]
+        self._lam_idx = [self._slots[k][1] for k in self.lam_cols]
+        # a row of x maps to [populations, magnitudes, signed state phases,
+        # strengths] as offset + x @ select; a named parameter beats `fixed`
+        n_lam = len(STRENGTHS[d])
+        start = {"pop": 0, "mag": d, "phase": d + self.npair,
+                 "lam": d + 2 * self.npair}
+        self._split = np.cumsum([d, self.npair, self.npair])
+        self._select = np.zeros((len(self.names), self._split[-1] + n_lam))
+        for k, (kind, idx, sign) in enumerate(self._slots):
+            self._select[k, start[kind] + idx] = sign
+        self._offset = np.zeros(self._select.shape[1])
+        for name, value in self.fixed.items():
+            kind, idx, sign = decode(name)
+            if not self._select[:, start[kind] + idx].any():
+                self._offset[start[kind] + idx] = sign * float(value)
 
-        s = protocol.settings
-        self.labels = np.array([st.label for st in s], dtype=int)
-        self.mult = np.array([st.multipliers for st in s], dtype=float)
-        self.fixed_h = np.array([st.fixed_couplings for st in s], dtype=float)
-        self.theta = np.array([st.phases for st in s], dtype=float)
-        if self.dim == 2:
-            self.mz = np.array([st.mz for st in s], dtype=float)
-            self.fixed_hz = np.array([st.fixed_diag for st in s], dtype=float)
+        settings = protocol.settings
+        n_set = len(settings)
+        self.labels = np.array([st.label for st in settings], dtype=int)
+        base = np.zeros((n_set, d, d), dtype=complex)
+        unit = np.zeros((n_set, n_lam, d, d), dtype=complex)
+        for si, st in enumerate(settings):
+            for k in range(d - 1):
+                e = 0.5 * np.exp(-1j * st.phases[k])
+                base[si, 0, k + 1] = st.fixed_couplings[k] * e
+                unit[si, k, 0, k + 1] = st.multipliers[k] * e
+            if d == 2:
+                base[si] += np.diag([0.5, -0.5]) * st.fixed_diag
+                unit[si, 1] += np.diag([0.5, -0.5]) * st.mz
+        low = np.tril_indices(d, -1)
+        for g in (base, unit):
+            g[..., low[0], low[1]] = g[..., low[1], low[0]].conj()
+        self._base, self._unit = base, unit
+        self._unit_rows = self._unit[np.arange(n_set), :, self.labels]  # (S, L, d)
+        self._eye_rows = np.eye(d)[self.labels]                          # (S, d)
+        self._pair_levels = np.array(COHERENCE_PAIRS[d]).T
 
     def _decode(self, x: np.ndarray):
         """Populations, magnitudes, signed state phases and strengths per row."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        p = x.shape[0]
         if x.shape[1] != len(self.names):
             raise DimensionMismatch(
                 f"vector length {x.shape[1]} != {len(self.names)} parameters")
-        pops = np.zeros((p, self.dim))
-        mags = np.zeros((p, self.npair))
-        sph = np.zeros((p, self.npair))
-        lam = np.zeros((p, len(COUPLING_UNKNOWNS[self.dim])))
-        lamz = np.zeros(p)
+        return np.split(self._offset + x @ self._select, self._split, axis=1)
 
-        def put(slot, col):
-            kind, idx, sign = slot
-            if kind == "pop":
-                pops[:, idx] = col
-            elif kind == "mag":
-                mags[:, idx] = col
-            elif kind == "phase":
-                sph[:, idx] = sign * col
-            elif kind == "lam":
-                lam[:, idx] = col
-            else:
-                lamz[:] = col
+    def _label_rows(self, lam: np.ndarray, derivative: bool = False):
+        """Row `label` of U = exp(-iG) for every point and setting, (P, S, d),
+        and with `derivative` also its strength derivatives, (P, S, L, d)."""
+        p, (s, n_lam, d, _) = len(lam), self._unit.shape
+        gen = self._base + (lam @ self._unit.transpose(1, 0, 2, 3).reshape(
+            n_lam, -1)).reshape(p, s, d, d)
+        g_row = gen[:, np.arange(s), self.labels]                 # (P, S, d)
+        g2_row = (g_row[..., None, :] @ gen)[..., 0, :]
+        half = np.sqrt(0.5 * (gen.real ** 2 + gen.imag ** 2).sum(axis=(2, 3)))
+        # f1 and f2 at Ω = 0 are their limits, 1 and -1/2
+        safe = np.where(half == 0.0, 1e-300, half)
+        f1 = np.sin(safe) / safe
+        f2 = -0.5 * (np.sin(0.5 * safe) / (0.5 * safe)) ** 2
+        rows = self._eye_rows - 1j * f1[..., None] * g_row + f2[..., None] * g2_row
+        if not derivative:
+            return rows
+        # (df/dΩ)/Ω for both factors; a series where the closed form cancels
+        small = half < 0.05
+        h2 = np.where(small, half * half, 1.0)
+        hs = np.where(small, 1.0, half)
+        g1 = np.where(small, -1 / 12 + h2 / 120 - h2 * h2 / 3360,
+                      (np.cos(hs) - f1) / (4 * hs * hs))
+        g2 = np.where(small, 1 / 48 - h2 / 720 + h2 * h2 / 26880,
+                      -(f1 + 2 * f2) / (4 * hs * hs))
+        # tr(G unit_l) = dΩ²/dlam_l / 4
+        tr = np.einsum("psij,slij->psl", gen, self._unit.conj()).real
+        d_g2_row = (g_row[:, :, None, None, :] @ self._unit)[..., 0, :] \
+            + (self._unit_rows[..., None, :] @ gen[:, :, None])[..., 0, :]
+        d_rows = (-1j * (2 * (g1[..., None] * tr)[..., None] * g_row[:, :, None]
+                         + f1[..., None, None] * self._unit_rows)
+                  + 2 * (g2[..., None] * tr)[..., None] * g2_row[:, :, None]
+                  + f2[..., None, None] * d_g2_row)
+        return rows, d_rows
 
-        for slot, value in self._fixed_slots:
-            put(slot, value)
-        for k, slot in enumerate(self._slots):
-            put(slot, x[:, k])
-        return pops, mags, sph, lam, lamz
-
-    def _label_rows(self, lam: np.ndarray, lamz: np.ndarray) -> np.ndarray:
-        """Row `label` of U = exp(-iG) for every (point, setting): (P*S, d)."""
-        d = self.dim
-        p, s = lam.shape[0], len(self.labels)
-        gens = np.zeros((p, s, d, d), dtype=complex)
-        for si in range(s):
-            hs = self.mult[si] * lam + self.fixed_h[si]  # (P, ncoup)
-            if d == 2:
-                hz = self.mz[si] * lamz + self.fixed_hz[si]
-                gens[:, si, 0, 0] = 0.5 * hz
-                gens[:, si, 1, 1] = -0.5 * hz
-                off = 0.5 * hs[:, 0] * np.exp(-1j * self.theta[si, 0])
-                gens[:, si, 0, 1] = off
-                gens[:, si, 1, 0] = off.conj()
-            else:
-                for k in range(2):
-                    off = 0.5 * hs[:, k] * np.exp(-1j * self.theta[si, k])
-                    gens[:, si, 0, k + 1] = off
-                    gens[:, si, k + 1, 0] = off.conj()
-        u = smallmat.expi_neg_batch(gens.reshape(p * s, d, d))
-        return u[np.arange(p * s), np.tile(self.labels, p), :]
+    def _columns(self, rows: np.ndarray, d_rows: np.ndarray = None) -> np.ndarray:
+        """Design columns from label rows u: |u_i|², then Re and Im of
+        u_i conj(u_j) per pair; with d_rows (strength axis before the level
+        axis) their derivatives, the column axis moved before the strength
+        axis."""
+        i, j = self._pair_levels
+        if d_rows is None:
+            z = rows[..., i] * rows[..., j].conj()
+            pops = rows.real ** 2 + rows.imag ** 2
+        else:
+            u = rows[:, :, None]
+            z = d_rows[..., i] * u[..., j].conj() + u[..., i] * d_rows[..., j].conj()
+            pops = 2.0 * (u.conj() * d_rows).real
+        pairs = np.stack([z.real, z.imag], axis=-1).reshape(
+            z.shape[:-1] + (2 * z.shape[-1],))
+        cols = np.concatenate([pops, pairs], axis=-1)
+        return cols if d_rows is None else np.swapaxes(cols, -1, -2)
 
     @staticmethod
     def _density(pops, mags, sph) -> np.ndarray:
@@ -382,15 +433,18 @@ class ProtocolLayout:
         """State matrix for each row of x; shape (P, d, d)."""
         return self._density(*self._decode(x)[:3])
 
+    @staticmethod
+    def _coordinates(pops, mags, sph) -> np.ndarray:
+        pairs = np.stack([2.0 * mags * np.cos(sph), 2.0 * mags * np.sin(sph)],
+                         axis=2)
+        return np.concatenate([pops, pairs.reshape(len(pops), -1)], axis=1)
+
     def statistics(self, x: np.ndarray) -> np.ndarray:
         """Model statistics for each row of x; shape (P, n_settings)."""
-        pops, mags, sph, lam, lamz = self._decode(x)
-        rho = self._density(pops, mags, sph)
-        p, s = rho.shape[0], len(self.labels)
-        rows = self._label_rows(lam, lamz)
-        flat_rho = np.repeat(rho, s, axis=0)
-        vals = np.einsum("bi,bij,bj->b", rows, flat_rho, rows.conj()).real
-        return vals.reshape(p, s)
+        pops, mags, sph, lam = self._decode(x)
+        design = self._columns(self._label_rows(lam))
+        return np.einsum("psc,pc->ps", design,
+                         self._coordinates(pops, mags, sph))
 
     def design(self, x: np.ndarray) -> np.ndarray:
         """Linear map from Cartesian state coordinates to statistics: (P, S, C).
@@ -400,23 +454,47 @@ class ProtocolLayout:
         y = 2*mag*sin(phase) per coherence pair, so that state entry (i, j)
         is (x - i*y)/2; the statistics of a state are design @ coordinates.
         """
-        _, _, _, lam, lamz = self._decode(x)
-        p, s, d = lam.shape[0], len(self.labels), self.dim
-        rows = self._label_rows(lam, lamz)
-        cols = [np.abs(rows[:, i]) ** 2 for i in range(d)]
-        for i, j in COHERENCE_PAIRS[d]:
-            z = rows[:, i] * rows[:, j].conj()
-            cols.extend([z.real, z.imag])
-        return np.stack(cols, axis=1).reshape(p, s, len(cols))
+        return self._columns(self._label_rows(self._decode(x)[3]))
+
+    def design_and_derivative(self, x: np.ndarray) -> tuple:
+        """The design (P, S, C) and its derivative (P, S, C, K) in the K
+        strengths among `names` (positions `lam_cols`), in name order."""
+        lam = self._decode(x)[3]
+        rows, d_rows = self._label_rows(lam, derivative=True)
+        d_design = self._columns(rows, d_rows[:, :, self._lam_idx])
+        return self._columns(rows), d_design
 
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         """Cartesian state coordinates of each row of x (and of `fixed`):
         (P, C), in the column order of `design`, so that
         statistics(x) = design(x) @ coordinates(x) row by row."""
-        pops, mags, sph, _, _ = self._decode(x)
-        pairs = np.stack([2.0 * mags * np.cos(sph), 2.0 * mags * np.sin(sph)],
-                         axis=2)
-        return np.concatenate([pops, pairs.reshape(len(pops), -1)], axis=1)
+        return self._coordinates(*self._decode(x)[:3])
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Derivative of the statistics in every parameter of `names`, for
+        each row of x: (P, S, K).  Since s = design(lam) @ coordinates(state),
+        a state column is design @ ∂coordinates and a strength column
+        ∂design @ coordinates."""
+        pops, mags, sph, _ = self._decode(x)
+        design, d_design = self.design_and_derivative(x)
+        coords = self._coordinates(pops, mags, sph)
+        jac = np.empty(design.shape[:2] + (len(self.names),))
+        jac[..., self.lam_cols] = np.einsum("psck,pc->psk", d_design, coords)
+        d = self.dim
+        for k, (kind, idx, sign) in enumerate(self._slots):
+            if kind == "pop":
+                jac[..., k] = design[..., idx]
+            elif kind != "lam":
+                # (x, y) = 2 mag (cos, sin)(sign * phase)
+                cos, sin = np.cos(sph[:, idx, None]), np.sin(sph[:, idx, None])
+                if kind == "mag":
+                    dx, dy = 2.0 * cos, 2.0 * sin
+                else:
+                    scale = 2.0 * sign * mags[:, idx, None]
+                    dx, dy = -scale * sin, scale * cos
+                jac[..., k] = (design[..., d + 2 * idx] * dx
+                               + design[..., d + 2 * idx + 1] * dy)
+        return jac
 
 
 def predicted_statistics(protocol: Protocol, state: DensityParams,

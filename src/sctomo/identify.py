@@ -2,10 +2,14 @@
 determinant and conditioning diagnostics, closed-form cross-checks, and
 singularity scans.
 
-Numeric differentiation is authoritative.  The closed-form determinant
-expressions for the shipped scenarios are transcriptions kept as
-cross-checks; two of them carry documented defects (see
-`closed_form_jacobian`), so the numeric result always wins.
+Central differences (`central_differences`) are the reference for the
+Jacobian reports of `numeric_jacobian`, `jacobian_from_vector` and
+`singularity_scan`; the solver and `structural_zero_columns` use the
+closed-form Jacobian of `ProtocolLayout.jacobian`, which the tests check
+against them.  The closed-form determinant expressions for the shipped
+scenarios are transcriptions kept as cross-checks; two of them carry
+documented defects (see `closed_form_jacobian`), so the numeric result
+always wins.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ PATTERN_ABS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class JacobianReport:
-    """Numeric Jacobian of the measurement map at a point.
+    """Jacobian of the measurement map at a point (central differences or,
+    from `analytic_jacobian`, closed form).
 
     Rows follow protocol setting order; columns the canonical Γ order.  The
     determinant is reported only when the matrix is square.
@@ -80,15 +85,32 @@ def _jacobian_from_vector(layout: ProtocolLayout, x0: np.ndarray,
     return jac[0], steps[0]
 
 
-def jacobian_from_vector(protocol: Protocol, x0, names=None, fixed=None,
-                         step_scale: float = 1.0) -> JacobianReport:
-    """Numeric Jacobian for an explicit Γ-ordered value vector."""
+def _layout_at(protocol: Protocol, x0, names, fixed):
     layout = ProtocolLayout(protocol, names=names, fixed=fixed)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (len(layout.names),):
         raise DimensionMismatch(
             f"point has {x0.size} values for {len(layout.names)} parameters")
+    return layout, x0
+
+
+def jacobian_from_vector(protocol: Protocol, x0, names=None, fixed=None,
+                         step_scale: float = 1.0) -> JacobianReport:
+    """Numeric Jacobian for an explicit Γ-ordered value vector."""
+    layout, x0 = _layout_at(protocol, x0, names, fixed)
     jac, steps = _jacobian_from_vector(layout, x0, step_scale)
+    return _report(layout, x0, jac, steps)
+
+
+def analytic_jacobian(protocol: Protocol, x0) -> JacobianReport:
+    """Closed-form Jacobian (`ProtocolLayout.jacobian`) for an explicit
+    Γ-ordered value vector; its steps are 0."""
+    layout, x0 = _layout_at(protocol, x0, None, None)
+    return _report(layout, x0, layout.jacobian(x0)[0], np.zeros(x0.size))
+
+
+def _report(layout: ProtocolLayout, x0: np.ndarray, jac: np.ndarray,
+            steps: np.ndarray) -> JacobianReport:
     det = float(np.linalg.det(jac)) if jac.shape[0] == jac.shape[1] else None
     svals = np.linalg.svd(jac, compute_uv=False)
     smin = float(svals[-1])
@@ -273,12 +295,9 @@ def structural_zero_columns(protocol: Protocol, n_probe: int = 4,
     key = repr(protocol.to_dict())
     if key in _STRUCTURAL_CACHE:
         return _STRUCTURAL_CACHE[key]
-    layout = ProtocolLayout(protocol)
-    probes = _probe_vectors(protocol, n_probe, seed)
-    col_max = np.zeros(len(protocol.unknown_names))
-    for x in probes:
-        jac, _ = _jacobian_from_vector(layout, x)
-        col_max = np.maximum(col_max, np.abs(jac).max(axis=0))
+    jac = ProtocolLayout(protocol).jacobian(
+        _probe_vectors(protocol, n_probe, seed))
+    col_max = np.abs(jac).max(axis=(0, 1))
     scale = max(col_max.max(), 1.0)
     dead = tuple(name for name, cm in zip(protocol.unknown_names, col_max)
                  if cm < 1e-9 * scale)

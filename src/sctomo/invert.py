@@ -19,8 +19,10 @@ structure of the V-type protocol: ground-excited pair 1 on its own settings,
 then pair 2 on its own settings with pair 1 held, then the excited-excited
 coherence by one linear solve.  It must agree with the joint solve on exact
 data.  The damped Gauss-Newton polish is the one iterative solver over the
-full parameter vector, and `identify.central_differences` the one
-finite-difference rule.
+full parameter vector.  Every Jacobian here is closed-form: the polish and
+the result diagnostics take `ProtocolLayout.jacobian`, and the profile
+refine the variable-projection Jacobian built from
+`ProtocolLayout.design_and_derivative`; no finite difference is taken.
 """
 
 from __future__ import annotations
@@ -110,13 +112,6 @@ class ReconstructionResult:
 # ---------------------------------------------------------------------------
 
 
-def design_matrix(protocol: Protocol, unknowns: UnknownParams = None) -> np.ndarray:
-    """Rows: settings; columns: Cartesian state coordinates (pops, x, y per pair)."""
-    fixed = unknowns.as_dict() if unknowns is not None else {}
-    return ProtocolLayout(protocol, names=(), fixed=fixed).design(
-        np.zeros((1, 0)))[0]
-
-
 @dataclass(frozen=True)
 class LinearInversionResult:
     state: DensityParams
@@ -144,7 +139,8 @@ def linear_invert(counts, protocol: Protocol) -> LinearInversionResult:
     if protocol.process_unknown_names:
         raise InvalidRange("linear inversion needs fully known rotations")
     y = _count_vector(counts, protocol)
-    a = design_matrix(protocol)
+    # rows: settings; columns: Cartesian state coordinates (pops, x, y per pair)
+    a = ProtocolLayout(protocol, names=()).design(np.zeros((1, 0)))[0]
     ncols = a.shape[1]
     sol, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
     if rank < ncols:
@@ -212,11 +208,11 @@ def objective_eval(params, counts, protocol: Protocol, kind: str = "least_square
                    names=None, fixed=None):
     """Objective value and gradient at a Γ-ordered parameter vector.
 
-    The gradient chains the analytic objective derivative through a
-    central-difference Jacobian of the model statistics (same step rule as
-    the identifiability module), so it can be validated against direct
-    finite differences of the objective itself.  A non-positive model
-    statistic under the Poisson objective yields (+inf, zero gradient).
+    The gradient chains the analytic objective derivative through the
+    closed-form Jacobian of the model statistics (`ProtocolLayout.jacobian`),
+    so it can be validated against direct finite differences of the
+    objective itself.  A non-positive model statistic under the Poisson
+    objective yields (+inf, zero gradient).
     """
     if kind not in OBJECTIVES:
         raise InvalidRange(f"objective {kind!r} not in {OBJECTIVES}")
@@ -227,8 +223,7 @@ def objective_eval(params, counts, protocol: Protocol, kind: str = "least_square
     f = float(_objective_values(n_model, y, kind)[0])
     if not math.isfinite(f):
         return f, np.zeros(x.size)
-    jac, _ = identify._jacobian_from_vector(layout, x)
-    g, _ = _grad_hess(n_model, jac[None, :, :], y, kind)
+    g, _ = _grad_hess(n_model, layout.jacobian(x), y, kind)
     return f, g[0]
 
 
@@ -305,7 +300,7 @@ def _lm_multistart(layout: ProtocolLayout, y: np.ndarray, start: np.ndarray,
     mu, converged, gnorm, jac = 1e-3, False, math.inf, None
     for _ in range(options.max_iter):
         if jac is None:
-            jac = identify._jacobian_from_vector(layout, x)[0]
+            jac = layout.jacobian(x)[0]
         # an invalid Poisson point descends on least squares
         g, h = _grad_hess(n_model, jac[None], y,
                           kind if math.isfinite(f) else "least_squares")
@@ -355,6 +350,7 @@ def _lm_multistart(layout: ProtocolLayout, y: np.ndarray, start: np.ndarray,
 SCAN_POINTS = {1: 256, 2: 64}  # grid points per strength axis, by scan dimension
 N_REFINE = 6                   # lowest grid minima refined per scan stage
 REFINE_ITER = 60
+REFINE_FTOL = 1e-8             # least relative gain of an accepted refine step
 SCAN_CHUNK = 1024              # profile points per design evaluation
 TIE_RTOL = 1e-9
 TIE_ATOL = 1e-18               # times max(1, |y|^2)
@@ -385,28 +381,47 @@ class _Profile:
                  held=None):
         self.layout = ProtocolLayout(protocol, fixed=held)
         self.y = y
-        self.lam_cols = [k for k, n in enumerate(self.layout.names)
-                         if _param_kind(n) == "lam"]
+        self.lam_cols = self.layout.lam_cols
         self.cols = _free_coordinates(protocol) if cols is None else cols
         self.scale = max(1.0, float((y ** 2).sum()))
         # coordinates of the held state alone: every declared parameter at 0
         self.held = self.layout.coordinates(
             np.zeros((1, len(self.layout.names))))[0]
 
-    def fit(self, lam, rows=None):
+    def fit(self, lam, rows=None, free=None):
         """Coordinates (P, C) and residual vectors (P, S) at each row of lam,
         fit on the settings `rows` (default all) to the counts less the
-        held state's statistics."""
+        held state's statistics.
+
+        With `free` (strength indices) also the Jacobian of the residuals in
+        those strengths, (P, S, len(free)), in the full variable-projection
+        form of Golub & Pereyra (Inverse Problems 19, R1, 2003):
+        P⊥ (∂D/∂lam) c_full - (A⁺)ᵀ (∂A/∂lam)ᵀ r, where D is the design,
+        A its columns `cols`, c_full the fitted coordinates with the held
+        ones and P⊥ = I - A A⁺, all on `rows`.
+        """
         lam = np.atleast_2d(lam)
         x = np.zeros((lam.shape[0], len(self.layout.names)))
         x[:, self.lam_cols] = lam
-        design = self.layout.design(x)
+        rows = slice(None) if rows is None else rows
+        if free is None:
+            design = self.layout.design(x)[:, rows]
+        else:
+            design, d_design = self.layout.design_and_derivative(x)
+            design, d_design = design[:, rows], d_design[:, rows][..., free]
         a = design[:, :, self.cols]
-        y = self.y - design @ self.held
-        if rows is not None:
-            a, y = a[:, rows], y[:, rows]
-        coords = np.einsum("pcs,ps->pc", np.linalg.pinv(a, rcond=1e-10), y)
-        return coords, np.einsum("psc,pc->ps", a, coords) - y
+        y = self.y[rows] - design @ self.held
+        a_pinv = np.linalg.pinv(a, rcond=1e-10)
+        coords = np.einsum("pcs,ps->pc", a_pinv, y)
+        resid = np.einsum("psc,pc->ps", a, coords) - y
+        if free is None:
+            return coords, resid
+        c_full = np.tile(self.held, (len(lam), 1))
+        c_full[:, self.cols] += coords
+        v = np.einsum("psck,pc->psk", d_design, c_full)
+        v -= a @ (a_pinv @ v)
+        w = np.einsum("psck,ps->pck", d_design[:, :, self.cols], resid)
+        return coords, resid, v - np.einsum("pcs,pck->psk", a_pinv, w)
 
     def objective(self, lam, rows=None) -> np.ndarray:
         """Profile least-squares objective at each row of lam."""
@@ -435,11 +450,21 @@ class _Profile:
 
     def refine(self, lam, free, rows=None):
         """Levenberg-Marquardt on the projected residual over the strengths
-        `free` (`identify.central_differences`), from each row of lam;
-        returns the end points and their objectives on `rows`."""
+        `free`, from each row of lam, with the Jacobian of `fit`; returns
+        the end points and their objectives on `rows`.
+
+        The fit of each trial point also gives the Jacobian there, so an
+        iteration costs one design evaluation.  A start stops at the floor
+        objective, on a step that no longer moves it, when its damping
+        saturates, or on an accepted step that lowers its objective by at
+        most REFINE_FTOL of it: a start that creeps towards a degenerate
+        strength (lam -> 0, 2*pi, or pi where sin(lam) silences settings)
+        gains that little per step, while one that converges to a root
+        gains orders of magnitude.
+        """
         lam = np.array(lam, dtype=float)
         k = len(free)
-        r = self.fit(lam, rows)[1]
+        _, r, jac = self.fit(lam, rows, free)
         f = (r ** 2).sum(axis=1)
         mu = np.full(lam.shape[0], 1e-3)
         floor = 1e-30 * self.scale
@@ -449,24 +474,25 @@ class _Profile:
             if act.size == 0:
                 break
             x = lam[act]
-            jac, _ = identify.central_differences(
-                lambda p: self.fit(p, rows)[1], x, free)
-            g = np.einsum("ask,as->ak", jac, r[act])
-            hess = np.einsum("ask,asj->akj", jac, jac)
+            g = np.einsum("ask,as->ak", jac[act], r[act])
+            hess = np.einsum("ask,asj->akj", jac[act], jac[act])
             step = -np.linalg.solve(hess + mu[act, None, None] * np.eye(k),
                                     g[..., None])[..., 0]
             trial = x.copy()
             trial[:, free] = np.clip(x[:, free] + step, LAM_FLOOR, TWO_PI)
-            rt = self.fit(trial, rows)[1]
+            _, rt, jt = self.fit(trial, rows, free)
             ft = (rt ** 2).sum(axis=1)
             accept = ft <= f[act]
             acc, rej = act[accept], act[~accept]
+            stalled = acc[f[acc] - ft[accept] <= REFINE_FTOL * f[acc]]
             lam[acc], r[acc], f[acc] = trial[accept], rt[accept], ft[accept]
+            jac[acc] = jt[accept]
             mu[acc] = np.maximum(mu[acc] / 3.0, 1e-14)
             mu[rej] *= 7.0
             moved = np.abs(trial[:, free] - x[:, free]).max(axis=1)
             done[act[moved <= 1e-12 * (1.0 + np.abs(x[:, free]).max(axis=1))]] = True
             done[rej[mu[rej] >= 1e12]] = True
+            done[stalled] = True
             done[f <= floor] = True
         return lam, f
 
@@ -508,6 +534,23 @@ def _grid_minima(f: np.ndarray, n: int) -> np.ndarray:
     return idx[np.argsort(f.ravel()[idx], kind="stable")][:n]
 
 
+def _ties(f: np.ndarray, scale: float) -> np.ndarray:
+    """Indices, in order, of the objectives f that tie with the lowest
+    (within TIE_RTOL of it, or TIE_ATOL times scale)."""
+    tol = max(TIE_RTOL * f.min(), TIE_ATOL * scale)
+    return np.flatnonzero(f <= f.min() + tol)
+
+
+def _best_minimum(cand: np.ndarray, f: np.ndarray, scale: float) -> int:
+    """Index of the minimum to go on from: among the rows of strengths
+    `cand` whose objective f ties with the lowest, the one with the fewest
+    strengths above pi (the canonical member of a reflection pair), then
+    the first in scan order, so that round-off among exact ties does not
+    decide."""
+    return min(_ties(f, scale),
+               key=lambda i: (int((cand[i] > math.pi + 1e-12).sum()), i))
+
+
 def _scan(profile: _Profile, stages) -> np.ndarray:
     """Refined profile minima, one row of strengths each."""
     n_lam = len(profile.lam_cols)
@@ -522,7 +565,7 @@ def _scan(profile: _Profile, stages) -> np.ndarray:
         f = profile.objective(pts, rows)
         starts = pts[_grid_minima(f.reshape((g,) * len(free)), N_REFINE)]
         cand, f_cand = profile.refine(starts, free, rows)
-        lam = cand[np.argmin(f_cand)]
+        lam = cand[_best_minimum(cand, f_cand, profile.scale)]
     if len(stages) > 1:
         cand, _ = profile.refine(cand, list(range(n_lam)))
     return cand
@@ -600,11 +643,9 @@ def _branch_key(layout: ProtocolLayout, x: np.ndarray, index: int) -> tuple:
 def _tie_choice(layout: ProtocolLayout, points, f: np.ndarray,
                 scale: float) -> int:
     """Index of the member chosen by `_branch_key` among those whose
-    objective f ties with the lowest (within TIE_RTOL of it, or TIE_ATOL
-    times scale)."""
-    tol = max(TIE_RTOL * f.min(), TIE_ATOL * scale)
-    ties = np.flatnonzero(f <= f.min() + tol)
-    return min(ties, key=lambda i: _branch_key(layout, points[i], i))
+    objective f ties with the lowest."""
+    return min(_ties(f, scale),
+               key=lambda i: _branch_key(layout, points[i], i))
 
 
 def resolve_twin_family(profile: _Profile, cand: np.ndarray) -> tuple:
@@ -612,14 +653,14 @@ def resolve_twin_family(profile: _Profile, cand: np.ndarray) -> tuple:
 
     The family is every refined minimum in `cand` (in scan order: lowest
     grid objective first) plus each reflection lam_j -> 2*pi - lam_j (one
-    or more strengths at once) of the best one, with the state re-solved
-    linearly at each.  The members whose objective ties with the lowest are
-    ranked by `_branch_key`, so distinct exact roots that are both physical
-    with every lam <= pi (a vanished coherence can leave two) go by scan
-    order.  Returns the chosen parameter vector, its objective and the
-    number of members compared.
+    or more strengths at once) of the best one (`_best_minimum`), with the
+    state re-solved linearly at each.  The members whose objective ties
+    with the lowest are ranked by `_branch_key`, so distinct exact roots
+    that are both physical with every lam <= pi (a vanished coherence can
+    leave two) go by scan order.  Returns the chosen parameter vector, its
+    objective and the number of members compared.
     """
-    best = cand[np.argmin(profile.objective(cand))]
+    best = cand[_best_minimum(cand, profile.objective(cand), profile.scale)]
     members = [cand]
     for flips in itertools.product((False, True), repeat=best.size):
         if any(flips):
@@ -678,7 +719,7 @@ def prefer_sparse_coherences(protocol: Protocol, x: np.ndarray, f: float,
 def _package_result(protocol: Protocol, x: np.ndarray, outcome_f: float,
                     grad_norm: float, n_starts: int, converged: bool,
                     objective: str, y: np.ndarray = None) -> ReconstructionResult:
-    report = identify.jacobian_from_vector(protocol, x)
+    report = identify.analytic_jacobian(protocol, x)
     jmax = float(np.abs(report.matrix).max())
     singular = report.smallest_singular_value <= 1e-9 * max(1.0, jmax)
     if singular and y is not None:
@@ -688,7 +729,7 @@ def _package_result(protocol: Protocol, x: np.ndarray, outcome_f: float,
             protocol, x, outcome_f, y, objective)
         if not np.array_equal(x_sparse, x):
             x = x_sparse
-            report = identify.jacobian_from_vector(protocol, x)
+            report = identify.analytic_jacobian(protocol, x)
             jmax = float(np.abs(report.matrix).max())
             singular = report.smallest_singular_value <= 1e-9 * max(1.0, jmax)
     if singular:
@@ -760,7 +801,8 @@ def reconstruct(counts, protocol: Protocol,
        V scans lam1 on settings 0-4 and then lam2, C-alt scans
        (lam_c, lam_z) jointly, and a protocol without strengths (A) is a
        single linear solve.  The N_REFINE lowest grid minima of each stage
-       are refined by Levenberg-Marquardt on the projected residual.
+       are refined by Levenberg-Marquardt on the projected residual, with
+       its closed-form Jacobian; a start whose steps stall stops early.
     2. Branch rule.  The best minimum, its reflections lam_j -> 2*pi - lam_j
        and any other refined minimum are compared; among those tied with
        the lowest objective the member chosen is physical first, then has
@@ -827,7 +869,7 @@ def _block_fit(protocol: Protocol, y: np.ndarray, block: int,
     profile = _Profile(sub, y[list(indices)], held=held)
     cand = _scan(profile, _scan_stages(sub))
     coords, resid = profile.fit(cand)
-    best = int(np.argmin((resid ** 2).sum(axis=1)))
+    best = _best_minimum(cand, (resid ** 2).sum(axis=1), profile.scale)
     return dict(zip(names, profile.point(cand[best], coords[best])))
 
 

@@ -66,8 +66,16 @@ def canonical_json(obj, indent: int = 0) -> str:
     raise SchemaError(f"cannot serialize {type(obj).__name__}")
 
 
+def write_text(path, text: str) -> None:
+    """Write a UTF-8 file; an unwritable path is a SchemaError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(canonical_json(obj) + "\n", encoding="utf-8")
+    write_text(path, canonical_json(obj) + "\n")
 
 
 def read_json(path):
@@ -161,20 +169,42 @@ def _parse_noise(obj, seed: int) -> NoiseModel:
     return NoiseModel(**kwargs)
 
 
-def _parse_state(obj, dim: int) -> DensityParams:
+def _finite_values(obj: dict, context: str) -> dict:
+    """The values of a name -> number object as floats; each must be a
+    finite JSON number."""
+    for name, value in obj.items():
+        if not (_has_type(value, float) and math.isfinite(value)):
+            raise SchemaError(
+                f"{context}.{name}: expected a finite number, got {value!r}")
+    return {name: float(value) for name, value in obj.items()}
+
+
+def _parse_state(obj, dim: int, context: str) -> DensityParams:
+    """State of a config (context "truth.state") or point file."""
     expected = set(STATE_KEYS[dim])
     if not isinstance(obj, dict):
-        raise SchemaError("truth.state: expected an object")
+        raise SchemaError(f"{context}: expected an object")
     for name in obj:
         if name not in expected:
-            raise SchemaError(f"truth.state: unknown field {name!r}")
+            raise SchemaError(f"{context}: unknown field {name!r}")
     missing = expected - set(obj)
     if missing:
-        raise SchemaError(f"truth.state: missing field {sorted(missing)[0]!r}")
+        raise SchemaError(f"{context}: missing field {sorted(missing)[0]!r}")
+    values = _finite_values(obj, context)
     try:
-        return state_from_dict({k: float(v) for k, v in obj.items()})
+        return state_from_dict(values)
     except Exception as exc:
-        raise SchemaError(f"truth.state: {exc}") from exc
+        raise SchemaError(f"{context}: {exc}") from exc
+
+
+def _parse_unknowns(obj, dim: int, context: str) -> UnknownParams:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{context}: expected an object")
+    values = _finite_values(obj, context)
+    try:
+        return unknowns_from_dict(dim, values)
+    except Exception as exc:
+        raise SchemaError(f"{context}: {exc}") from exc
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -201,14 +231,8 @@ def load_experiment(path) -> ExperimentConfig:
             f"config dim {dim} but protocol {protocol.name!r} has dim {protocol.dim}")
     truth = obj["truth"]
     _check_fields(truth, {"state": dict}, {"unknowns": dict}, "truth")
-    state = _parse_state(truth["state"], dim)
-    unk_obj = truth.get("unknowns", {})
-    if not isinstance(unk_obj, dict):
-        raise SchemaError("truth.unknowns: expected an object")
-    try:
-        unknowns = unknowns_from_dict(dim, unk_obj)
-    except Exception as exc:
-        raise SchemaError(f"truth.unknowns: {exc}") from exc
+    state = _parse_state(truth["state"], dim, "truth.state")
+    unknowns = _parse_unknowns(truth.get("unknowns", {}), dim, "truth.unknowns")
     missing = [n for n in protocol.process_unknown_names
                if n not in unknowns.as_dict()]
     if missing:
@@ -303,12 +327,8 @@ def load_point(path, dim: int):
     if "dim" in obj and int(obj["dim"]) != dim:
         raise DimensionMismatch(
             f"point dim {obj['dim']} but protocol dim {dim}")
-    state = _parse_state(obj["state"], dim)
-    try:
-        unknowns = unknowns_from_dict(dim, obj.get("unknowns", {}))
-    except Exception as exc:
-        raise SchemaError(f"point.unknowns: {exc}") from exc
-    return state, unknowns
+    state = _parse_state(obj["state"], dim, "point.state")
+    return state, _parse_unknowns(obj.get("unknowns", {}), dim, "point.unknowns")
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Everything here is a thin, contract-checked layer over numpy's Hermitian
 eigensolver.  The unitary exponential goes through the eigendecomposition for
-every dimension; closed-form alternatives (e.g. the 2x2 rotation formula) are
-kept out of the production path and live in the test suite as oracles.
+every dimension.  It serves the scalar forward path (`forward.evolve`, and
+through it `predicted_statistics` and the count simulation) and is the
+oracle the tests hold the closed-form kernel of `forward.ProtocolLayout`,
+which the solvers use, to.
 """
 
 from __future__ import annotations

@@ -313,3 +313,90 @@ def test_malformed_counts_exit_2(tmp_path, capsys, case):
     assert code == 2
     assert err.startswith("sct: error: ")
     assert not (tmp_path / "r.json").exists()
+
+
+POINT_B = {"schema_version": 1,
+           "state": {"rho00": 0.6, "rho11": 0.4, "rho01": 0.25, "gamma": 0.8},
+           "unknowns": {"lam_c": 1.3}}
+
+
+def _with(obj, section, field, value):
+    out = json.loads(json.dumps(obj))
+    out[section][field] = value
+    return out
+
+
+# case -> (command, file contents by name, error text, output argument);
+# "missing/" names a directory that does not exist, so its file cannot be
+# written.  Each case exits 2 with an `sct: error:` line and writes nothing.
+BAD_ARGUMENTS = {
+    "jacobian-point-state-nan": (
+        ["jacobian", "--protocol", "B", "--point", "{point}"],
+        {"point": _with(POINT_B, "state", "rho00", float("nan"))},
+        "point.state.rho00", None),
+    "jacobian-point-unknown-inf": (
+        ["jacobian", "--protocol", "B", "--point", "{point}"],
+        {"point": _with(POINT_B, "unknowns", "lam_c", float("inf"))},
+        "point.unknowns.lam_c", None),
+    "sweep-point-state-nan": (
+        ["sweep", "--protocol", "B", "--point", "{point}",
+         "--axis", "lam_c=0.5:1", "--grid", "4", "--out", "{out}"],
+        {"point": _with(POINT_B, "state", "gamma", float("nan"))},
+        "point.state.gamma", "s.csv"),
+    "sweep-axis-nan": (
+        ["sweep", "--protocol", "B", "--point", "{point}",
+         "--axis", "lam_c=nan:1", "--grid", "4", "--out", "{out}"],
+        {"point": POINT_B}, "lam_c=nan:1", "s.csv"),
+    "sweep-axis-inf": (
+        ["sweep", "--protocol", "B", "--point", "{point}",
+         "--axis", "lam_c=1:inf", "--grid", "4", "--out", "{out}"],
+        {"point": POINT_B}, "lam_c=1:inf", "s.csv"),
+    "sweep-axis-reversed": (
+        ["sweep", "--protocol", "B", "--point", "{point}",
+         "--axis", "lam_c=2:1", "--grid", "4", "--out", "{out}"],
+        {"point": POINT_B}, "lam_c=2:1", "s.csv"),
+    "sweep-out-unwritable": (
+        ["sweep", "--protocol", "B", "--point", "{point}",
+         "--axis", "lam_c=0.5:1", "--grid", "4", "--out", "{out}"],
+        {"point": POINT_B}, "cannot write", "missing/s.csv"),
+    "simulate-truth-state-nan": (
+        ["simulate", "--config", "{config}", "--out", "{out}"],
+        {"config": "nan"}, "truth.state.rho01", "c.json"),
+    "simulate-out-unwritable": (
+        ["simulate", "--config", "{config}", "--out", "{out}"],
+        {"config": None}, "cannot write", "missing/c.json"),
+    "reconstruct-out-unwritable": (
+        ["reconstruct", "--counts", "{counts}", "--protocol", "B",
+         "--out", "{out}"],
+        {"config": None, "counts": None}, "cannot write", "missing/r.json"),
+    "validate-conventions-out-unwritable": (
+        ["validate", "--conventions-out", "{out}"],
+        {}, "cannot write", "missing/CONVENTIONS.txt"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_arguments_exit_2(tmp_path, capsys, monkeypatch, case):
+    argv, files, message, out = BAD_ARGUMENTS[case]
+    paths = {"out": str(tmp_path / (out or "unused"))}
+    for name, content in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        if name == "config":
+            cfg = write_config(tmp_path / "config.json")
+            if content == "nan":
+                cfg["truth"]["state"]["rho01"] = float("nan")
+                (tmp_path / "config.json").write_text(json.dumps(cfg))
+        elif name == "counts":
+            assert cli.main(["simulate", "--config", paths["config"],
+                             "--out", paths["counts"]]) == 0
+        else:
+            # json.dumps, not canonical_json: NaN and Infinity stay literal
+            (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    monkeypatch.setattr(validation, "run_suite", lambda suite, seed: [])
+    capsys.readouterr()
+    code = cli.main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("sct: error: ")
+    assert message in err
+    assert not (tmp_path / (out or "unused")).exists()

@@ -209,6 +209,75 @@ def test_layout_statistics_are_design_times_coordinates():
                               layout.coordinates(x[None, :]))
 
 
+KERNEL_PROTOCOLS = ("A", "B", "B~beta", "C-alt", "V")
+
+
+def kernel_protocol(name):
+    from sctomo.protocol import with_unknown_phase
+    base = scenario(name.split("~")[0])
+    return with_unknown_phase(base) if name.endswith("~beta") else base
+
+
+def kernel_points(proto, rng, n=12):
+    """Random parameter rows, the first rows with every strength at the
+    solver's floor, at 2*pi, and small enough for the kernel's series."""
+    from sctomo.invert import LAM_FLOOR
+    x = np.array([[rng.uniform(0.2, 6.0) if name.startswith(("lam", "gamma",
+                                                            "beta"))
+                   else rng.uniform(0.05, 0.5) for name in proto.unknown_names]
+                  for _ in range(n)])
+    lam = [k for k, name in enumerate(proto.unknown_names)
+           if name.startswith("lam")]
+    x[0, lam], x[1, lam] = LAM_FLOOR, 2 * np.pi
+    x[2, lam], x[3, lam] = 0.03, 0.09
+    return x
+
+
+@pytest.mark.parametrize("name", KERNEL_PROTOCOLS)
+def test_closed_form_rows_match_eigh(name):
+    # oracle: the label row of exp(-iG) by the Hermitian eigensolver, on
+    # generators assembled from the resolved settings, among them a
+    # setting with G = 0 in every protocol here
+    from sctomo import smallmat
+    from sctomo.model import assemble_generator
+    from sctomo.protocol import resolve, split_values
+    proto = kernel_protocol(name)
+    layout = ProtocolLayout(proto)
+    x = kernel_points(proto, np.random.default_rng(81))
+    rows = layout._label_rows(layout._decode(x)[3])
+    for k, point in enumerate(x):
+        _, unknowns = split_values(proto, point)
+        gens = np.array([assemble_generator(resolve(st, unknowns))
+                         for st in proto.settings])
+        u = smallmat.expi_neg_batch(gens)
+        oracle = u[np.arange(len(gens)), layout.labels]
+        assert np.abs(rows[k] - oracle).max() <= 1e-14
+    zero = [s for s, st in enumerate(proto.settings)
+            if not any(st.multipliers) and not any(st.fixed_couplings)
+            and st.mz == 0 and st.fixed_diag == 0]
+    assert zero
+    assert np.array_equal(rows[:, zero], np.broadcast_to(
+        np.eye(proto.dim)[layout.labels[zero]], rows[:, zero].shape))
+
+
+@pytest.mark.parametrize("name", KERNEL_PROTOCOLS)
+def test_design_derivative_matches_central_differences(name):
+    from sctomo.identify import central_differences
+    proto = kernel_protocol(name)
+    layout = ProtocolLayout(proto)
+    x = kernel_points(proto, np.random.default_rng(82))
+    design, d_design = layout.design_and_derivative(x)
+    assert np.array_equal(design, layout.design(x))
+    assert d_design.shape == design.shape + (len(layout.lam_cols),)
+    if not layout.lam_cols:
+        return
+    # the floor and 2*pi rows sit on the edge of the scan box, not of the
+    # kernel's domain: differences step across them
+    fd, _ = central_differences(
+        lambda p: layout.design(p).reshape(len(p), -1), x, layout.lam_cols)
+    assert np.abs(fd.reshape(d_design.shape) - d_design).max() <= 1e-7
+
+
 def test_simulate_exact_and_deterministic():
     proto = scenario("A")
     mixed = qubit_state(0.5, 0.5, 0, 0)

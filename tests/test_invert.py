@@ -337,3 +337,134 @@ def test_noisy_reconstruction_is_physical():
     from sctomo.model import state_matrix
     evs = np.linalg.eigvalsh(state_matrix(result.state)) / result.state.trace
     assert evs[0] >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# Closed-form Jacobians and the refine's stall stop
+# ---------------------------------------------------------------------------
+
+
+def test_profile_jacobian_matches_differences_of_residual():
+    from sctomo.identify import central_differences
+    rng = np.random.default_rng(91)
+    proto = scenario("V")
+    state, unknowns = sample_truth("V", rng)
+    # noisy counts, so that no point below fits them exactly
+    counts = predicted_statistics(proto, state, unknowns) \
+        + 1e-2 * rng.standard_normal(proto.n_settings)
+    # the profile of V block 2 (settings 5-8) with block 1 held at the truth
+    indices, names = invert.V_BLOCKS[1]
+    sub = Protocol(name="V#b2", dim=3,
+                   settings=tuple(proto.settings[i] for i in indices),
+                   unknown_names=names)
+    truth = dict(zip(proto.unknown_names,
+                     pack_values(proto.unknown_names, state, unknowns)))
+    block2 = invert._Profile(sub, counts[list(indices)],
+                             held={n: truth[n] for n in invert.V_BLOCKS[0][1]})
+    full_v = invert._Profile(proto, counts)
+    cases = [
+        (block2, rng.uniform(0.3, 2.8, (6, 1)), [0], None),
+        # the V scan's first stage: lam1 on settings 0-4, lam2 held
+        (full_v, np.column_stack([rng.uniform(0.3, 2.8, 6), np.full(6, 1.1)]),
+         [0], [0, 1, 2, 3, 4]),
+        (full_v, rng.uniform(0.3, 2.8, (6, 2)), [0, 1], [0, 5, 6, 7, 8, 9, 10]),
+        (full_v, rng.uniform(0.3, 2.8, (6, 2)), [0, 1], None),
+    ]
+    for profile, lam, free, rows in cases:
+        coords, resid, jac = profile.fit(lam, rows, free)
+        assert (resid ** 2).sum(axis=1).min() > 1e-8
+        fd, _ = central_differences(lambda p: profile.fit(p, rows)[1], lam,
+                                    free)
+        assert jac.shape == fd.shape
+        assert np.abs(jac - fd).max() <= 1e-6
+        c2, r2 = profile.fit(lam, rows)
+        assert np.array_equal(c2, coords) and np.array_equal(r2, resid)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "B~beta", "C-alt", "C-alt~beta",
+                                  "V", "V~beta"])
+def test_polish_jacobian_matches_numeric_jacobian(name):
+    from sctomo.forward import ProtocolLayout
+    from sctomo.identify import jacobian_from_vector
+    base = name.split("~")[0]
+    proto = scenario(base)
+    if name.endswith("~beta"):
+        proto = with_unknown_phase(proto)
+    rng = np.random.default_rng(92)
+    layout = ProtocolLayout(proto)
+    for _ in range(5):
+        state, unknowns = sample_truth(base, rng)
+        x = pack_values(proto.unknown_names, state, unknowns)
+        jac = layout.jacobian(x[None, :])[0]
+        numeric = jacobian_from_vector(proto, x).matrix
+        assert np.abs(jac - numeric).max() <= 1e-6 * np.abs(numeric).max()
+
+
+def test_solve_path_uses_no_eigh_kernel_or_differences(monkeypatch):
+    from sctomo import identify, smallmat
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the solve path")
+
+    rng = np.random.default_rng(93)
+    proto = scenario("V")
+    state, unknowns = sample_truth("V", rng)
+    counts = predicted_statistics(proto, state, unknowns)
+    expected = pack_values(proto.unknown_names, state, unknowns)
+    for name in ("expi_neg", "expi_neg_batch"):
+        monkeypatch.setattr(smallmat, name, forbidden)
+    monkeypatch.setattr(identify, "central_differences", forbidden)
+    monkeypatch.setattr(identify, "_STRUCTURAL_CACHE", {})
+    assert max_param_error(proto.unknown_names, reconstruct(counts, proto).x,
+                           expected) < 1e-8
+    assert max_param_error(proto.unknown_names, block_solve_v(counts, proto).x,
+                           expected) < 1e-8
+    assert max_param_error(proto.unknown_names,
+                           polish(counts, proto, expected + 1e-3).x,
+                           expected) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["V", "C-alt"])
+def test_stall_stop_keeps_the_best_minimum(monkeypatch, name):
+    rng = np.random.default_rng(94)
+    proto = scenario(name)
+    for _ in range(3):
+        state, unknowns = sample_truth(name, rng)
+        counts = predicted_statistics(proto, state, unknowns)
+        profile = invert._Profile(proto, counts)
+        stages = invert._scan_stages(proto)
+        runs = []
+        for ftol in (0.0, invert.REFINE_FTOL):
+            monkeypatch.setattr(invert, "REFINE_FTOL", ftol)
+            cand = invert._scan(profile, stages)
+            f = profile.objective(cand)
+            best = invert._best_minimum(cand, f, profile.scale)
+            runs.append((cand[best], f[best], reconstruct(counts, proto).x))
+        (lam0, f0, x0), (lam1, f1, x1) = runs
+        assert np.abs(lam0 - lam1).max() <= 1e-10
+        assert max(f0, f1) <= 1e-20
+        assert np.abs(x0 - x1).max() <= 1e-10
+
+
+def test_stall_stop_halves_design_evaluations(monkeypatch):
+    # the first sample_truth("V") draw of default_rng(0): the eigh kernel
+    # with central differences in the refine and no stall stop made 93
+    # design evaluations; the closed-form kernel with the variable-projection
+    # Jacobian and the stall stop makes 27
+    from sctomo.forward import ProtocolLayout
+    calls = []
+    for method in ("design", "design_and_derivative"):
+        original = getattr(ProtocolLayout, method)
+
+        def counted(self, x, _original=original):
+            calls.append(1)
+            return _original(self, x)
+
+        monkeypatch.setattr(ProtocolLayout, method, counted)
+    proto = scenario("V")
+    state, unknowns = sample_truth("V", np.random.default_rng(0))
+    counts = predicted_statistics(proto, state, unknowns)
+    result = reconstruct(counts, proto)
+    expected = pack_values(proto.unknown_names, state, unknowns)
+    assert max_param_error(proto.unknown_names, result.x, expected) < 1e-8
+    assert len(calls) <= 93 // 2
