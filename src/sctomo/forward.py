@@ -32,7 +32,8 @@ import numpy as np
 from . import smallmat
 from .errors import BadLabel, DimensionMismatch, InvalidRange
 from .model import (COHERENCE_PAIRS, DensityParams, GeneratorParams,
-                    assemble_generator, derived_angles, state_matrix)
+                    assemble_generator, derived_angles, random_generator,
+                    random_physical_state, state_matrix)
 from .protocol import (COUPLING_UNKNOWNS, BETA_TO_PHASE, DIAG_UNKNOWN,
                        Protocol, UnknownParams, resolve)
 
@@ -232,8 +233,8 @@ def resolve_sign_convention(dim: int, n_draws: int = 200, seed: int = 715) -> in
     rng = np.random.default_rng(seed + dim)
     worst = {1: 0.0, -1: 0.0}
     for _ in range(n_draws):
-        state = _random_state(dim, rng)
-        gen = _random_generator(dim, rng)
+        state = random_physical_state(dim, rng)
+        gen = random_generator(dim, rng)
         for label in range(dim):
             exact = probability(state, gen, label)
             for sign in (1, -1):
@@ -247,23 +248,6 @@ def resolved_sign_convention(dim: int) -> int:
     if dim not in _SIGN_CACHE:
         _SIGN_CACHE[dim] = resolve_sign_convention(dim)
     return _SIGN_CACHE[dim]
-
-
-def _random_state(dim: int, rng) -> DensityParams:
-    # PSD by construction: random pure-ensemble mixture, scaled
-    vecs = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    weights = rng.uniform(0.2, 1.0, dim)
-    m = sum(w * np.outer(v, v.conj()) / (v.conj() @ v) for w, v in zip(weights, vecs))
-    from .model import state_params_from_matrix
-    return state_params_from_matrix(m)
-
-
-def _random_generator(dim: int, rng) -> GeneratorParams:
-    if dim == 2:
-        return GeneratorParams(2, rng.uniform(-4, 4), (rng.uniform(0, 6),),
-                               (rng.uniform(0, 2 * np.pi),))
-    return GeneratorParams(3, 0.0, tuple(rng.uniform(0, 6, 2)),
-                           tuple(rng.uniform(0, 2 * np.pi, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ Three routes are provided and cross-checked against each other:
   solved by linear least squares at every point of a scan over the 0, 1 or
   2 strengths; the exact-tie reflection family of the best minimum is
   enumerated and ranked by a stated rule, and the chosen member is polished
-  by damped Gauss-Newton on the least-squares or the Poisson-deviance
-  objective;
+  on the least-squares or the Poisson-deviance objective;
 * `grid_oracle`, a brute-force recursive grid search used to validate the
   solver.
 
@@ -18,11 +17,14 @@ Three routes are provided and cross-checked against each other:
 structure of the V-type protocol: ground-excited pair 1 on its own settings,
 then pair 2 on its own settings with pair 1 held, then the excited-excited
 coherence by one linear solve.  It must agree with the joint solve on exact
-data.  The damped Gauss-Newton polish is the one iterative solver over the
-full parameter vector.  Every Jacobian here is closed-form: the polish and
-the result diagnostics take `ProtocolLayout.jacobian`, and the profile
-refine the variable-projection Jacobian built from
-`ProtocolLayout.design_and_derivative`; no finite difference is taken.
+data.
+
+The solvers work on z = [Cartesian state coordinates, strengths]
+(`_Profile`), and one damped Gauss-Newton loop, `_damped_gauss_newton`,
+runs both the profile refine and the polish, with closed-form Jacobians
+and no finite difference.  Magnitude and phase appear only at the
+boundary: `_Profile.start` and `_Profile.point`, and the result
+diagnostics (`ProtocolLayout.jacobian`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,15 +43,15 @@ from .errors import (DimensionMismatch, InvalidRange, RankDeficient,
 from .forward import ProtocolLayout, observed_values
 from .model import (COHERENCE_PAIRS, DensityParams, TWO_PI, state_matrix,
                     state_params_from_matrix, wrap_phase)
-from .protocol import (COUPLING_UNKNOWNS, DIAG_UNKNOWN, PHASE_TO_BETA, Protocol,
-                       UnknownParams, V_BLOCKS, split_values)
+from .protocol import (PHASE_TO_BETA, Protocol, UnknownParams, V_BLOCKS,
+                       split_values)
 
 OBJECTIVES = ("least_squares", "poisson_mle")
 LAM_FLOOR = 1e-9
 TINY_MAG = 1e-8
 PHASE_NAMES = {2: ("gamma",), 3: ("gamma01", "gamma02", "gamma12")}
 GRAD_TOL = 1e-10  # times max(1, |y|^2), on the largest gradient component
-STEP_TOL = 1e-12  # times 1 + max |x|, on the largest step component
+STEP_TOL = 1e-12  # times 1 + max |z|, on the largest step component
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,14 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
+    """An estimate `x` in the order of `names`, its gauge-fixed, PSD-clipped
+    `state` and its diagnostics.  `residual` is the objective at `x`, and
+    `gradient_norm` the largest component of its gradient: for
+    `reconstruct` the polish's projected gradient in its Cartesian
+    coordinates and strengths (components held at a bound excluded), for
+    `block_solve_v` the gradient in `names` (`objective_eval`).  The
+    Jacobian figures are those of the statistics in `names` at `x`."""
+
     state: DensityParams
     unknowns: UnknownParams
     objective: str
@@ -129,6 +139,19 @@ def _count_vector(counts, protocol: Protocol) -> np.ndarray:
     return y
 
 
+def _undefined_phases(state: DensityParams, protocol: Protocol) -> tuple:
+    """The state with every phase whose magnitude is at most TINY_MAG times
+    max(trace, 1) set to 0, and the declared names of those phases."""
+    phases, undefined = list(state.phases), []
+    for k, mag in enumerate(state.coherences):
+        if mag <= TINY_MAG * max(state.trace, 1.0):
+            phases[k] = 0.0
+            name = PHASE_NAMES[protocol.dim][k]
+            undefined.append(name if protocol.phase_known
+                             else PHASE_TO_BETA.get(name, name))
+    return replace(state, phases=tuple(phases)), tuple(undefined)
+
+
 def linear_invert(counts, protocol: Protocol) -> LinearInversionResult:
     """Least-squares solve in Cartesian coordinates, then magnitude/phase form.
 
@@ -139,28 +162,17 @@ def linear_invert(counts, protocol: Protocol) -> LinearInversionResult:
     if protocol.process_unknown_names:
         raise InvalidRange("linear inversion needs fully known rotations")
     y = _count_vector(counts, protocol)
-    # rows: settings; columns: Cartesian state coordinates (pops, x, y per pair)
-    a = ProtocolLayout(protocol, names=()).design(np.zeros((1, 0)))[0]
-    ncols = a.shape[1]
-    sol, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
-    if rank < ncols:
-        raise RankDeficient(f"design matrix rank {rank} < {ncols}")
-    dim = protocol.dim
-    pops = [max(float(v), 0.0) for v in sol[:dim]]
-    mags, phases, undefined = [], [], []
-    scale = max(sum(pops), 1.0)
-    for k, _pair in enumerate(COHERENCE_PAIRS[dim]):
-        x, yv = float(sol[dim + 2 * k]), float(sol[dim + 2 * k + 1])
-        mag = 0.5 * math.hypot(x, yv)
-        mags.append(mag)
-        if mag <= TINY_MAG * scale:
-            phases.append(0.0)
-            undefined.append(PHASE_NAMES[dim][k])
-        else:
-            phases.append(wrap_phase(math.atan2(yv, x)))
-    state = DensityParams(tuple(pops), tuple(mags), tuple(phases))
-    residual = float(((a @ sol - y) ** 2).sum())
-    return LinearInversionResult(state, tuple(undefined), residual)
+    profile = _Profile(protocol, y)
+    no_strengths = np.zeros((1, 0))
+    a = profile.layout.design(profile._at(no_strengths))[0][:, profile.cols]
+    rank = np.linalg.matrix_rank(a)
+    if rank < a.shape[1]:
+        raise RankDeficient(f"design matrix rank {rank} < {a.shape[1]}")
+    coords, resid = profile.fit(no_strengths)
+    z = np.clip(coords[0], *profile.bounds())
+    state, _ = split_values(protocol, profile.point(z))
+    state, undefined = _undefined_phases(state, protocol)
+    return LinearInversionResult(state, undefined, float((resid ** 2).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +185,10 @@ def _objective_values(n_model: np.ndarray, y: np.ndarray, kind: str) -> np.ndarr
     if kind == "least_squares":
         return ((n_model - y) ** 2).sum(axis=1)
     # Poisson deviance (non-negative, zero at n = y); +inf when a model
-    # statistic is non-positive, which tells the damping loop to back off.
+    # statistic is negative, or zero where its count is not, which tells
+    # the damping loop to back off.
     out = np.zeros(n_model.shape[0])
-    bad = (n_model <= 0.0).any(axis=1)
+    bad = ((n_model < 0.0) | ((n_model == 0.0) & (y > 0))).any(axis=1)
     out[bad] = np.inf
     ok = ~bad
     if ok.any():
@@ -204,20 +217,21 @@ def _grad_hess(n_model, jac, y, kind):
     return g, h
 
 
-def objective_eval(params, counts, protocol: Protocol, kind: str = "least_squares",
-                   names=None, fixed=None):
+def objective_eval(params, counts, protocol: Protocol,
+                   kind: str = "least_squares"):
     """Objective value and gradient at a Γ-ordered parameter vector.
 
     The gradient chains the analytic objective derivative through the
     closed-form Jacobian of the model statistics (`ProtocolLayout.jacobian`),
     so it can be validated against direct finite differences of the
-    objective itself.  A non-positive model statistic under the Poisson
-    objective yields (+inf, zero gradient).
+    objective itself.  Under the Poisson objective a negative model
+    statistic, or a zero one against a positive count, yields (+inf, zero
+    gradient).
     """
     if kind not in OBJECTIVES:
         raise InvalidRange(f"objective {kind!r} not in {OBJECTIVES}")
     y = counts if isinstance(counts, np.ndarray) else observed_values(counts)
-    layout = ProtocolLayout(protocol, names=names, fixed=fixed)
+    layout = ProtocolLayout(protocol)
     x = np.asarray(params, dtype=float)
     n_model = layout.statistics(x[None, :])
     f = float(_objective_values(n_model, y, kind)[0])
@@ -228,7 +242,7 @@ def objective_eval(params, counts, protocol: Protocol, kind: str = "least_square
 
 
 # ---------------------------------------------------------------------------
-# Damped Gauss-Newton (the polish)
+# Damped Gauss-Newton: the one iterative solver
 # ---------------------------------------------------------------------------
 
 
@@ -240,34 +254,68 @@ def _param_kind(name: str) -> str:
     return "phase"
 
 
-def _bounds_for(names, cap):
-    lo = np.empty(len(names))
-    hi = np.empty(len(names))
-    phase_mask = np.zeros(len(names), dtype=bool)
-    for k, n in enumerate(names):
-        kind = _param_kind(n)
-        if kind == "lam":
-            lo[k], hi[k] = LAM_FLOOR, TWO_PI
-        elif kind == "mag":
-            lo[k], hi[k] = 0.0, cap
-        else:
-            lo[k], hi[k] = -np.inf, np.inf
-            phase_mask[k] = True
-    return lo, hi, phase_mask
+def _projected_descent(z, n_model, jac, f, y, kind, lo, hi):
+    """Gradient and normal matrix per row, holding each component at a bound
+    whose descent leaves the box (projected gradient); a row whose objective
+    is invalid (+inf, see `_objective_values`) descends on least squares."""
+    g, h = _grad_hess(n_model, jac, y, kind)
+    bad = ~np.isfinite(f)
+    if bad.any():
+        g[bad], h[bad] = _grad_hess(n_model[bad], jac[bad], y, "least_squares")
+    blocked = ((z <= lo) & (g > 0)) | ((z >= hi) & (g < 0))
+    g[blocked] = 0.0
+    h[blocked[:, :, None] | blocked[:, None, :]] = 0.0
+    return g, h
 
 
-def _project(x, lo, hi, phase_mask):
-    out = np.clip(x, lo, hi)
-    out[..., phase_mask] = np.mod(out[..., phase_mask], TWO_PI)
-    return out
+def _damped_gauss_newton(fun, z, lo, hi, y, kind, scale, max_iter, ftol=0.0):
+    """Damped Gauss-Newton on the objective `kind` of fun(z) against y from
+    every row of z at once, inside the box [lo, hi].
 
-
-def _cap_for(y: np.ndarray, mags=()) -> float:
-    """Upper bound on populations and magnitudes: twice the largest count or
-    the largest of `mags` (a start's), since a protocol that projects on one
-    label can see counts well below a population."""
-    top = max(float(np.max(y, initial=0.0)), float(np.max(mags, initial=0.0)))
-    return max(2.0 * top, 1e-6)
+    `fun` maps rows (P, K) to values (P, S) and their Jacobian (P, S, K), so
+    one call per iteration serves the trial and, once accepted, the next
+    step.  Accepted steps never raise a row's objective.  A row stops
+    converged at the floor objective (1e-30 * scale) or on a step that
+    moves it by at most STEP_TOL, and unconverged when a rejected step
+    leaves its damping at 1e12 or more; with `ftol` > 0 also on an accepted
+    step that gains at most `ftol` of its objective.  Returns the rows,
+    their objectives, whether each converged and the largest component of
+    each one's projected gradient.
+    """
+    z = np.clip(np.array(z, dtype=float), lo, hi)
+    n_model, jac = fun(z)
+    f = _objective_values(n_model, y, kind)
+    mu = np.full(len(z), 1e-3)
+    floor = 1e-30 * scale
+    converged = f <= floor
+    done = converged.copy()
+    eye = np.eye(z.shape[1])
+    for _ in range(max_iter):
+        act = np.flatnonzero(~done)
+        if act.size == 0:
+            break
+        za = z[act]
+        g, h = _projected_descent(za, n_model[act], jac[act], f[act], y, kind,
+                                  lo, hi)
+        step = np.linalg.solve(h + mu[act, None, None] * eye, -g[..., None])
+        trial = np.clip(za + step[..., 0], lo, hi)
+        n_trial, j_trial = fun(trial)
+        f_trial = _objective_values(n_trial, y, kind)
+        accept = f_trial <= f[act]
+        acc, rej = act[accept], act[~accept]
+        if ftol > 0:
+            done[acc[f[acc] - f_trial[accept] <= ftol * f[acc]]] = True
+        z[acc], f[acc] = trial[accept], f_trial[accept]
+        n_model[acc], jac[acc] = n_trial[accept], j_trial[accept]
+        mu[acc] = np.maximum(mu[acc] / 3.0, 1e-14)
+        mu[rej] *= 7.0
+        moved = np.abs(trial - za).max(axis=1)
+        converged[act[moved <= STEP_TOL * (1.0 + np.abs(za).max(axis=1))]] = True
+        converged[acc[f[acc] <= floor]] = True
+        done |= converged
+        done[rej[mu[rej] >= 1e12]] = True
+    g, _ = _projected_descent(z, n_model, jac, f, y, kind, lo, hi)
+    return z, f, converged, np.abs(g).max(axis=1, initial=0.0)
 
 
 @dataclass
@@ -278,61 +326,17 @@ class _FitOutcome:
     gradient_norm: float
 
 
-def _lm_multistart(layout: ProtocolLayout, y: np.ndarray, start: np.ndarray,
+def _lm_multistart(profile: _Profile, y: np.ndarray, start: np.ndarray,
                    kind: str, options: SolverOptions) -> _FitOutcome:
-    """Damped Gauss-Newton on the objective `kind` from one start.
-
-    Strengths stay in [LAM_FLOOR, 2*pi], populations and magnitudes in
-    [0, `_cap_for`] with the cap covering the start, and phases are wrapped.
-    Accepted steps never increase the objective; `converged` reports whether
-    the gradient (GRAD_TOL) or the step (STEP_TOL) test was met.  (The name
-    is the one the benchmark's tracer hooks, `sctbench/tracer.py`.)
+    """The polish: `_damped_gauss_newton` on the objective `kind` of
+    `_Profile.model` from the z `start`, inside `_Profile.bounds`; the
+    outcome's `x` is in name order.  (`sctbench/tracer.py` hooks this name.)
     """
-    names = layout.names
-    x = np.array(start, dtype=float)
-    mags = [k for k, n in enumerate(names) if _param_kind(n) == "mag"]
-    lo, hi, phase_mask = _bounds_for(names, _cap_for(y, x[mags]))
-    x = _project(x, lo, hi, phase_mask)
-    scale = max(1.0, float((y ** 2).sum()))
-    eye = np.eye(x.size)
-    n_model = layout.statistics(x[None, :])
-    f = float(_objective_values(n_model, y, kind)[0])
-    mu, converged, gnorm, jac = 1e-3, False, math.inf, None
-    for _ in range(options.max_iter):
-        if jac is None:
-            jac = layout.jacobian(x)[0]
-        # an invalid Poisson point descends on least squares
-        g, h = _grad_hess(n_model, jac[None], y,
-                          kind if math.isfinite(f) else "least_squares")
-        g, h = g[0], h[0]
-        # a component at a bound whose descent direction leaves the box is
-        # held (projected gradient), so a constrained optimum can converge
-        blocked = ((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))
-        g[blocked] = 0.0
-        h[blocked[:, None] | blocked[None, :]] = 0.0
-        gnorm = float(np.abs(g).max())
-        if gnorm <= GRAD_TOL * scale:
-            converged = True
-            break
-        try:
-            delta = -np.linalg.solve(h + mu * eye, g)
-        except np.linalg.LinAlgError:
-            delta = -np.linalg.solve(h + mu * eye + 1e-8 * eye, g)
-        small = np.abs(delta).max() <= STEP_TOL * (1.0 + np.abs(x).max())
-        trial = _project(x + delta, lo, hi, phase_mask)
-        n_trial = layout.statistics(trial[None, :])
-        f_trial = float(_objective_values(n_trial, y, kind)[0])
-        if f_trial <= f:
-            x, f, n_model, jac = trial, f_trial, n_trial, None
-            mu = max(mu / 3.0, 1e-14)
-        else:
-            mu = min(mu * 7.0, 1e14)
-        if small:
-            converged = True
-            break
-        if mu >= 1e14:
-            break
-    return _FitOutcome(x, f, converged, gnorm)
+    z, f, converged, gnorm = _damped_gauss_newton(
+        lambda rows: profile.model(rows, jacobian=True), start[None, :],
+        *profile.bounds(), y, kind, profile.scale, options.max_iter)
+    return _FitOutcome(profile.point(z[0]), float(f[0]), bool(converged[0]),
+                       float(gnorm[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +348,8 @@ def _lm_multistart(layout: ProtocolLayout, y: np.ndarray, start: np.ndarray,
 # minimized over the state exactly and what remains is a function of the 0,
 # 1 or 2 strengths alone (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).
 # That profile is scanned on a grid, its lowest grid minima are refined by
-# Levenberg-Marquardt on the projected residual, and the best one heads the
-# exact-tie family that `resolve_twin_family` ranks.
+# `_damped_gauss_newton` on the projected residual, and the best one heads
+# the exact-tie family that `resolve_twin_family` ranks.
 
 SCAN_POINTS = {1: 256, 2: 64}  # grid points per strength axis, by scan dimension
 N_REFINE = 6                   # lowest grid minima refined per scan stage
@@ -371,11 +375,14 @@ def _free_coordinates(protocol: Protocol) -> list:
 
 
 class _Profile:
-    """Least-squares state at fixed strengths for one protocol and count
-    vector, over the Cartesian coordinates `cols` (default: all that the
-    declared unknowns move), with the parameters in `held` (name -> value,
-    as `ProtocolLayout` takes `fixed`) held; strengths are passed as rows
-    in name order."""
+    """One protocol and count vector as a function of z = [Cartesian state
+    coordinates `cols` (default: all that the declared unknowns move),
+    strengths in name order], with the parameters in `held` (name -> value,
+    as `ProtocolLayout` takes `fixed`) held.  `fit` solves the coordinates
+    at fixed strengths (the scan and the refine), `model` gives the
+    statistics of a whole z (the polish), `bounds` is the box of z, and
+    `start` and `point` convert from and to the parameter vector in name
+    order."""
 
     def __init__(self, protocol: Protocol, y: np.ndarray, cols=None,
                  held=None):
@@ -387,6 +394,18 @@ class _Profile:
         # coordinates of the held state alone: every declared parameter at 0
         self.held = self.layout.coordinates(
             np.zeros((1, len(self.layout.names))))[0]
+
+    def _at(self, lam) -> np.ndarray:
+        """Parameter rows in name order carrying only the strengths lam."""
+        x = np.zeros((len(lam), len(self.layout.names)))
+        x[:, self.lam_cols] = lam
+        return x
+
+    def _full(self, coords) -> np.ndarray:
+        """All coordinates: the held ones plus `coords` on `cols`."""
+        c_full = np.tile(self.held, (len(coords), 1))
+        c_full[:, self.cols] += coords
+        return c_full
 
     def fit(self, lam, rows=None, free=None):
         """Coordinates (P, C) and residual vectors (P, S) at each row of lam,
@@ -401,8 +420,7 @@ class _Profile:
         ones and P⊥ = I - A A⁺, all on `rows`.
         """
         lam = np.atleast_2d(lam)
-        x = np.zeros((lam.shape[0], len(self.layout.names)))
-        x[:, self.lam_cols] = lam
+        x = self._at(lam)
         rows = slice(None) if rows is None else rows
         if free is None:
             design = self.layout.design(x)[:, rows]
@@ -416,9 +434,7 @@ class _Profile:
         resid = np.einsum("psc,pc->ps", a, coords) - y
         if free is None:
             return coords, resid
-        c_full = np.tile(self.held, (len(lam), 1))
-        c_full[:, self.cols] += coords
-        v = np.einsum("psck,pc->psk", d_design, c_full)
+        v = np.einsum("psck,pc->psk", d_design, self._full(coords))
         v -= a @ (a_pinv @ v)
         w = np.einsum("psck,ps->pck", d_design[:, :, self.cols], resid)
         return coords, resid, v - np.einsum("pcs,pck->psk", a_pinv, w)
@@ -429,12 +445,43 @@ class _Profile:
             (self.fit(lam[i:i + SCAN_CHUNK], rows)[1] ** 2).sum(axis=1)
             for i in range(0, len(lam), SCAN_CHUNK)])
 
-    def point(self, lam, coords) -> np.ndarray:
-        """Parameter vector in name order for strengths and coordinates."""
-        d = self.layout.dim
-        full = np.zeros(d + 2 * self.layout.npair)
-        full[self.cols] = coords
-        lam_values = iter(lam)
+    def model(self, z, jacobian=False):
+        """Statistics design @ c_full (P, S) at each row of z; with `jacobian`
+        also their derivative [design[..., cols], ∂design/∂lam @ c_full]."""
+        z = np.atleast_2d(z)
+        n = len(self.cols)
+        x, c_full = self._at(z[:, n:]), self._full(z[:, :n])
+        if not jacobian:
+            return np.einsum("psc,pc->ps", self.layout.design(x), c_full)
+        design, d_design = self.layout.design_and_derivative(x)
+        jac = np.concatenate(
+            [design[..., self.cols], np.einsum("psck,pc->psk", d_design, c_full)],
+            axis=2)
+        return np.einsum("psc,pc->ps", design, c_full), jac
+
+    def bounds(self) -> tuple:
+        """The box of z: populations >= 0, coherence coordinates free,
+        strengths in [LAM_FLOOR, 2*pi]."""
+        n = len(self.cols)
+        lo = np.full(n + len(self.lam_cols), -np.inf)
+        hi = np.full(lo.size, np.inf)
+        lo[:n][np.asarray(self.cols, dtype=int) < self.layout.dim] = 0.0
+        lo[n:], hi[n:] = LAM_FLOOR, TWO_PI
+        return lo, hi
+
+    def start(self, x) -> np.ndarray:
+        """z of a parameter vector in name order."""
+        x = np.asarray(x, dtype=float)
+        coords = self.layout.coordinates(x[None, :])[0] - self.held
+        return np.concatenate([coords[self.cols], x[self.lam_cols]])
+
+    def point(self, z) -> np.ndarray:
+        """Parameter vector in name order of z: magnitude 0.5*hypot(x, y)
+        and phase atan2(y, x) per coherence pair."""
+        z = np.asarray(z, dtype=float)
+        n, d = len(self.cols), self.layout.dim
+        full = self._full(z[None, :n])[0]
+        lam_values = iter(z[n:])
         out = np.empty(len(self.layout.names))
         for k, (kind, idx, sign) in enumerate(self.layout._slots):
             if kind == "pop":
@@ -449,51 +496,25 @@ class _Profile:
         return out
 
     def refine(self, lam, free, rows=None):
-        """Levenberg-Marquardt on the projected residual over the strengths
-        `free`, from each row of lam, with the Jacobian of `fit`; returns
-        the end points and their objectives on `rows`.
-
-        The fit of each trial point also gives the Jacobian there, so an
-        iteration costs one design evaluation.  A start stops at the floor
-        objective, on a step that no longer moves it, when its damping
-        saturates, or on an accepted step that lowers its objective by at
-        most REFINE_FTOL of it: a start that creeps towards a degenerate
+        """`_damped_gauss_newton` on the projected residual of `fit` over the
+        strengths `free` from each row of lam (the other strengths are the
+        same in every row); returns the end points and their objectives on
+        `rows`.  A start also stops on an accepted step that gains at most
+        REFINE_FTOL of its objective: one that creeps towards a degenerate
         strength (lam -> 0, 2*pi, or pi where sin(lam) silences settings)
-        gains that little per step, while one that converges to a root
-        gains orders of magnitude.
+        gains that little per step, one that converges to a root orders of
+        magnitude more.
         """
         lam = np.array(lam, dtype=float)
-        k = len(free)
-        _, r, jac = self.fit(lam, rows, free)
-        f = (r ** 2).sum(axis=1)
-        mu = np.full(lam.shape[0], 1e-3)
-        floor = 1e-30 * self.scale
-        done = f <= floor
-        for _ in range(REFINE_ITER):
-            act = np.flatnonzero(~done)
-            if act.size == 0:
-                break
-            x = lam[act]
-            g = np.einsum("ask,as->ak", jac[act], r[act])
-            hess = np.einsum("ask,asj->akj", jac[act], jac[act])
-            step = -np.linalg.solve(hess + mu[act, None, None] * np.eye(k),
-                                    g[..., None])[..., 0]
-            trial = x.copy()
-            trial[:, free] = np.clip(x[:, free] + step, LAM_FLOOR, TWO_PI)
-            _, rt, jt = self.fit(trial, rows, free)
-            ft = (rt ** 2).sum(axis=1)
-            accept = ft <= f[act]
-            acc, rej = act[accept], act[~accept]
-            stalled = acc[f[acc] - ft[accept] <= REFINE_FTOL * f[acc]]
-            lam[acc], r[acc], f[acc] = trial[accept], rt[accept], ft[accept]
-            jac[acc] = jt[accept]
-            mu[acc] = np.maximum(mu[acc] / 3.0, 1e-14)
-            mu[rej] *= 7.0
-            moved = np.abs(trial[:, free] - x[:, free]).max(axis=1)
-            done[act[moved <= 1e-12 * (1.0 + np.abs(x[:, free]).max(axis=1))]] = True
-            done[rej[mu[rej] >= 1e12]] = True
-            done[stalled] = True
-            done[f <= floor] = True
+
+        def residual(z):
+            at = np.tile(lam[0], (len(z), 1))
+            at[:, free] = z
+            return self.fit(at, rows, free)[1:]
+
+        lam[:, free], f, _, _ = _damped_gauss_newton(
+            residual, lam[:, free], LAM_FLOOR, TWO_PI, 0.0, "least_squares",
+            self.scale, REFINE_ITER, REFINE_FTOL)
         return lam, f
 
 
@@ -509,13 +530,7 @@ def _scan_stages(protocol: Protocol) -> list:
     only next to lam_c).  Returns [(strength indices, setting rows)].
     """
     lams = protocol.process_unknown_names
-    deps = []
-    for s in protocol.settings:
-        used = {n for n, m in zip(COUPLING_UNKNOWNS[protocol.dim], s.multipliers)
-                if m != 0}
-        if protocol.dim == 2 and s.mz != 0:
-            used.add(DIAG_UNKNOWN)
-        deps.append(used & set(lams))
+    deps = [s.driven_strengths() & set(lams) for s in protocol.settings]
     if not all(any(d == {n} for d in deps) for n in lams):
         return [(list(range(len(lams))), None)] if lams else []
     return [([k], [i for i, d in enumerate(deps) if d <= set(lams[:k + 1])])
@@ -615,12 +630,9 @@ def _twin_image(x: np.ndarray, li: int, pi_: int) -> np.ndarray:
 def canonicalize_twins(layout: ProtocolLayout, x: np.ndarray) -> np.ndarray:
     """Replace x by its lam <= pi twin wherever the statistics cannot tell."""
     x = np.array(x, dtype=float, copy=True)
-    pairs = _twin_index_pairs(layout.names)
-    if not pairs:
-        return x
     base = layout.statistics(x[None, :])[0]
     tol = 1e-10 * max(1.0, float(np.abs(base).max()))
-    for li, pi_ in pairs:
+    for li, pi_ in _twin_index_pairs(layout.names):
         twin = _twin_image(x, li, pi_)
         twin_stats = layout.statistics(twin[None, :])[0]
         if np.abs(twin_stats - base).max() <= tol and x[li] > math.pi:
@@ -635,8 +647,7 @@ def _branch_key(layout: ProtocolLayout, x: np.ndarray, index: int) -> tuple:
     rho = layout.density(x[None, :])[0]
     trace = float(np.trace(rho).real)
     unphysical = trace <= 0 or np.linalg.eigvalsh(rho)[0] / trace < -1e-9
-    n_large = sum(1 for v, n in zip(x, layout.names)
-                  if _param_kind(n) == "lam" and v > math.pi + 1e-12)
+    n_large = int((x[layout.lam_cols] > math.pi + 1e-12).sum())
     return (bool(unphysical), n_large, index)
 
 
@@ -657,8 +668,8 @@ def resolve_twin_family(profile: _Profile, cand: np.ndarray) -> tuple:
     state re-solved linearly at each.  The members whose objective ties
     with the lowest are ranked by `_branch_key`, so distinct exact roots
     that are both physical with every lam <= pi (a vanished coherence can
-    leave two) go by scan order.  Returns the chosen parameter vector, its
-    objective and the number of members compared.
+    leave two) go by scan order.  Returns the chosen member's z (see
+    `_Profile`) and the number of members compared.
     """
     best = cand[_best_minimum(cand, profile.objective(cand), profile.scale)]
     members = [cand]
@@ -670,10 +681,11 @@ def resolve_twin_family(profile: _Profile, cand: np.ndarray) -> tuple:
             members.append(image[None, :])
     members = np.vstack(members)
     coords, resid = profile.fit(members)
-    f = (resid ** 2).sum(axis=1)
-    points = [profile.point(lam, c) for lam, c in zip(members, coords)]
-    chosen = _tie_choice(profile.layout, points, f, profile.scale)
-    return points[chosen], float(f[chosen]), len(members)
+    zs = np.concatenate([coords, members], axis=1)
+    points = [profile.point(z) for z in zs]
+    chosen = _tie_choice(profile.layout, points, (resid ** 2).sum(axis=1),
+                         profile.scale)
+    return zs[chosen], len(members)
 
 
 def prefer_sparse_coherences(protocol: Protocol, x: np.ndarray, f: float,
@@ -689,25 +701,22 @@ def prefer_sparse_coherences(protocol: Protocol, x: np.ndarray, f: float,
     the objective beyond the tie tolerance is discarded, so genuine
     coherences are never suppressed.
     """
-    layout = ProtocolLayout(protocol)
+    names = protocol.unknown_names
     dim = protocol.dim
     tie_tol = max(1e-12 * max(1.0, float((y ** 2).sum())), 1e-9 * abs(f))
-    box = _bounds_for(layout.names, np.inf)
     cols = _free_coordinates(protocol)
     for k, (i, j) in enumerate(COHERENCE_PAIRS[dim]):
         mag_name = f"rho{i}{j}"
-        if (mag_name not in layout.names
-                or x[layout.names.index(mag_name)] <= TINY_MAG):
+        if mag_name not in names or x[names.index(mag_name)] <= TINY_MAG:
             continue
         keep = [c for c in cols if c not in (dim + 2 * k, dim + 2 * k + 1)]
         profile = _Profile(protocol, y, keep)
-        candidate, _, _ = resolve_twin_family(
+        z, _ = resolve_twin_family(
             profile, _scan(profile, _scan_stages(protocol)))
-        candidate = _project(candidate, *box)
-        f_cand = float(_objective_values(
-            layout.statistics(candidate[None, :]), y, kind)[0])
+        z = np.clip(z, *profile.bounds())
+        f_cand = float(_objective_values(profile.model(z), y, kind)[0])
         if f_cand <= f + tie_tol:
-            x, f, cols = candidate, f_cand, keep
+            x, f, cols = profile.point(z), f_cand, keep
     return x, float(f)
 
 
@@ -718,20 +727,21 @@ def prefer_sparse_coherences(protocol: Protocol, x: np.ndarray, f: float,
 
 def _package_result(protocol: Protocol, x: np.ndarray, outcome_f: float,
                     grad_norm: float, n_starts: int, converged: bool,
-                    objective: str, y: np.ndarray = None) -> ReconstructionResult:
-    report = identify.analytic_jacobian(protocol, x)
-    jmax = float(np.abs(report.matrix).max())
-    singular = report.smallest_singular_value <= 1e-9 * max(1.0, jmax)
-    if singular and y is not None:
+                    objective: str, y: np.ndarray) -> ReconstructionResult:
+    def diagnostics(x):
+        report = identify.analytic_jacobian(protocol, x)
+        jmax = float(np.abs(report.matrix).max())
+        return report, report.smallest_singular_value <= 1e-9 * max(1.0, jmax)
+
+    report, singular = diagnostics(x)
+    if singular:
         # a singular solution can sit on an exact-tie manifold from a
         # vanished coherence; report its zero-coherence member if so
         x_sparse, outcome_f = prefer_sparse_coherences(
             protocol, x, outcome_f, y, objective)
         if not np.array_equal(x_sparse, x):
             x = x_sparse
-            report = identify.analytic_jacobian(protocol, x)
-            jmax = float(np.abs(report.matrix).max())
-            singular = report.smallest_singular_value <= 1e-9 * max(1.0, jmax)
+            report, singular = diagnostics(x)
     if singular:
         warnings.warn("Jacobian is near-singular at the solution",
                       SingularAtSolutionWarning, stacklevel=3)
@@ -752,17 +762,7 @@ def _package_result(protocol: Protocol, x: np.ndarray, outcome_f: float,
             state = state_params_from_matrix(clipped)
             psd_clip = float(-evs[0])
 
-    undefined = []
-    mags = list(state.coherences)
-    phases = list(state.phases)
-    for k, mag in enumerate(mags):
-        if mag <= TINY_MAG * max(n_scale, 1.0):
-            phases[k] = 0.0
-            base_name = PHASE_NAMES[protocol.dim][k]
-            shown = base_name if protocol.phase_known else \
-                PHASE_TO_BETA.get(base_name, base_name)
-            undefined.append(shown)
-    state = DensityParams(state.populations, tuple(mags), tuple(phases))
+    state, undefined = _undefined_phases(state, protocol)
 
     gauge = ("controls-known" if protocol.phase_known
              else "generator-phases-zeroed")
@@ -775,7 +775,7 @@ def _package_result(protocol: Protocol, x: np.ndarray, outcome_f: float,
         smallest_singular_value=report.smallest_singular_value,
         n_starts_tried=n_starts, converged=converged,
         physicality=physicality, psd_clip=psd_clip,
-        phase_undefined=tuple(undefined),
+        phase_undefined=undefined,
         singular_at_solution=bool(singular), gauge=gauge)
 
 
@@ -801,48 +801,45 @@ def reconstruct(counts, protocol: Protocol,
        V scans lam1 on settings 0-4 and then lam2, C-alt scans
        (lam_c, lam_z) jointly, and a protocol without strengths (A) is a
        single linear solve.  The N_REFINE lowest grid minima of each stage
-       are refined by Levenberg-Marquardt on the projected residual, with
+       are refined by damped Gauss-Newton on the projected residual, with
        its closed-form Jacobian; a start whose steps stall stops early.
     2. Branch rule.  The best minimum, its reflections lam_j -> 2*pi - lam_j
        and any other refined minimum are compared; among those tied with
        the lowest objective the member chosen is physical first, then has
        the fewest strengths above pi (`resolve_twin_family`).
-    3. Polish.  Damped Gauss-Newton from the chosen member on the selected
-       objective (`_lm_multistart`); the Poisson deviance thus starts from
-       the least-squares profile solution.  Accepted steps never increase
-       the objective, and `converged` reports whether the gradient or step
-       tolerance was met.
+    3. Polish.  The same damped Gauss-Newton loop as the refine, now over
+       the coordinates and the strengths together, from the chosen member
+       on the selected objective (`_lm_multistart`); the Poisson deviance
+       thus starts from the least-squares profile solution.  Populations
+       stay >= 0 and strengths in [LAM_FLOOR, 2*pi].  Accepted steps never
+       increase the objective, and `converged` reports whether the floor
+       objective or the step tolerance was met.
 
-    The result is gauge-fixed and PSD-clipped, with Jacobian diagnostics at
-    the solution.  A structurally singular protocol (scenario C as shipped)
+    Only the end point is converted to magnitude and phase.  The result is
+    gauge-fixed and PSD-clipped, with Jacobian diagnostics at the
+    solution.  A structurally singular protocol (scenario C as shipped)
     is refused, and so are non-finite counts.
     """
     options = options or SolverOptions()
     y = _count_vector(counts, protocol)
-    if len(y) < len(protocol.unknown_names):
-        raise InvalidRange("fewer settings than unknowns")
     _check_structure(protocol)
     profile = _Profile(protocol, y)
-    x0, _, n_members = resolve_twin_family(
+    z0, n_members = resolve_twin_family(
         profile, _scan(profile, _scan_stages(protocol)))
-    outcome = _lm_multistart(profile.layout, y, x0, options.objective, options)
+    outcome = _lm_multistart(profile, y, z0, options.objective, options)
     return _package_result(protocol, outcome.x, outcome.f, outcome.gradient_norm,
                            n_members, outcome.converged, options.objective, y=y)
 
 
-def polish(counts, protocol: Protocol, x0, options: SolverOptions = None,
-           names=None, fixed=None) -> _FitOutcome:
-    """Damped Gauss-Newton from an explicit vector (used after the oracle).
-
-    The same descent and box as the last stage of `reconstruct`: the
-    population and magnitude bound covers the start, so a start outside
-    twice the largest count is not clipped back into it.
-    """
+def polish(counts, protocol: Protocol, x0, options: SolverOptions = None
+           ) -> _FitOutcome:
+    """The polish of `reconstruct` from a parameter vector x0 in name order
+    (used after the oracle); the outcome's `x` is in name order too."""
     options = options or SolverOptions()
     y = _count_vector(counts, protocol)
-    layout = ProtocolLayout(protocol, names=names, fixed=fixed)
-    return _lm_multistart(layout, y, np.asarray(x0, dtype=float),
-                          options.objective, options)
+    profile = _Profile(protocol, y)
+    return _lm_multistart(profile, y, profile.start(x0), options.objective,
+                          options)
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +867,7 @@ def _block_fit(protocol: Protocol, y: np.ndarray, block: int,
     cand = _scan(profile, _scan_stages(sub))
     coords, resid = profile.fit(cand)
     best = _best_minimum(cand, (resid ** 2).sum(axis=1), profile.scale)
-    return dict(zip(names, profile.point(cand[best], coords[best])))
+    return dict(zip(names, profile.point(np.append(coords[best], cand[best]))))
 
 
 def _v_branches(protocol: Protocol, y: np.ndarray, b12: dict) -> tuple:
@@ -915,8 +912,7 @@ def block_solve_v(counts, protocol: Protocol,
     polish, so this is a different decomposition from the joint solve, and
     on exact data the two must agree.  The fits are least squares;
     `options.objective` sets the reported residual and gradient, and
-    `converged` reports whether that gradient meets the polish's gradient
-    test.
+    `converged` reports whether that gradient meets GRAD_TOL.
     """
     options = options or SolverOptions()
     if protocol.name.split("~")[0] != "V" or protocol.dim != 3:
@@ -1026,7 +1022,7 @@ def grid_oracle(counts, protocol: Protocol, grid: int = 15,
     refused.
     """
     y = _count_vector(counts, protocol)
-    cap = _cap_for(y)
+    cap = max(2.0 * float(np.max(y, initial=0.0)), 1e-6)
     names = protocol.unknown_names
     if protocol.name.split("~")[0] == "V" and protocol.dim == 3:
         beta_mode = not protocol.phase_known

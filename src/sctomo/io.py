@@ -169,14 +169,18 @@ def _parse_noise(obj, seed: int) -> NoiseModel:
     return NoiseModel(**kwargs)
 
 
+def _finite_number(value, context: str) -> float:
+    """A finite JSON number as a float."""
+    if not (_has_type(value, float) and math.isfinite(value)):
+        raise SchemaError(f"{context}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _finite_values(obj: dict, context: str) -> dict:
     """The values of a name -> number object as floats; each must be a
     finite JSON number."""
-    for name, value in obj.items():
-        if not (_has_type(value, float) and math.isfinite(value)):
-            raise SchemaError(
-                f"{context}.{name}: expected a finite number, got {value!r}")
-    return {name: float(value) for name, value in obj.items()}
+    return {name: _finite_number(value, f"{context}.{name}")
+            for name, value in obj.items()}
 
 
 def _parse_state(obj, dim: int, context: str) -> DensityParams:
@@ -248,13 +252,41 @@ def load_experiment(path) -> ExperimentConfig:
 
 
 def parse_protocol_dict(obj: dict) -> Protocol:
+    """A protocol from its file object.  Each setting has only known fields,
+    each of its JSON type, and every number in it is finite; the unknowns
+    are distinct names and declare every strength a setting drives."""
     _check_fields(obj, {"name": str, "dim": int, "settings": list,
                         "unknowns": list},
                   {"phase_known": bool, "schema_version": int}, "protocol")
+    for k, setting in enumerate(obj["settings"]):
+        context = f"protocol.settings[{k}]"
+        _check_fields(setting, {"multipliers": list, "phases": list,
+                                "label": int},
+                      {"fixed_couplings": list, "mz": float,
+                       "fixed_diag": float}, context)
+        for field, value in setting.items():
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    _finite_number(item, f"{context}.{field}[{i}]")
+            elif field != "label":
+                _finite_number(value, f"{context}.{field}")
+    names = obj["unknowns"]
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise SchemaError(f"protocol.unknowns[{i}]: expected str, "
+                              f"got {type(name).__name__}")
+        if name in names[:i]:
+            raise SchemaError(f"protocol.unknowns[{i}]: duplicate {name!r}")
     try:
-        return Protocol.from_dict(obj)
+        protocol = Protocol.from_dict(obj)
     except Exception as exc:
         raise SchemaError(f"protocol: {exc}") from exc
+    for k, setting in enumerate(protocol.settings):
+        missing = setting.driven_strengths() - set(names)
+        if missing:
+            raise SchemaError(f"protocol.settings[{k}]: drives {min(missing)}, "
+                              "which protocol.unknowns does not declare")
+    return protocol
 
 
 def load_protocol(name_or_path: str) -> Protocol:

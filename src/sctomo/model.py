@@ -334,3 +334,24 @@ def gauge_fix(state: DensityParams, gen: GeneratorParams):
     # unconstrained ones (convention)
     fixed_gen = replace(fixed_gen, phases=tuple(0.0 for _ in fixed_gen.phases))
     return fixed_state, fixed_gen
+
+
+def random_physical_state(dim: int, rng, min_coherence: float = 0.0,
+                          eig_margin: float = 0.0) -> DensityParams:
+    """Rejection-sample magnitude/phase parameters of a unit-trace state."""
+    while True:
+        pops = rng.dirichlet(np.full(dim, 2.5))
+        npair = 1 if dim == 2 else 3
+        mags = rng.uniform(min_coherence, 0.5 if dim == 2 else 0.25, npair)
+        phases = rng.uniform(0.0, TWO_PI, npair)
+        state = DensityParams(tuple(pops), tuple(mags), tuple(phases))
+        if np.linalg.eigvalsh(state_matrix(state))[0] >= eig_margin:
+            return state
+
+
+def random_generator(dim: int, rng) -> GeneratorParams:
+    if dim == 2:
+        return GeneratorParams(2, rng.uniform(-4, 4), (rng.uniform(0, 6),),
+                               (rng.uniform(0, TWO_PI),))
+    return GeneratorParams(3, 0.0, tuple(rng.uniform(0, 6, 2)),
+                           tuple(rng.uniform(0, TWO_PI, 2)))

@@ -149,6 +149,15 @@ class MeasurementSetting:
     def dim(self) -> int:
         return 2 if len(self.multipliers) == 1 else 3
 
+    def driven_strengths(self) -> set:
+        """Names of the strengths this setting's rotation depends on: those
+        with a non-zero multiplier, and lam_z with a non-zero mz."""
+        used = {n for n, m in zip(COUPLING_UNKNOWNS[self.dim], self.multipliers)
+                if m != 0}
+        if self.mz != 0:
+            used.add(DIAG_UNKNOWN)
+        return used
+
     def to_dict(self) -> dict:
         return {
             "multipliers": list(self.multipliers),
@@ -200,10 +209,6 @@ class Protocol:
     @property
     def process_unknown_names(self) -> tuple:
         return tuple(n for n in self.unknown_names if n.startswith("lam"))
-
-    @property
-    def state_param_names(self) -> tuple:
-        return tuple(n for n in self.unknown_names if not n.startswith("lam"))
 
     def to_dict(self) -> dict:
         return {

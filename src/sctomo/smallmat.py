@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import EigenFailure, NonHermitianInput, WrongDimension
 
-HERMITICITY_RTOL = 1e-12
 INPUT_RTOL = 1e-10
 
 
@@ -31,11 +30,6 @@ def as_cmatrix(m) -> np.ndarray:
 def hermiticity_defect(m: np.ndarray) -> float:
     """max_ij |M[i,j] - conj(M[j,i])|, the absolute deviation from Hermiticity."""
     return float(np.abs(m - m.conj().T).max())
-
-
-def is_hermitian(m, rtol: float = HERMITICITY_RTOL) -> bool:
-    arr = as_cmatrix(m)
-    return hermiticity_defect(arr) <= rtol * np.linalg.norm(arr)
 
 
 def _require_hermitian(arr: np.ndarray, rtol: float, what: str) -> None:

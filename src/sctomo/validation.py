@@ -32,7 +32,8 @@ from .forward import (NoiseModel, closed_form_statistic, predicted_statistics,
                       observed_values)
 from .model import (DensityParams, GeneratorParams, TWO_PI, assemble_generator,
                     circular_distance, gauge_fix, gauge_transform, qubit_state,
-                    state_matrix, vtype_state, wrap_phase)
+                    random_generator, random_physical_state, state_matrix,
+                    vtype_state, wrap_phase)
 from .protocol import (UnknownParams, pack_values, qubit_unknowns, scenario,
                        values_dict, vtype_unknowns, with_unknown_phase)
 
@@ -52,27 +53,6 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # Samplers and metrics
 # ---------------------------------------------------------------------------
-
-
-def random_physical_state(dim: int, rng, min_coherence: float = 0.0,
-                          eig_margin: float = 0.0) -> DensityParams:
-    """Rejection-sample magnitude/phase parameters of a unit-trace state."""
-    while True:
-        pops = rng.dirichlet(np.full(dim, 2.5))
-        npair = 1 if dim == 2 else 3
-        mags = rng.uniform(min_coherence, 0.5 if dim == 2 else 0.25, npair)
-        phases = rng.uniform(0.0, TWO_PI, npair)
-        state = DensityParams(tuple(pops), tuple(mags), tuple(phases))
-        if np.linalg.eigvalsh(state_matrix(state))[0] >= eig_margin:
-            return state
-
-
-def random_generator(dim: int, rng) -> GeneratorParams:
-    if dim == 2:
-        return GeneratorParams(2, rng.uniform(-4, 4), (rng.uniform(0, 6),),
-                               (rng.uniform(0, TWO_PI),))
-    return GeneratorParams(3, 0.0, tuple(rng.uniform(0, 6, 2)),
-                           tuple(rng.uniform(0, TWO_PI, 2)))
 
 
 def sample_truth(scenario_name: str, rng, smin_floor: float = None):

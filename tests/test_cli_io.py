@@ -400,3 +400,51 @@ def test_bad_arguments_exit_2(tmp_path, capsys, monkeypatch, case):
     assert err.startswith("sct: error: ")
     assert message in err
     assert not (tmp_path / (out or "unused")).exists()
+
+
+# case -> (setting index or None for the top level, field, value, error
+# text); written into scenario B's protocol file
+MALFORMED_PROTOCOLS = {
+    "phases-nan": (1, "phases", [float("nan")], "settings[1].phases[0]"),
+    "multipliers-inf": (2, "multipliers", [float("inf")],
+                        "settings[2].multipliers[0]"),
+    "fixed-couplings-nan": (0, "fixed_couplings", [float("nan")],
+                            "settings[0].fixed_couplings[0]"),
+    "mz-inf": (3, "mz", float("-inf"), "settings[3].mz"),
+    "multipliers-string": (1, "multipliers", ["1"],
+                           "settings[1].multipliers[0]"),
+    "label-string": (1, "label", "1", "settings[1].label"),
+    "label-float": (1, "label", 1.5, "settings[1].label"),
+    "label-bool": (1, "label", True, "settings[1].label"),
+    "setting-unknown-key": (1, "gain", 1.0, "unknown field 'gain'"),
+    "unknowns-duplicate": (None, "unknowns",
+                           ["rho00", "rho01", "rho11", "lam_c", "rho00"],
+                           "unknowns[4]"),
+    "unknowns-omit-strength": (None, "unknowns", ["rho00", "rho01", "rho11",
+                                                  "gamma"],
+                               "drives lam_c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PROTOCOLS))
+def test_malformed_protocol_exit_2(tmp_path, capsys, case):
+    config = tmp_path / "config.json"
+    write_config(config)
+    counts = tmp_path / "counts.json"
+    assert cli.main(["simulate", "--config", str(config),
+                     "--out", str(counts)]) == 0
+    protocol = tmp_path / "protocol.json"
+    io.write_protocol(protocol, scenario("B"))
+    obj = json.loads(protocol.read_text())
+    index, field, value, message = MALFORMED_PROTOCOLS[case]
+    (obj if index is None else obj["settings"][index])[field] = value
+    # json.dumps, not canonical_json: NaN and Infinity stay literal tokens
+    protocol.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code = cli.main(["reconstruct", "--counts", str(counts), "--protocol",
+                     str(protocol), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("sct: error: ")
+    assert message in err
+    assert not (tmp_path / "r.json").exists()

@@ -468,3 +468,84 @@ def test_stall_stop_halves_design_evaluations(monkeypatch):
     expected = pack_values(proto.unknown_names, state, unknowns)
     assert max_param_error(proto.unknown_names, result.x, expected) < 1e-8
     assert len(calls) <= 93 // 2
+
+
+# ---------------------------------------------------------------------------
+# One damped Gauss-Newton loop on Cartesian coordinates
+# ---------------------------------------------------------------------------
+
+
+def test_oracle_then_polish_reaches_round_off():
+    # draws 2, 6 and 7 of default_rng(54): the magnitude/phase polish
+    # stopped at errors of 3.7e-8, 1.3e-10 and 1.1e-7
+    rng = np.random.default_rng(54)
+    proto = scenario("V")
+    truths = [sample_truth("V", rng) for _ in range(8)]
+    for i in (2, 6, 7):
+        state, unknowns = truths[i]
+        counts = predicted_statistics(proto, state, unknowns)
+        expected = pack_values(proto.unknown_names, state, unknowns)
+        oracle = grid_oracle(counts, proto, grid=15, refine_levels=4)
+        out = polish(counts, proto, oracle.values)
+        assert out.converged
+        assert max_param_error(proto.unknown_names, out.x, expected) <= 1e-12
+
+
+def test_polish_holds_a_population_at_zero():
+    # counts of a point with rho00 = -0.03: the best physical fit sits on
+    # the bound rho00 = 0, which the polish holds while the rest converges
+    from sctomo.forward import ProtocolLayout
+    proto = scenario("B")
+    point = np.array([-0.03, 0.01, 0.6, 1.3, 2.0])
+    counts = ProtocolLayout(proto).statistics(point[None, :])[0]
+    assert counts.min() > 0
+    for objective in ("least_squares", "poisson_mle"):
+        options = SolverOptions(objective=objective)
+        out = polish(counts, proto, point, options)
+        assert out.x[0] == 0.0
+        assert out.converged
+        # the same minimum from a start inside the box
+        other = polish(counts, proto, [0.1, 0.1, 0.5, 1.0, 1.5], options)
+        assert other.x[0] == 0.0
+        assert other.f == pytest.approx(out.f, rel=1e-9)
+
+
+def test_damped_gauss_newton_rows_are_independent():
+    rng = np.random.default_rng(95)
+    proto = scenario("V")
+    state, unknowns = sample_truth("V", rng)
+    # noisy counts, so that no row stops at the floor objective
+    counts = predicted_statistics(proto, state, unknowns) \
+        + 1e-3 * rng.standard_normal(proto.n_settings)
+    profile = invert._Profile(proto, counts)
+    truth = profile.start(pack_values(proto.unknown_names, state, unknowns))
+    starts = truth + 0.05 * rng.standard_normal((6, truth.size))
+    lo, hi = profile.bounds()
+
+    def run(rows):
+        return invert._damped_gauss_newton(
+            lambda z: profile.model(z, jacobian=True), rows, lo, hi, counts,
+            "least_squares", profile.scale, 200)
+
+    together = run(starts)
+    assert together[2].all()
+    for i in range(len(starts)):
+        alone = run(starts[i:i + 1])
+        assert np.abs(alone[0][0] - together[0][i]).max() <= 1e-12
+        assert abs(alone[1][0] - together[1][i]) <= 1e-12 * together[1][i]
+        assert alone[2][0] == together[2][i]
+
+
+def test_poisson_polish_takes_a_zero_count_at_a_zero_statistic():
+    # setting 0 of B sees rho11 alone: a zero count there puts the
+    # least-squares start at rho11 = 0, where the deviance term is 0 log 0
+    # = 0, not an invalid point
+    from sctomo.forward import ProtocolLayout
+    proto = scenario("B")
+    point = np.array([0.95, 0.05, 0.05, 1.3, 2.0])
+    counts = ProtocolLayout(proto).statistics(point[None, :])[0]
+    counts[0] = 0.0
+    result = reconstruct(counts, proto, SolverOptions(objective="poisson_mle"))
+    assert result.converged
+    assert math.isfinite(result.residual)
+    assert result.x[2] == 0.0
