@@ -121,7 +121,12 @@ def _parse_axis(spec: str):
 def cmd_sweep(args) -> int:
     protocol = io.load_protocol(args.protocol)
     state, unknowns = io.load_point(args.point, protocol.dim)
-    axes = dict(_parse_axis(spec) for spec in args.axis)
+    axes = {}
+    for spec in args.axis:
+        name, bounds = _parse_axis(spec)
+        if name in axes:
+            raise SchemaError(f"axis {name!r} given more than once")
+        axes[name] = bounds
     scan = identify.singularity_scan(protocol, state, unknowns, axes, args.grid)
     stream = StringIO()
     scan.to_csv(stream)

@@ -22,9 +22,11 @@ data.
 The solvers work on z = [Cartesian state coordinates, strengths]
 (`_Profile`), and one damped Gauss-Newton loop, `_damped_gauss_newton`,
 runs both the profile refine and the polish, with closed-form Jacobians
-and no finite difference.  Magnitude and phase appear only at the
-boundary: `_Profile.start` and `_Profile.point`, and the result
-diagnostics (`ProtocolLayout.jacobian`).
+and no finite difference.  The inner linear least squares of the profile
+is one batched Householder QR per call; only points whose design fails a
+rank test (degenerate strengths) fall back to the pseudo-inverse.
+Magnitude and phase appear only at the boundary: `_Profile.start` and
+`_Profile.point`, and the result diagnostics (`ProtocolLayout.jacobian`).
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ STEP_TOL = 1e-12  # times 1 + max |z|, on the largest step component
 @dataclass(frozen=True)
 class SolverOptions:
     """The objective of the damped Gauss-Newton polish of `reconstruct` and
-    `polish`, and its iteration limit.  `block_solve_v` fits by least
-    squares and reports its residual and gradient under `objective`."""
+    `polish`, and its iteration limit (an integer >= 1).  `block_solve_v`
+    fits by least squares and reports its residual and gradient under
+    `objective`."""
 
     objective: str = "least_squares"
     max_iter: int = 200
@@ -66,6 +69,11 @@ class SolverOptions:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise InvalidRange(f"objective {self.objective!r} not in {OBJECTIVES}")
+        if (isinstance(self.max_iter, bool)
+                or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 1):
+            raise InvalidRange(
+                f"max_iter {self.max_iter!r}: must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -345,8 +353,9 @@ def _lm_multistart(profile: _Profile, y: np.ndarray, start: np.ndarray,
 #
 # For fixed strengths the statistics are linear in the Cartesian state
 # coordinates (`ProtocolLayout.design`), so the least-squares objective is
-# minimized over the state exactly and what remains is a function of the 0,
-# 1 or 2 strengths alone (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).
+# minimized over the state exactly, by a QR factorization per point, and
+# what remains is a function of the 0, 1 or 2 strengths alone (Golub &
+# Pereyra, SIAM J. Numer. Anal. 10, 1973).
 # That profile is scanned on a grid, its lowest grid minima are refined by
 # `_damped_gauss_newton` on the projected residual, and the best one heads
 # the exact-tie family that `resolve_twin_family` ranks.
@@ -358,6 +367,93 @@ REFINE_FTOL = 1e-8             # least relative gain of an accepted refine step
 SCAN_CHUNK = 1024              # profile points per design evaluation
 TIE_RTOL = 1e-9
 TIE_ATOL = 1e-18               # times max(1, |y|^2)
+RANK_RTOL = 1e-10              # least singular value of the inner solve, times the largest
+
+
+def _full_rank(r: np.ndarray) -> tuple:
+    """Which triangular factors r (P, K, K) of A = QR certainly have full
+    rank at the pseudo-inverse's cutoff, sigma_min > RANK_RTOL sigma_max,
+    and R⁻¹ on those rows (zero elsewhere).
+
+    A row passes when |R|_F |R⁻¹|_F < 1/RANK_RTOL.  That product bounds
+    sigma_max/sigma_min from above and exceeds it at most K times, so no
+    row the pseudo-inverse truncates passes, and the few full-rank rows
+    that fail keep its full solution.  The pivots only screen: a row
+    whose smallest |r_kk| is not above RANK_RTOL times its largest fails
+    (sigma_min <= min |r_kk| and sigma_max >= max |r_kk|) and R⁻¹ is
+    formed only where no pivot is zero."""
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    ok = diag.min(axis=1, initial=np.inf) > RANK_RTOL * diag.max(
+        axis=1, initial=0.0)
+    if ok.all():
+        r_inv = np.linalg.inv(r)
+    else:
+        r_inv = np.zeros_like(r)
+        r_inv[ok] = np.linalg.inv(r[ok])
+    size = (r ** 2).sum(axis=(1, 2)) * (r_inv ** 2).sum(axis=(1, 2))
+    return ok & (size < RANK_RTOL ** -2), r_inv
+
+
+def _rows(sel, *arrays) -> list:
+    """The rows `sel` of each array that is not None."""
+    return [None if arr is None else arr[sel] for arr in arrays]
+
+
+def _merge(ok, good, bad) -> np.ndarray:
+    """Rows of `good` where ok, of `bad` elsewhere."""
+    out = np.empty((len(ok),) + good.shape[1:])
+    out[ok], out[~ok] = good, bad
+    return out
+
+
+def _lstsq(a, y, d_a=None, v0=None) -> tuple:
+    """Least squares min |A c - y| per row of a (P, S, K): the coordinates
+    and the residuals A c - y; with the strength derivative d_a of A
+    (P, S, K, F) and v0 = (∂D/∂lam) held (P, S, F) also the Golub-Pereyra
+    Jacobian P⊥ v - (A⁺)ᵀ w, with v = v0 + d_a c and w = d_aᵀ (A c - y).
+
+    A row whose A passes `_full_rank` is solved by its Householder QR,
+    A⁺ = R⁻¹Qᵀ and P⊥ = I - QQᵀ; the others by the pseudo-inverse with
+    cutoff RANK_RTOL (`_pinv_solve`), which gives the minimum-norm
+    coordinates."""
+    if a.shape[1] < a.shape[2]:  # fewer equations than coordinates
+        return _pinv_solve(a, y, d_a, v0)
+    q, r = np.linalg.qr(a)
+    ok, r_inv = _full_rank(r)
+    if ok.all():
+        return _qr_solve(q, r_inv, y, d_a, v0)
+    out = _pinv_solve(a[~ok], y[~ok], *_rows(~ok, d_a, v0))
+    if ok.any():
+        good = _qr_solve(q[ok], r_inv[ok], y[ok], *_rows(ok, d_a, v0))
+        out = [_merge(ok, g, b) for g, b in zip(good, out)]
+    return out
+
+
+def _qr_solve(q, r_inv, y, d_a=None, v0=None) -> tuple:
+    """`_lstsq` from A = QR of full rank: coordinates R⁻¹Qᵀy, residuals
+    QQᵀy - y and Jacobian v - QQᵀv - QR⁻ᵀw."""
+    qty = np.einsum("psc,ps->pc", q, y)
+    coords = np.einsum("pck,pk->pc", r_inv, qty)
+    resid = np.einsum("psc,pc->ps", q, qty) - y
+    if d_a is None:
+        return coords, resid
+    v = v0 + np.einsum("psck,pc->psk", d_a, coords)
+    w = np.einsum("psck,ps->pck", d_a, resid)
+    v -= q @ (np.swapaxes(q, 1, 2) @ v)
+    return coords, resid, v - q @ (np.swapaxes(r_inv, 1, 2) @ w)
+
+
+def _pinv_solve(a, y, d_a=None, v0=None) -> tuple:
+    """`_lstsq` by the pseudo-inverse with cutoff RANK_RTOL."""
+    a_pinv = np.linalg.pinv(a, rcond=RANK_RTOL)
+    coords = np.einsum("pcs,ps->pc", a_pinv, y)
+    resid = np.einsum("psc,pc->ps", a, coords) - y
+    if d_a is None:
+        return coords, resid
+    v = v0 + np.einsum("psck,pc->psk", d_a, coords)
+    v -= a @ (a_pinv @ v)
+    w = np.einsum("psck,ps->pck", d_a, resid)
+    return coords, resid, v - np.einsum("pcs,pck->psk", a_pinv, w)
 
 
 def _free_coordinates(protocol: Protocol) -> list:
@@ -418,26 +514,33 @@ class _Profile:
         P⊥ (∂D/∂lam) c_full - (A⁺)ᵀ (∂A/∂lam)ᵀ r, where D is the design,
         A its columns `cols`, c_full the fitted coordinates with the held
         ones and P⊥ = I - A A⁺, all on `rows`.
+
+        Columns of A that are exactly zero at every row of lam are dropped
+        and their coordinates left at zero, as the minimum-norm solution
+        does; the rest is solved by `_lstsq`, a batched Householder QR with
+        the pseudo-inverse for rows that fail its rank test.
         """
-        lam = np.atleast_2d(lam)
-        x = self._at(lam)
+        x = self._at(np.atleast_2d(lam))
         rows = slice(None) if rows is None else rows
+        d_a = v0 = None
         if free is None:
             design = self.layout.design(x)[:, rows]
         else:
             design, d_design = self.layout.design_and_derivative(x)
             design, d_design = design[:, rows], d_design[:, rows][..., free]
         a = design[:, :, self.cols]
-        y = self.y[rows] - design @ self.held
-        a_pinv = np.linalg.pinv(a, rcond=1e-10)
-        coords = np.einsum("pcs,ps->pc", a_pinv, y)
-        resid = np.einsum("psc,pc->ps", a, coords) - y
-        if free is None:
-            return coords, resid
-        v = np.einsum("psck,pc->psk", d_design, self._full(coords))
-        v -= a @ (a_pinv @ v)
-        w = np.einsum("psck,ps->pck", d_design[:, :, self.cols], resid)
-        return coords, resid, v - np.einsum("pcs,pck->psk", a_pinv, w)
+        kept = a.any(axis=(0, 1))
+        if not kept.all():
+            a = a[..., kept]
+        if free is not None:
+            d_a = d_design[:, :, np.asarray(self.cols)[kept]]
+            v0 = np.einsum("psck,c->psk", d_design, self.held)
+        coords, *out = _lstsq(a, self.y[rows] - design @ self.held, d_a, v0)
+        if not kept.all():
+            full = np.zeros((len(a), len(self.cols)))
+            full[:, kept] = coords
+            coords = full
+        return (coords, *out)
 
     def objective(self, lam, rows=None) -> np.ndarray:
         """Profile least-squares objective at each row of lam."""

@@ -355,6 +355,11 @@ BAD_ARGUMENTS = {
         ["sweep", "--protocol", "B", "--point", "{point}",
          "--axis", "lam_c=2:1", "--grid", "4", "--out", "{out}"],
         {"point": POINT_B}, "lam_c=2:1", "s.csv"),
+    "sweep-axis-duplicate": (
+        ["sweep", "--protocol", "B", "--point", "{point}",
+         "--axis", "lam_c=0.5:1", "--axis", "lam_c=0.5:1", "--grid", "4",
+         "--out", "{out}"],
+        {"point": POINT_B}, "axis 'lam_c' given more than once", "s.csv"),
     "sweep-out-unwritable": (
         ["sweep", "--protocol", "B", "--point", "{point}",
          "--axis", "lam_c=0.5:1", "--grid", "4", "--out", "{out}"],
@@ -369,6 +374,14 @@ BAD_ARGUMENTS = {
         ["reconstruct", "--counts", "{counts}", "--protocol", "B",
          "--out", "{out}"],
         {"config": None, "counts": None}, "cannot write", "missing/r.json"),
+    "reconstruct-max-iter-zero": (
+        ["reconstruct", "--counts", "{counts}", "--protocol", "B",
+         "--max-iter", "0", "--out", "{out}"],
+        {"config": None, "counts": None}, "max_iter 0", "r.json"),
+    "reconstruct-max-iter-negative": (
+        ["reconstruct", "--counts", "{counts}", "--protocol", "B",
+         "--max-iter", "-5", "--out", "{out}"],
+        {"config": None, "counts": None}, "max_iter -5", "r.json"),
     "validate-conventions-out-unwritable": (
         ["validate", "--conventions-out", "{out}"],
         {}, "cannot write", "missing/CONVENTIONS.txt"),

@@ -549,3 +549,161 @@ def test_poisson_polish_takes_a_zero_count_at_a_zero_statistic():
     assert result.converged
     assert math.isfinite(result.residual)
     assert result.x[2] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The profile's inner least squares: batched QR, pinv for rank-deficient rows
+# ---------------------------------------------------------------------------
+
+
+def _inner_solve_cases():
+    """(label, profile, free strengths, setting rows) for B, C-alt, each
+    stage of the V scan and each V block, on noisy counts (so that no
+    residual is zero), with strength rows from default_rng(8): 32 random
+    ones at least 0.3 from 0, pi and 2*pi, then degenerate ones, every
+    strength or one at a time at LAM_FLOOR, pi and 2*pi."""
+    rng = np.random.default_rng(8)
+
+    def noisy(name):
+        proto = scenario(name)
+        state, unknowns = sample_truth(name, rng)
+        y = predicted_statistics(proto, state, unknowns)
+        truth = pack_values(proto.unknown_names, state, unknowns)
+        return (proto, y + 1e-2 * rng.standard_normal(y.size),
+                dict(zip(proto.unknown_names, truth)))
+
+    cases = []
+    for name in ("B", "C-alt"):
+        proto, y, _ = noisy(name)
+        cases.append((name, invert._Profile(proto, y),
+                      list(range(len(proto.process_unknown_names))), None))
+    proto, y, truth = noisy("V")
+    joint = invert._Profile(proto, y)
+    for k, (free, rows) in enumerate(invert._scan_stages(proto)):
+        cases.append((f"V stage {k + 1}", joint, free, rows))
+    held = {}
+    for b, (indices, names) in enumerate(invert.V_BLOCKS):
+        sub = Protocol(name=f"V#b{b + 1}", dim=3,
+                       settings=tuple(proto.settings[i] for i in indices),
+                       unknown_names=names)
+        cases.append((f"V block {b + 1}",
+                      invert._Profile(sub, y[list(indices)], held=dict(held)),
+                      list(range(len(sub.process_unknown_names))), None))
+        held.update({n: truth[n] for n in names})
+    out = []
+    for label, profile, free, rows in cases:
+        n = len(profile.lam_cols)
+        if n == 0:  # V block 3: one linear solve
+            out.append((label, profile, free, rows, np.zeros((1, 0))))
+            continue
+        lam = (rng.uniform(0.3, math.pi - 0.3, (32, n))
+               + math.pi * rng.integers(0, 2, (32, n)))
+        degenerate = []
+        for value in (invert.LAM_FLOOR, math.pi, invert.TWO_PI):
+            degenerate.append(np.full(n, value))
+            for j in range(n if n > 1 else 0):
+                row = np.full(n, 1.1)
+                row[j] = value
+                degenerate.append(row)
+        out.append((label, profile, free, rows, np.vstack([lam, degenerate])))
+    return out
+
+
+def _pinv_fit(profile, lam, rows, free):
+    """The variable-projection fit by the pseudo-inverse (cutoff 1e-10) with
+    the Golub-Pereyra Jacobian, and per row the singular-value ratio
+    sigma_min/sigma_max of A.  Columns of A that are zero at every row are
+    left out: the pseudo-inverse of [A, 0] is [A⁺; 0], and leaving them in
+    only adds round-off of the SVD."""
+    rows = slice(None) if rows is None else rows
+    design, d_design = profile.layout.design_and_derivative(profile._at(lam))
+    design, d_design = design[:, rows], d_design[:, rows][..., free]
+    cols = [c for c in profile.cols if design[:, :, c].any()]
+    a = design[:, :, cols]
+    y = profile.y[rows] - design @ profile.held
+    a_pinv = np.linalg.pinv(a, rcond=1e-10)
+    kept = np.einsum("pcs,ps->pc", a_pinv, y)
+    resid = np.einsum("psc,pc->ps", a, kept) - y
+    c_full = np.tile(profile.held, (len(lam), 1))
+    c_full[:, cols] += kept
+    v = np.einsum("psck,pc->psk", d_design, c_full)
+    v -= a @ (a_pinv @ v)
+    w = np.einsum("psck,ps->pck", d_design[:, :, cols], resid)
+    coords = np.zeros((len(lam), len(profile.cols)))
+    coords[:, [profile.cols.index(c) for c in cols]] = kept
+    jac = v - np.einsum("pcs,pck->psk", a_pinv, w)
+    sv = np.linalg.svd(a, compute_uv=False)
+    ratio = (sv[:, -1] / sv[:, 0] if a.shape[1] >= a.shape[2]
+             else np.zeros(len(lam)))
+    return coords, resid, jac, ratio, np.abs(y).max(axis=1)
+
+
+def test_inner_solve_matches_pinv_reference():
+    # the coordinates to max(1, |c|) and the residuals to |y| on every row;
+    # degenerate rows are solved in the same batch as the random ones, and
+    # each row the pseudo-inverse truncates (singular-value ratio <= 1e-10)
+    # must fail the rank test, so it keeps the pseudo-inverse's solution.
+    # The Jacobian is checked to its own size on the well-conditioned rows
+    # (ratio > 1e-6): on the rest it is dominated by round-off of the
+    # coordinates, in the reference as much as in `fit`.
+    for label, profile, free, rows, lam in _inner_solve_cases():
+        coords, resid, jac = (profile.fit(lam, rows, free) if free
+                              else profile.fit(lam, rows) + (None,))
+        ref_c, ref_r, ref_j, ratio, y_size = _pinv_fit(profile, lam, rows,
+                                                       free)
+        c_scale = np.maximum(1.0, np.abs(ref_c).max(axis=1))
+        assert (np.abs(coords - ref_c).max(axis=1) <= 1e-10 * c_scale).all(), label
+        assert (np.abs(resid - ref_r).max(axis=1) <= 1e-10 * y_size).all(), label
+        truncated = ratio <= invert.RANK_RTOL
+        if truncated.any():
+            a = profile.layout.design(profile._at(lam[truncated]))
+            a = a[:, slice(None) if rows is None else rows][:, :, profile.cols]
+            a = a[..., a.any(axis=(0, 1))]
+            if a.shape[1] >= a.shape[2]:
+                assert not invert._full_rank(np.linalg.qr(a)[1])[0].any(), label
+        well = ratio > 1e-6
+        assert well[:32].all(), label
+        if free:
+            err = np.abs(jac - ref_j).max(axis=(1, 2))[well]
+            own = np.abs(ref_j).max(axis=(1, 2))[well]
+            assert (err <= 1e-10 * own).all(), label
+
+
+def test_inner_solve_rank_test_uses_singular_values_not_pivots():
+    # unit upper triangular with -1 above the diagonal: every pivot of its
+    # QR is 1, yet sigma_min/sigma_max is far below 1e-10; the second row
+    # is well conditioned.  The first must take the pseudo-inverse's
+    # truncated solution, the second the full one.
+    k = 40
+    tri = np.eye(k) - np.triu(np.ones((k, k)), 1)
+    a = np.stack([np.vstack([tri, np.zeros((1, k))]),
+                  np.vstack([np.eye(k), np.ones((1, k))])])
+    sv = np.linalg.svd(a, compute_uv=False)
+    assert sv[0, -1] / sv[0, 0] < invert.RANK_RTOL
+    diag = np.abs(np.diagonal(np.linalg.qr(a)[1], axis1=1, axis2=2))
+    assert diag[0].min() / diag[0].max() > 0.99
+    ok, _ = invert._full_rank(np.linalg.qr(a)[1])
+    assert ok.tolist() == [False, True]
+    y = np.random.default_rng(8).standard_normal((2, k + 1))
+    coords, resid = invert._lstsq(a, y)
+    ref = np.einsum("pcs,ps->pc", np.linalg.pinv(a, rcond=invert.RANK_RTOL), y)
+    assert np.abs(coords - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(resid - (np.einsum("psc,pc->ps", a, ref) - y)).max() <= 1e-12
+
+
+def test_inner_solve_jacobian_matches_differences_of_residual():
+    from sctomo.identify import central_differences
+    for label, profile, free, rows, lam in _inner_solve_cases():
+        if not free:
+            continue
+        lam = lam[:32]  # the rows away from the degenerate strengths
+        jac = profile.fit(lam, rows, free)[2]
+        fd, _ = central_differences(lambda p: profile.fit(p, rows)[1], lam,
+                                    free)
+        assert np.abs(jac - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max()), label
+
+
+@pytest.mark.parametrize("max_iter", [0, -5, 2.5, True, "10"])
+def test_solver_options_reject_bad_max_iter(max_iter):
+    with pytest.raises(InvalidRange):
+        SolverOptions(max_iter=max_iter)
