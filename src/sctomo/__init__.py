@@ -2,14 +2,14 @@
 
 Joint reconstruction of an unknown (unnormalized) quantum state and unknown
 rotation-strength parameters of the measurement-basis-changing unitaries,
-with identifiability diagnostics via numeric Jacobians and a protocol
-catalog; see the submodules:
+with identifiability diagnostics from the closed-form Jacobian of the
+measurement map and a protocol catalog; see the submodules:
 
 smallmat  small dense complex linear algebra (eigensolves, exp(-iG))
 model     magnitude/phase state and generator parametrizations, gauge
 forward   exact statistics, closed-form cross-checks, count simulation
 protocol  measurement-protocol catalog and control resolution
-identify  numeric Jacobians, determinant diagnostics, singularity scans
+identify  Jacobian reports, determinant diagnostics, singularity scans
 invert    linear inversion, profile-scan least squares / Poisson MLE,
           block solve, grid oracle
 io        JSON/CSV schemas, canonical serialization, fingerprints

@@ -69,9 +69,5 @@ class FingerprintMismatch(SctError):
     """Counts file fingerprint does not match the supplied protocol."""
 
 
-class NotPositiveWarning(UserWarning):
-    """Assembled density matrix has a negative eigenvalue beyond tolerance."""
-
-
 class SingularAtSolutionWarning(UserWarning):
     """Jacobian at the reconstruction solution is (near-)singular."""

@@ -1,20 +1,18 @@
-"""Identifiability analysis: numeric Jacobians of the measurement map,
+"""Identifiability analysis: the Jacobian of the measurement map,
 determinant and conditioning diagnostics, closed-form cross-checks, and
 singularity scans.
 
-Central differences (`central_differences`) are the reference for the
-Jacobian reports of `numeric_jacobian`, `jacobian_from_vector` and
-`singularity_scan`; the solver and `structural_zero_columns` use the
-closed-form Jacobian of `ProtocolLayout.jacobian`, which the tests check
-against them.  The closed-form determinant expressions for the shipped
-scenarios are transcriptions kept as cross-checks; two of them carry
-documented defects (see `closed_form_jacobian`), so the numeric result
-always wins.
+Every Jacobian reported here (`jacobian_from_vector`, `numeric_jacobian`,
+`singularity_scan`, `structural_zero_columns`) is the closed-form
+`ProtocolLayout.jacobian` that the solver uses too.  `central_differences`
+is kept only as the oracle the tests hold that Jacobian to.  The
+closed-form determinant expressions for the shipped scenarios are
+transcriptions kept as cross-checks; two of them carry documented defects
+(see `closed_form_jacobian`), so the computed Jacobian always wins.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,12 +26,21 @@ from .model import DensityParams
 FD_SCALE = 1e-6
 NEAR_ZERO_FLAG_RTOL = 1e-8
 PATTERN_ABS_TOL = 1e-10
+SINGULAR_RTOL = 1e-9
+# grid points per Jacobian evaluation of `singularity_scan`
+SCAN_CHUNK = 1024
+
+
+def near_singular(jac: np.ndarray, smin) -> np.ndarray:
+    """True where a Jacobian of the stack (..., S, K) is near-singular: its
+    smallest singular value `smin` is at most SINGULAR_RTOL * max(1, max |J|)."""
+    jmax = np.abs(jac).max(axis=(-2, -1))
+    return smin <= SINGULAR_RTOL * np.maximum(1.0, jmax)
 
 
 @dataclass(frozen=True)
 class JacobianReport:
-    """Jacobian of the measurement map at a point (central differences or,
-    from `analytic_jacobian`, closed form).
+    """Closed-form Jacobian of the measurement map at a point.
 
     Rows follow protocol setting order; columns the canonical Γ order.  The
     determinant is reported only when the matrix is square.
@@ -44,8 +51,10 @@ class JacobianReport:
     determinant: float
     smallest_singular_value: float
     condition_number: float
-    point: dict
-    steps: dict
+
+    @property
+    def near_singular(self) -> bool:
+        return bool(near_singular(self.matrix, self.smallest_singular_value))
 
     @property
     def abs_determinant(self) -> float:
@@ -56,19 +65,18 @@ class JacobianReport:
         return np.abs(self.matrix) < tol
 
 
-def central_differences(fn, x: np.ndarray, cols=None,
-                        step_scale: float = 1.0):
-    """Central-difference Jacobians of fn at each row of x.
+def central_differences(fn, x: np.ndarray, cols=None):
+    """Central-difference Jacobians of fn at each row of x (a test oracle).
 
     fn maps rows of parameters (N, K) to rows of values (N, S).  Only the
     columns `cols` (default all) are differenced, each with the step
-    FD_SCALE * max(1, |x|) times step_scale.  Returns the Jacobians
-    (P, S, len(cols)) and the steps (P, len(cols)).
+    FD_SCALE * max(1, |x|).  Returns the Jacobians (P, S, len(cols)) and
+    the steps (P, len(cols)).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     cols = list(range(x.shape[1])) if cols is None else list(cols)
     p, k = x.shape[0], len(cols)
-    steps = step_scale * (FD_SCALE * np.maximum(1.0, np.abs(x[:, cols])))
+    steps = FD_SCALE * np.maximum(1.0, np.abs(x[:, cols]))
     probes = np.repeat(x[:, None, :], 2 * k, axis=1)
     for c, col in enumerate(cols):
         probes[:, 2 * c, col] += steps[:, c]
@@ -78,54 +86,26 @@ def central_differences(fn, x: np.ndarray, cols=None,
     return jac.transpose(0, 2, 1), steps
 
 
-def _jacobian_from_vector(layout: ProtocolLayout, x0: np.ndarray,
-                          step_scale: float = 1.0):
-    jac, steps = central_differences(layout.statistics, x0,
-                                     step_scale=step_scale)
-    return jac[0], steps[0]
-
-
-def _layout_at(protocol: Protocol, x0, names, fixed):
-    layout = ProtocolLayout(protocol, names=names, fixed=fixed)
+def jacobian_from_vector(protocol: Protocol, x0) -> JacobianReport:
+    """Jacobian report for an explicit Γ-ordered value vector."""
+    layout = ProtocolLayout(protocol)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (len(layout.names),):
         raise DimensionMismatch(
             f"point has {x0.size} values for {len(layout.names)} parameters")
-    return layout, x0
-
-
-def jacobian_from_vector(protocol: Protocol, x0, names=None, fixed=None,
-                         step_scale: float = 1.0) -> JacobianReport:
-    """Numeric Jacobian for an explicit Γ-ordered value vector."""
-    layout, x0 = _layout_at(protocol, x0, names, fixed)
-    jac, steps = _jacobian_from_vector(layout, x0, step_scale)
-    return _report(layout, x0, jac, steps)
-
-
-def analytic_jacobian(protocol: Protocol, x0) -> JacobianReport:
-    """Closed-form Jacobian (`ProtocolLayout.jacobian`) for an explicit
-    Γ-ordered value vector; its steps are 0."""
-    layout, x0 = _layout_at(protocol, x0, None, None)
-    return _report(layout, x0, layout.jacobian(x0)[0], np.zeros(x0.size))
-
-
-def _report(layout: ProtocolLayout, x0: np.ndarray, jac: np.ndarray,
-            steps: np.ndarray) -> JacobianReport:
+    jac = layout.jacobian(x0)[0]
     det = float(np.linalg.det(jac)) if jac.shape[0] == jac.shape[1] else None
     svals = np.linalg.svd(jac, compute_uv=False)
     smin = float(svals[-1])
-    smax = float(svals[0])
-    cond = math.inf if smin == 0.0 else smax / smin
+    cond = math.inf if smin == 0.0 else float(svals[0]) / smin
     return JacobianReport(
         names=tuple(layout.names), matrix=jac, determinant=det,
-        smallest_singular_value=smin, condition_number=cond,
-        point=dict(zip(layout.names, x0)),
-        steps=dict(zip(layout.names, steps)))
+        smallest_singular_value=smin, condition_number=cond)
 
 
 def numeric_jacobian(protocol: Protocol, state: DensityParams,
                      unknowns: UnknownParams = None) -> JacobianReport:
-    """Central-difference Jacobian of every setting's exact statistic."""
+    """Jacobian of every setting's exact statistic at a state and unknowns."""
     if state.dim != protocol.dim:
         raise DimensionMismatch(
             f"state dim {state.dim} != protocol dim {protocol.dim}")
@@ -140,15 +120,15 @@ def numeric_jacobian(protocol: Protocol, state: DensityParams,
 CLOSED_FORM_NAMES = ("A", "B", "J1", "J2", "J3", "Vtotal")
 
 # Two documented defects in the transcribed expressions, both confirmed by
-# the numeric Jacobian and by direct expansion of the 2x2 coherence block:
+# the computed Jacobian and by direct expansion of the 2x2 coherence block:
 #  * the trig factors of B, J1, J2 are stated in the flipped phase
-#    convention: they match the numeric map only after gamma -> -gamma
+#    convention: they match the statistics only after gamma -> -gamma
 #    (the same sign ambiguity the coefficient functions carry for d = 2);
 #  * J3 as printed reads (lam1^2 + lam2^2 cos(Omega/2))^2, but the 2x2
 #    block determinant is 4 rho12 (a1 a2)^2 with a1 = (cos(Omega/2) lam1^2
 #    + lam2^2)/Omega^2, i.e. the cosine belongs with lam1^2.
 # `phase_sign=-1` (default) and `j3_corrected=True` (not default) select the
-# conventions under which the cross-check reproduces the numeric result.
+# conventions under which the cross-check reproduces the computed Jacobian.
 
 
 def closed_form_jacobian(name: str, point: dict, phase_sign: int = 1,
@@ -157,7 +137,7 @@ def closed_form_jacobian(name: str, point: dict, phase_sign: int = 1,
 
     With phase_sign=+1 and j3_corrected=False this is the literal
     transcription; see the module notes for the conventions under which the
-    expressions agree with the numeric Jacobian.
+    expressions agree with the computed Jacobian.
     """
     def need(*keys):
         missing = [k for k in keys if k not in point]
@@ -220,14 +200,17 @@ class ScanResult:
 def singularity_scan(protocol: Protocol, state: DensityParams,
                      unknowns: UnknownParams, axes: dict,
                      grid: int) -> ScanResult:
-    """|det| of the numeric Jacobian over a Cartesian grid of axis intervals.
+    """|det| of the Jacobian over a Cartesian grid of axis intervals.
 
     For a protocol with more settings than unknowns (C-alt) the reported
     value is sqrt(det(J^T J)), the product of the singular values, which is
     |det J| when J is square.  axes maps parameter names to (lo, hi); each
     axis gets `grid` points at lo + (hi-lo) * k / grid (half-open, so phase
-    axes over [0, 2*pi) avoid the duplicate endpoint).  Points with |det|
-    below 1e-8 times the grid median are flagged near-singular.
+    axes over [0, 2*pi) avoid the duplicate endpoint).  A point is flagged
+    near-singular when |det| is below 1e-8 times the grid median, or when
+    its Jacobian is near-singular by the rule of `near_singular`, so that a
+    grid singular everywhere (a structurally dead column) is flagged
+    throughout.  The Jacobians are evaluated SCAN_CHUNK points at a time.
     """
     if not axes:
         raise EmptyRegion("no scan axes given")
@@ -238,25 +221,30 @@ def singularity_scan(protocol: Protocol, state: DensityParams,
     for axis in axes:
         if axis not in names:
             raise MissingSymbol(f"axis {axis!r} is not a parameter of this protocol")
-    base = pack_values(protocol.unknown_names, state, unknowns)
-    layout = ProtocolLayout(protocol)
     axis_names = tuple(axes.keys())
     axis_pts = []
     for axis in axis_names:
         lo, hi = (float(v) for v in axes[axis])
         axis_pts.append(lo + (hi - lo) * np.arange(grid) / grid)
-    results = []
-    for combo in itertools.product(*axis_pts):
-        x = base.copy()
-        for axis, val in zip(axis_names, combo):
-            x[names.index(axis)] = val
-        jac, _ = _jacobian_from_vector(layout, x)
-        results.append((combo, float(np.prod(
-            np.linalg.svd(jac, compute_uv=False)))))
-    dets = np.array([r[1] for r in results])
+    # grid rows in itertools.product order: the last axis varies fastest
+    combos = np.stack(np.meshgrid(*axis_pts, indexing="ij"),
+                      axis=-1).reshape(-1, len(axis_names))
+    x = np.tile(pack_values(protocol.unknown_names, state, unknowns),
+                (len(combos), 1))
+    x[:, [names.index(axis) for axis in axis_names]] = combos
+    layout = ProtocolLayout(protocol)
+    dets = np.empty(len(x))
+    singular = np.empty(len(x), dtype=bool)
+    for start in range(0, len(x), SCAN_CHUNK):
+        chunk = slice(start, start + SCAN_CHUNK)
+        jac = layout.jacobian(x[chunk])
+        svals = np.linalg.svd(jac, compute_uv=False)
+        dets[chunk] = np.prod(svals, axis=1)
+        singular[chunk] = near_singular(jac, svals[:, -1])
     threshold = NEAR_ZERO_FLAG_RTOL * float(np.median(dets))
-    rows = tuple(tuple(combo) + (det, det < threshold)
-                 for combo, det in results)
+    flags = (dets < threshold) | singular
+    rows = tuple(tuple(combo) + (det, flag) for combo, det, flag in
+                 zip(combos.tolist(), dets.tolist(), flags.tolist()))
     return ScanResult(axis_names, rows, threshold)
 
 

@@ -831,21 +831,16 @@ def prefer_sparse_coherences(protocol: Protocol, x: np.ndarray, f: float,
 def _package_result(protocol: Protocol, x: np.ndarray, outcome_f: float,
                     grad_norm: float, n_starts: int, converged: bool,
                     objective: str, y: np.ndarray) -> ReconstructionResult:
-    def diagnostics(x):
-        report = identify.analytic_jacobian(protocol, x)
-        jmax = float(np.abs(report.matrix).max())
-        return report, report.smallest_singular_value <= 1e-9 * max(1.0, jmax)
-
-    report, singular = diagnostics(x)
-    if singular:
+    report = identify.jacobian_from_vector(protocol, x)
+    if report.near_singular:
         # a singular solution can sit on an exact-tie manifold from a
         # vanished coherence; report its zero-coherence member if so
         x_sparse, outcome_f = prefer_sparse_coherences(
             protocol, x, outcome_f, y, objective)
         if not np.array_equal(x_sparse, x):
             x = x_sparse
-            report, singular = diagnostics(x)
-    if singular:
+            report = identify.jacobian_from_vector(protocol, x)
+    if report.near_singular:
         warnings.warn("Jacobian is near-singular at the solution",
                       SingularAtSolutionWarning, stacklevel=3)
     state0, unknowns = split_values(protocol, x)
@@ -879,7 +874,7 @@ def _package_result(protocol: Protocol, x: np.ndarray, outcome_f: float,
         n_starts_tried=n_starts, converged=converged,
         physicality=physicality, psd_clip=psd_clip,
         phase_undefined=undefined,
-        singular_at_solution=bool(singular), gauge=gauge)
+        singular_at_solution=report.near_singular, gauge=gauge)
 
 
 def _check_structure(protocol: Protocol) -> None:

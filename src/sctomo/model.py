@@ -19,13 +19,12 @@ representative with real positive generator couplings.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import smallmat
-from .errors import InvalidRange, NotPositiveWarning, WrongDimension
+from .errors import InvalidRange, WrongDimension
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,8 +37,6 @@ STATE_KEYS = {
     3: ("rho00", "rho11", "rho22", "rho01", "rho02", "rho12",
         "gamma01", "gamma02", "gamma12"),
 }
-
-POSITIVITY_RTOL = 1e-10
 
 
 def wrap_phase(x):
@@ -207,19 +204,6 @@ def state_matrix(p: DensityParams) -> np.ndarray:
         off = p.coherences[k] * np.exp(-1j * p.phases[k])
         m[i, j] = off
         m[j, i] = off.conjugate()
-    return m
-
-
-def assemble_state(p: DensityParams) -> np.ndarray:
-    """Hermitian matrix with trace N; warns (NotPositiveWarning) if not PSD."""
-    m = state_matrix(p)
-    n = p.trace
-    if n > 0:
-        low = np.linalg.eigvalsh(m)[0]
-        if low < -POSITIVITY_RTOL * n:
-            warnings.warn(
-                f"assembled state has min eigenvalue {low:.3e} < 0",
-                NotPositiveWarning, stacklevel=2)
     return m
 
 

@@ -68,17 +68,3 @@ def expi_neg_batch(gs: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(symmetrize(np.asarray(gs, dtype=complex)))
     return np.einsum("...ik,...k,...jk->...ij", v, np.exp(-1j * w), v.conj())
 
-
-def min_eigenvalue(m, rtol: float = INPUT_RTOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    arr = as_cmatrix(m)
-    _require_hermitian(arr, rtol, "min_eigenvalue")
-    return float(np.linalg.eigvalsh(symmetrize(arr))[0])
-
-
-def is_positive_semidefinite(m, rtol: float = 1e-10) -> bool:
-    """PSD test: smallest eigenvalue >= -rtol * trace norm."""
-    arr = as_cmatrix(m)
-    _require_hermitian(arr, INPUT_RTOL, "is_positive_semidefinite")
-    evs = np.linalg.eigvalsh(symmetrize(arr))
-    return bool(evs[0] >= -rtol * np.abs(evs).sum())

@@ -15,7 +15,7 @@ the shipped acceptance list:
 10 generator spectrum structure
 
 Checks 2, 3 and 9 also document known defects of the transcribed closed
-forms; the numeric paths are authoritative throughout.
+forms; the computed statistics and Jacobians are authoritative throughout.
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ class CheckResult:
 def sample_truth(scenario_name: str, rng, smin_floor: float = None):
     """Random physical truth kept away from the singular loci.
 
-    Rejection is on the smallest singular value of the numeric Jacobian at
-    the truth, i.e. on the actual local invertibility of the protocol.
+    Rejection is on the smallest singular value of the closed-form Jacobian
+    (`identify.numeric_jacobian`) at the truth, i.e. on the actual local
+    invertibility of the protocol.
     """
     proto = scenario(scenario_name)
     if smin_floor is None:
@@ -220,7 +221,7 @@ def check_jacobian_formulas(seed: int = 3, draws: int = 200) -> CheckResult:
         if printed > 1e-9:
             worst_v_printed = max(worst_v_printed, abs(det - printed) / printed)
     ok &= worst_v <= 1e-3
-    lines.append(f"|J1*J2*J3| vs 11x11 numeric rel err {worst_v:.2e} with the "
+    lines.append(f"|J1*J2*J3| vs 11x11 Jacobian rel err {worst_v:.2e} with the "
                  f"corrected third block (tol 1e-3); as printed the third "
                  f"block misplaces cos(Omega/2) and deviates by up to "
                  f"{worst_v_printed:.2f}")
@@ -554,16 +555,16 @@ def conventions_report() -> str:
         "",
         "Closed-form determinant cross-checks:",
         " * the two-level scan determinant and the first two three-level",
-        "   blocks match the numeric Jacobian after the same phase flip",
+        "   blocks match the computed Jacobian after the same phase flip",
         "   (gamma -> -gamma), consistent with the dim-2 coefficient",
         "   resolution above;",
         " * the third-block expression misplaces cos(Omega/2): the 2x2",
         "   coherence-block determinant is proportional to",
         "   (cos(Omega/2)*lam1^2 + lam2^2)^2, not (lam1^2 +",
-        "   lam2^2*cos(Omega/2))^2; the corrected form matches the numeric",
-        "   determinant to finite-difference accuracy;",
+        "   lam2^2*cos(Omega/2))^2; the corrected form matches the computed",
+        "   determinant to round-off;",
         " * the published zero list entry lam_c = pi/2 disagrees with both",
-        "   the determinant formula and the numeric Jacobian; the true zero",
+        "   the determinant formula and the computed Jacobian; the true zero",
         "   is at lam_c = pi (where the doubled-control settings coincide);",
         " * the published scenario-C sixth setting is diagonal, making its",
         "   statistic independent of lam_z; the printed block-determinant",

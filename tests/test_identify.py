@@ -92,16 +92,6 @@ def test_v_product_with_corrected_block():
     assert abs(det - printed) / printed > 0.1  # documented defect
 
 
-def test_richardson_step_halving():
-    proto = scenario("B")
-    state = qubit_state(0.6, 0.4, 0.25, 0.7)
-    unknowns = qubit_unknowns(lam_c=1.3)
-    x = pack_values(proto.unknown_names, state, unknowns)
-    full = jacobian_from_vector(proto, x, step_scale=1.0).determinant
-    half = jacobian_from_vector(proto, x, step_scale=0.5).determinant
-    assert abs(full - half) / abs(full) < 1e-3
-
-
 def test_scenario_c_block_structure():
     state = qubit_state(0.6, 0.4, 0.25, 0.8)
     unknowns = unknowns = qubit_unknowns(lam_c=1.3, lam_z=1.1)
@@ -157,6 +147,42 @@ def test_singularity_scan_strength_axis():
     assert any(lam < 0.2 for lam in flagged)            # lam ~ 0
     assert any(abs(lam - np.pi) < 0.2 for lam in flagged)  # lam = pi
     assert not any(abs(lam - np.pi / 2) < 0.2 for lam in flagged)
+
+
+def test_singularity_scan_chunks_match_pointwise_reports():
+    proto = scenario("V")
+    state = vtype_state(0.4, 0.35, 0.25, 0.1, 0.11, 0.09, 0.9, 2.2, 1.4)
+    unknowns = vtype_unknowns(1.2, 1.7)
+    # one full chunk and a partial one
+    grid = math.isqrt(identify.SCAN_CHUNK) + 1
+    assert identify.SCAN_CHUNK < grid ** 2 < 2 * identify.SCAN_CHUNK
+    lo, hi = 0.2, 3.0
+    scan = singularity_scan(proto, state, unknowns,
+                            {"lam1": (lo, hi), "lam2": (lo, hi)}, grid)
+    assert len(scan.rows) == grid ** 2
+    base = pack_values(proto.unknown_names, state, unknowns)
+    axis = lo + (hi - lo) * np.arange(grid) / grid
+    worst = 0.0
+    for k, (lam1, lam2, abs_det, flag) in enumerate(scan.rows):
+        # rows in itertools.product order, the last axis fastest
+        assert (lam1, lam2) == (axis[k // grid], axis[k % grid])
+        x = base.copy()
+        x[[proto.unknown_names.index("lam1"),
+           proto.unknown_names.index("lam2")]] = lam1, lam2
+        ref = jacobian_from_vector(proto, x).abs_determinant
+        worst = max(worst, abs(abs_det - ref) / ref)
+    assert worst <= 1e-12
+
+
+def test_singularity_scan_flags_a_grid_singular_everywhere():
+    # scenario C's lam_z column is structurally zero, so every grid point is
+    # singular although no |det| stands out against the grid median
+    proto = scenario("C")
+    state = qubit_state(0.6, 0.4, 0.25, 0.8)
+    scan = singularity_scan(proto, state, qubit_unknowns(lam_c=1.3, lam_z=1.1),
+                            {"lam_c": (0.5, 2.0)}, 8)
+    assert len(scan.rows) == 8
+    assert all(row[-1] for row in scan.rows)
 
 
 def test_scan_csv_format():

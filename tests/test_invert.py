@@ -385,7 +385,7 @@ def test_profile_jacobian_matches_differences_of_residual():
                                   "V", "V~beta"])
 def test_polish_jacobian_matches_numeric_jacobian(name):
     from sctomo.forward import ProtocolLayout
-    from sctomo.identify import jacobian_from_vector
+    from sctomo.identify import central_differences
     base = name.split("~")[0]
     proto = scenario(base)
     if name.endswith("~beta"):
@@ -396,7 +396,7 @@ def test_polish_jacobian_matches_numeric_jacobian(name):
         state, unknowns = sample_truth(base, rng)
         x = pack_values(proto.unknown_names, state, unknowns)
         jac = layout.jacobian(x[None, :])[0]
-        numeric = jacobian_from_vector(proto, x).matrix
+        numeric = central_differences(layout.statistics, x)[0][0]
         assert np.abs(jac - numeric).max() <= 1e-6 * np.abs(numeric).max()
 
 
@@ -422,6 +422,37 @@ def test_solve_path_uses_no_eigh_kernel_or_differences(monkeypatch):
     assert max_param_error(proto.unknown_names,
                            polish(counts, proto, expected + 1e-3).x,
                            expected) < 1e-6
+
+
+def test_jacobian_reports_use_no_differences(monkeypatch, tmp_path):
+    from sctomo import cli, identify, io
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("finite differences on a production path")
+
+    monkeypatch.setattr(identify, "central_differences", forbidden)
+    rng = np.random.default_rng(95)
+    for name in ("B", "C-alt", "V"):
+        sample_truth(name, rng)
+    state = qubit_state(0.6, 0.4, 0.25, 0.8)
+    unknowns = qubit_unknowns(lam_c=1.3, lam_z=1.1)
+    assert identify.numeric_jacobian(scenario("C-alt"), state,
+                                     unknowns).smallest_singular_value > 1e-2
+    scan = identify.singularity_scan(scenario("B"), state,
+                                     qubit_unknowns(lam_c=1.3),
+                                     {"gamma": (0.0, 2 * np.pi)}, 8)
+    assert len(scan.rows) == 8
+    point = tmp_path / "point.json"
+    point.write_text(io.canonical_json({
+        "schema_version": 1,
+        "state": {"rho00": 0.6, "rho11": 0.4, "rho01": 0.25, "gamma": 0.8},
+        "unknowns": {"lam_c": 1.3, "lam_z": 1.1},
+    }) + "\n")
+    assert cli.main(["jacobian", "--protocol", "C-alt",
+                     "--point", str(point)]) == 0
+    assert cli.main(["sweep", "--protocol", "C", "--point", str(point),
+                     "--axis", "lam_c=0.5:2", "--grid", "8",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
 
 
 @pytest.mark.parametrize("name", ["V", "C-alt"])

@@ -6,23 +6,23 @@ import numpy as np
 import pytest
 
 from sctomo import model
-from sctomo.errors import InvalidRange, NotPositiveWarning, WrongDimension
-from sctomo.model import (assemble_generator, assemble_state, bloch,
-                          gauge_fix, gauge_transform, qubit_generator,
-                          qubit_state, state_params_from_matrix,
+from sctomo.errors import InvalidRange, WrongDimension
+from sctomo.model import (assemble_generator, bloch, gauge_fix,
+                          gauge_transform, qubit_generator, qubit_state,
+                          state_matrix, state_params_from_matrix,
                           vtype_generator, vtype_state, wrap_phase)
 
 
 def test_assemble_state_examples():
-    assert np.allclose(assemble_state(qubit_state(1, 0, 0, 0)), np.diag([1, 0]))
-    plus = assemble_state(qubit_state(0.5, 0.5, 0.5, 0.0))
+    assert np.allclose(state_matrix(qubit_state(1, 0, 0, 0)), np.diag([1, 0]))
+    plus = state_matrix(qubit_state(0.5, 0.5, 0.5, 0.0))
     assert np.allclose(plus, 0.5 * np.ones((2, 2)))
-    third = assemble_state(vtype_state(1 / 3, 1 / 3, 1 / 3, 0, 0, 0, 0, 0, 0))
+    third = state_matrix(vtype_state(1 / 3, 1 / 3, 1 / 3, 0, 0, 0, 0, 0, 0))
     assert np.allclose(third, np.eye(3) / 3)
 
 
 def test_assemble_state_phase_sign():
-    m = assemble_state(qubit_state(0.5, 0.5, 0.3, 1.2))
+    m = state_matrix(qubit_state(0.5, 0.5, 0.3, 1.2))
     assert m[0, 1] == pytest.approx(0.3 * np.exp(-1j * 1.2))
     assert m[1, 0] == pytest.approx(0.3 * np.exp(1j * 1.2))
 
@@ -85,11 +85,6 @@ def test_phases_wrapped_and_ranges_enforced():
         qubit_generator(0.0, -1.0, 0.0)
     with pytest.raises(InvalidRange):
         model.GeneratorParams(3, 1.0, (1.0, 1.0), (0.0, 0.0))
-
-
-def test_unphysical_state_warns_but_assembles():
-    with pytest.warns(NotPositiveWarning):
-        assemble_state(qubit_state(0.5, 0.5, 0.6, 0.0))
 
 
 def test_gauge_transform_examples():

@@ -85,24 +85,10 @@ def test_trace_cyclicity():
             1.0, abs(np.trace(a @ b)))
 
 
-def test_min_eigenvalue_examples():
-    assert smallmat.min_eigenvalue(np.eye(2) / 2) == pytest.approx(0.5)
-    assert smallmat.min_eigenvalue(np.array([[0.5, 0.6], [0.6, 0.5]])) == \
-        pytest.approx(-0.1)
-    assert smallmat.min_eigenvalue(np.diag([1.0, 0.0, 0.0])) == pytest.approx(0.0)
-
-
-def test_positivity_check_uses_trace_norm():
-    assert smallmat.is_positive_semidefinite(np.diag([1.0, 0.0]))
-    assert not smallmat.is_positive_semidefinite(np.diag([1.0, -0.1]))
-
-
 def test_non_hermitian_rejected():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NonHermitianInput):
         smallmat.expi_neg(bad)
-    with pytest.raises(NonHermitianInput):
-        smallmat.min_eigenvalue(bad)
 
 
 def test_dimension_guard():
