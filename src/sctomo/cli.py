@@ -13,13 +13,12 @@ import argparse
 import math
 import os
 import sys
-from io import StringIO
 
 import numpy as np
 
 from . import identify, invert, io, validation
-from .errors import (DimensionMismatch, FingerprintMismatch, NoConvergence,
-                     SchemaError, SctError, StructuralSingularity)
+from .errors import (DimensionMismatch, FingerprintMismatch, SchemaError,
+                     SctError, StructuralSingularity)
 from .forward import simulate_counts
 
 EXIT_OK = 0
@@ -128,12 +127,10 @@ def cmd_sweep(args) -> int:
             raise SchemaError(f"axis {name!r} given more than once")
         axes[name] = bounds
     scan = identify.singularity_scan(protocol, state, unknowns, axes, args.grid)
-    stream = StringIO()
-    scan.to_csv(stream)
-    io.write_text(args.out, stream.getvalue())
-    flagged = sum(1 for row in scan.rows if row[-1])
+    with io.text_writer(args.out) as stream:
+        scan.to_csv(stream)
     print(f"rows {len(scan.rows)}")
-    print(f"flagged {flagged}")
+    print(f"flagged {int(scan.rows[:, -1].sum())}")
     print(f"written {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -208,7 +205,7 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_DIMENSION)
     except FingerprintMismatch as exc:
         return _fail(str(exc), EXIT_FINGERPRINT)
-    except (NoConvergence, StructuralSingularity) as exc:
+    except StructuralSingularity as exc:
         return _fail(str(exc), EXIT_NO_CONVERGENCE)
     except SctError as exc:
         return _fail(str(exc), EXIT_SCHEMA)

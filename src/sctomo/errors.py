@@ -49,10 +49,6 @@ class RankDeficient(SctError):
     """Linear inversion design matrix has deficient rank."""
 
 
-class NoConvergence(SctError):
-    """No optimizer start satisfied the convergence criteria."""
-
-
 class TooManyDims(SctError):
     """Grid oracle refused: full grid over this many parameters is unaffordable."""
 

@@ -14,8 +14,8 @@ U = exp(-iG).  Two paths compute it:
 The closed-form coefficient functions are transcriptions of the paper whose
 residual sign ambiguity (the statistics are odd in the phase differences
 beta through their sine terms) is resolved empirically against the trace
-path, per dimension, and cached.  The resolved convention is reported by the
-validation suite.
+path, per dimension (`resolve_sign_convention`); callers pass the sign.
+The resolved convention is reported by the validation suite.
 
 Counts are sampled deterministically: each record draws from an independent
 PCG64 stream seeded by (seed, setting_index), so results do not depend on
@@ -32,8 +32,8 @@ import numpy as np
 from . import smallmat
 from .errors import BadLabel, DimensionMismatch, InvalidRange
 from .model import (COHERENCE_PAIRS, DensityParams, GeneratorParams,
-                    assemble_generator, derived_angles, random_generator,
-                    random_physical_state, state_matrix)
+                    PHASE_NAMES, assemble_generator, derived_angles,
+                    random_generator, random_physical_state, state_matrix)
 from .protocol import (COUPLING_UNKNOWNS, BETA_TO_PHASE, DIAG_UNKNOWN,
                        Protocol, UnknownParams, resolve)
 
@@ -148,22 +148,21 @@ def _amplitudes(gen: GeneratorParams, label: int):
     return c, s, (ht1, ht2), 0.0
 
 
-def coefficients(gen: GeneratorParams, label: int, sign_convention: int = None,
+def coefficients(gen: GeneratorParams, label: int, sign_convention: int,
                  betas=None) -> CoefficientSet:
     """Closed-form coefficients for one projector label.
 
     betas supplies the phase combinations per coherence pair (as produced by
     model.derived_angles); they enter the off-diagonal terms only.  The
-    sine-bearing terms are evaluated at sign_convention * beta; passing None
-    uses the empirically resolved convention for the dimension.  Zero
-    rotation angle returns the identity-limit coefficients (diagonal label
-    coefficient 1, everything else 0).
+    sine-bearing terms are evaluated at sign_convention * beta (see
+    `resolve_sign_convention`).  Zero rotation angle returns the
+    identity-limit coefficients (diagonal label coefficient 1, everything
+    else 0).
     """
     label = int(label)
     if not 0 <= label < gen.dim:
         raise BadLabel(f"label {label} out of range for dim {gen.dim}")
-    sign = resolved_sign_convention(gen.dim) if sign_convention is None \
-        else int(sign_convention)
+    sign = int(sign_convention)
     if sign not in (1, -1):
         raise InvalidRange("sign_convention must be +1 or -1")
     pairs = COHERENCE_PAIRS[gen.dim]
@@ -212,13 +211,10 @@ def coefficients(gen: GeneratorParams, label: int, sign_convention: int = None,
 
 
 def closed_form_statistic(state: DensityParams, gen: GeneratorParams,
-                          label: int, sign_convention: int = None) -> float:
+                          label: int, sign_convention: int) -> float:
     """Statistic reconstructed from the coefficient functions (cross-check path)."""
-    angles = derived_angles(state, gen)
-    return coefficients(gen, label, sign_convention, angles.betas).contract(state)
-
-
-_SIGN_CACHE: dict = {}
+    betas = derived_angles(state, gen)
+    return coefficients(gen, label, sign_convention, betas).contract(state)
 
 
 def resolve_sign_convention(dim: int, n_draws: int = 200, seed: int = 715) -> int:
@@ -241,13 +237,6 @@ def resolve_sign_convention(dim: int, n_draws: int = 200, seed: int = 715) -> in
                 approx = closed_form_statistic(state, gen, label, sign)
                 worst[sign] = max(worst[sign], abs(approx - exact))
     return 1 if worst[1] <= worst[-1] else -1
-
-
-def resolved_sign_convention(dim: int) -> int:
-    """Cached empirical sign convention for the dimension."""
-    if dim not in _SIGN_CACHE:
-        _SIGN_CACHE[dim] = resolve_sign_convention(dim)
-    return _SIGN_CACHE[dim]
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +271,7 @@ class ProtocolLayout:
         self._pop = {f"rho{i}{i}": i for i in range(d)}
         self._mag = {f"rho{i}{j}": k for k, (i, j) in
                      enumerate(COHERENCE_PAIRS[d])}
-        phase_names = {2: ("gamma",), 3: ("gamma01", "gamma02", "gamma12")}[d]
-        self._phase = {n: k for k, n in enumerate(phase_names)}
+        self._phase = {n: k for k, n in enumerate(PHASE_NAMES[d])}
         self._lam = {n: k for k, n in enumerate(STRENGTHS[d])}
 
         def decode(name):
@@ -400,22 +388,6 @@ class ProtocolLayout:
             z.shape[:-1] + (2 * z.shape[-1],))
         cols = np.concatenate([pops, pairs], axis=-1)
         return cols if d_rows is None else np.swapaxes(cols, -1, -2)
-
-    @staticmethod
-    def _density(pops, mags, sph) -> np.ndarray:
-        p, d = pops.shape
-        rho = np.zeros((p, d, d), dtype=complex)
-        for i in range(d):
-            rho[:, i, i] = pops[:, i]
-        for k, (i, j) in enumerate(COHERENCE_PAIRS[d]):
-            off = mags[:, k] * np.exp(-1j * sph[:, k])
-            rho[:, i, j] = off
-            rho[:, j, i] = off.conj()
-        return rho
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        """State matrix for each row of x; shape (P, d, d)."""
-        return self._density(*self._decode(x)[:3])
 
     @staticmethod
     def _coordinates(pops, mags, sph) -> np.ndarray:

@@ -185,16 +185,18 @@ def closed_form_jacobian(name: str, point: dict, phase_sign: int = 1,
 @dataclass(frozen=True)
 class ScanResult:
     axis_names: tuple
-    rows: tuple  # (axis values..., abs_det, flag) per grid point
+    rows: np.ndarray  # (N, axes + 2): axis values..., abs_det, flag (0 or 1)
     flag_threshold: float
 
     def to_csv(self, stream) -> None:
+        """Header, then one line per row with 17 significant digits and an
+        integer flag, written SCAN_CHUNK rows at a time."""
         header = list(self.axis_names) + ["abs_det", "flag"]
         stream.write(",".join(header) + "\n")
-        for row in self.rows:
-            *vals, flag = row
-            cells = [f"{v:.17g}" for v in vals] + [str(int(flag))]
-            stream.write(",".join(cells) + "\n")
+        line = ",".join(["%.17g"] * (len(header) - 1) + ["%d"]) + "\n"
+        for start in range(0, len(self.rows), SCAN_CHUNK):
+            chunk = self.rows[start:start + SCAN_CHUNK].tolist()
+            stream.write("".join(line % tuple(row) for row in chunk))
 
 
 def singularity_scan(protocol: Protocol, state: DensityParams,
@@ -233,18 +235,17 @@ def singularity_scan(protocol: Protocol, state: DensityParams,
                 (len(combos), 1))
     x[:, [names.index(axis) for axis in axis_names]] = combos
     layout = ProtocolLayout(protocol)
-    dets = np.empty(len(x))
+    rows = np.empty((len(x), len(axis_names) + 2))
+    rows[:, :-2] = combos
     singular = np.empty(len(x), dtype=bool)
     for start in range(0, len(x), SCAN_CHUNK):
         chunk = slice(start, start + SCAN_CHUNK)
         jac = layout.jacobian(x[chunk])
         svals = np.linalg.svd(jac, compute_uv=False)
-        dets[chunk] = np.prod(svals, axis=1)
+        rows[chunk, -2] = np.prod(svals, axis=1)
         singular[chunk] = near_singular(jac, svals[:, -1])
-    threshold = NEAR_ZERO_FLAG_RTOL * float(np.median(dets))
-    flags = (dets < threshold) | singular
-    rows = tuple(tuple(combo) + (det, flag) for combo, det, flag in
-                 zip(combos.tolist(), dets.tolist(), flags.tolist()))
+    threshold = NEAR_ZERO_FLAG_RTOL * float(np.median(rows[:, -2]))
+    rows[:, -1] = (rows[:, -2] < threshold) | singular
     return ScanResult(axis_names, rows, threshold)
 
 
@@ -253,12 +254,14 @@ def singularity_scan(protocol: Protocol, state: DensityParams,
 # ---------------------------------------------------------------------------
 
 _STRUCTURAL_CACHE: dict = {}
+N_PROBE = 4
+PROBE_SEED = 90125
 
 
-def _probe_vectors(protocol: Protocol, n_probe: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    out = np.empty((n_probe, len(protocol.unknown_names)))
-    for i in range(n_probe):
+def _probe_vectors(protocol: Protocol) -> np.ndarray:
+    rng = np.random.default_rng(PROBE_SEED)
+    out = np.empty((N_PROBE, len(protocol.unknown_names)))
+    for i in range(N_PROBE):
         vals = []
         for name in protocol.unknown_names:
             if name.startswith("rho") and name[3] == name[4]:
@@ -273,18 +276,17 @@ def _probe_vectors(protocol: Protocol, n_probe: int, seed: int) -> np.ndarray:
     return out
 
 
-def structural_zero_columns(protocol: Protocol, n_probe: int = 4,
-                            seed: int = 90125) -> tuple:
+def structural_zero_columns(protocol: Protocol) -> tuple:
     """Parameters whose Jacobian column vanishes at every generic probe point.
 
-    A column that is zero at several generic interior points is structurally
-    dead: the protocol's statistics carry no information about it anywhere.
+    A column that is zero at N_PROBE generic interior points (drawn from
+    PROBE_SEED) is structurally dead: the protocol's statistics carry no
+    information about it anywhere.
     """
     key = repr(protocol.to_dict())
     if key in _STRUCTURAL_CACHE:
         return _STRUCTURAL_CACHE[key]
-    jac = ProtocolLayout(protocol).jacobian(
-        _probe_vectors(protocol, n_probe, seed))
+    jac = ProtocolLayout(protocol).jacobian(_probe_vectors(protocol))
     col_max = np.abs(jac).max(axis=(0, 1))
     scale = max(col_max.max(), 1.0)
     dead = tuple(name for name, cm in zip(protocol.unknown_names, col_max)

@@ -10,14 +10,20 @@ Three routes are provided and cross-checked against each other:
   2 strengths; the exact-tie reflection family of the best minimum is
   enumerated and ranked by a stated rule, and the chosen member is polished
   on the least-squares or the Poisson-deviance objective;
-* `grid_oracle`, a brute-force recursive grid search used to validate the
-  solver.
+* `grid_oracle`, a brute-force recursive grid search over the strengths
+  used to validate the solver.
 
 `block_solve_v` runs the same profile scan along the triangular information
-structure of the V-type protocol: ground-excited pair 1 on its own settings,
-then pair 2 on its own settings with pair 1 held, then the excited-excited
-coherence by one linear solve.  It must agree with the joint solve on exact
-data.
+structure of the V-type protocol: lam1 from ground-excited pair 1 on its own
+settings, then lam2 from pair 2 on its own settings with pair 1 held, then
+the whole state by one linear solve.  It must agree with the joint solve on
+exact data.
+
+The reflections lam_j -> 2*pi - lam_j are exact ties of the data, and every
+solver settles them by one rule, in one place: `resolve_twin_family`
+reflects the strengths, re-solves the Cartesian state at each member, and
+ranks the tied members by `_branch_key` (physical first, then the fewest
+strengths above pi, then the order offered).
 
 The solvers work on z = [Cartesian state coordinates, strengths]
 (`_Profile`), and one damped Gauss-Newton loop, `_damped_gauss_newton`,
@@ -43,15 +49,14 @@ from .errors import (DimensionMismatch, InvalidRange, RankDeficient,
                      SingularAtSolutionWarning, StructuralSingularity,
                      TooManyDims)
 from .forward import ProtocolLayout, observed_values
-from .model import (COHERENCE_PAIRS, DensityParams, TWO_PI, state_matrix,
-                    state_params_from_matrix, wrap_phase)
+from .model import (COHERENCE_PAIRS, DensityParams, PHASE_NAMES, TWO_PI,
+                    state_matrix, state_params_from_matrix, wrap_phase)
 from .protocol import (PHASE_TO_BETA, Protocol, UnknownParams, V_BLOCKS,
                        split_values)
 
 OBJECTIVES = ("least_squares", "poisson_mle")
 LAM_FLOOR = 1e-9
 TINY_MAG = 1e-8
-PHASE_NAMES = {2: ("gamma",), 3: ("gamma01", "gamma02", "gamma12")}
 GRAD_TOL = 1e-10  # times max(1, |y|^2), on the largest gradient component
 STEP_TOL = 1e-12  # times 1 + max |z|, on the largest step component
 
@@ -695,84 +700,51 @@ def _scan(profile: _Profile, stages) -> np.ndarray:
 #
 # The five-setting single-coupling protocols (scenario B and each single-pair
 # block of V) are exactly invariant under the reflection
-#     lam -> 2*pi - lam,  pair phase -> pair phase + pi:
+#     lam -> 2*pi - lam,  the pair's coherence coordinates (x, y) -> -(x, y):
 # the m=1 settings flip cos(lam/2), the m=2 settings flip sin(lam), and the
-# phase shift restores every cross term, so the twins cannot be told apart by
-# any data taken with those settings alone.  In V the two dual-coupling
-# settings re-fit the excited-excited coherence exactly after either
-# reflection, so all four members tie; the C-alt settings that drive the
-# diagonal break the reflection of lam_c.  Among exact ties the rule of
-# `_branch_key` decides; otherwise the data do.
-
-_TWIN_PHASE_OF = {
-    "lam_c": ("gamma", "beta"),
-    "lam1": ("gamma01", "beta01"),
-    "lam2": ("gamma02", "beta02"),
-}
-
-
-def _twin_index_pairs(names) -> list:
-    pairs = []
-    for lam_name, phase_options in _TWIN_PHASE_OF.items():
-        if lam_name not in names:
-            continue
-        for pname in phase_options:
-            if pname in names:
-                pairs.append((names.index(lam_name), names.index(pname)))
-                break
-    return pairs
+# negated coherence (its phase shifted by pi) restores every cross term, so
+# the twins cannot be told apart by any data taken with those settings
+# alone.  In V the two dual-coupling settings re-fit the excited-excited
+# coherence exactly after either reflection, so all four members tie; the
+# C-alt settings that drive the diagonal break the reflection of lam_c.
+# `resolve_twin_family` is the only code that forms reflections: it reflects
+# the strengths alone and re-solves the Cartesian state linearly, which
+# finds the negated coherence.  Every solver settles the tie through it:
+# `reconstruct` and `prefer_sparse_coherences` on their profile minima,
+# `block_solve_v` and `grid_oracle` on the strengths they found
+# (`_settle_twins`).  Among exact ties the rule of `_branch_key` decides;
+# otherwise the data do.
 
 
-def _twin_image(x: np.ndarray, li: int, pi_: int) -> np.ndarray:
-    out = np.array(x, dtype=float, copy=True)
-    out[li] = TWO_PI - out[li]
-    out[pi_] = wrap_phase(out[pi_] + math.pi)
-    return out
-
-
-def canonicalize_twins(layout: ProtocolLayout, x: np.ndarray) -> np.ndarray:
-    """Replace x by its lam <= pi twin wherever the statistics cannot tell."""
-    x = np.array(x, dtype=float, copy=True)
-    base = layout.statistics(x[None, :])[0]
-    tol = 1e-10 * max(1.0, float(np.abs(base).max()))
-    for li, pi_ in _twin_index_pairs(layout.names):
-        twin = _twin_image(x, li, pi_)
-        twin_stats = layout.statistics(twin[None, :])[0]
-        if np.abs(twin_stats - base).max() <= tol and x[li] > math.pi:
-            x = twin
-    return x
-
-
-def _branch_key(layout: ProtocolLayout, x: np.ndarray, index: int) -> tuple:
-    """Rank of an exact-tie member: physical first, then the fewest strengths
+def _branch_key(dim: int, coords: np.ndarray, lam: np.ndarray,
+                index: int) -> tuple:
+    """Rank of an exact-tie member with all Cartesian state coordinates
+    `coords` and strengths `lam`: physical first, then the fewest strengths
     above pi (the lam <= pi member is canonical, mirroring the continuous
-    gauge fix), then the order offered."""
-    rho = layout.density(x[None, :])[0]
-    trace = float(np.trace(rho).real)
+    gauge fix), then the order offered.  The state has the populations on
+    its diagonal and entry (i, j) = (x - i*y)/2 per coherence pair."""
+    rho = np.diag(coords[:dim]).astype(complex)
+    for k, (i, j) in enumerate(COHERENCE_PAIRS[dim]):
+        rho[i, j] = 0.5 * complex(coords[dim + 2 * k], -coords[dim + 2 * k + 1])
+        rho[j, i] = rho[i, j].conjugate()
+    trace = float(coords[:dim].sum())
     unphysical = trace <= 0 or np.linalg.eigvalsh(rho)[0] / trace < -1e-9
-    n_large = int((x[layout.lam_cols] > math.pi + 1e-12).sum())
+    n_large = int((lam > math.pi + 1e-12).sum())
     return (bool(unphysical), n_large, index)
-
-
-def _tie_choice(layout: ProtocolLayout, points, f: np.ndarray,
-                scale: float) -> int:
-    """Index of the member chosen by `_branch_key` among those whose
-    objective f ties with the lowest."""
-    return min(_ties(f, scale),
-               key=lambda i: _branch_key(layout, points[i], i))
 
 
 def resolve_twin_family(profile: _Profile, cand: np.ndarray) -> tuple:
     """Pick the member of the exact-tie family of the best profile minimum.
 
-    The family is every refined minimum in `cand` (in scan order: lowest
-    grid objective first) plus each reflection lam_j -> 2*pi - lam_j (one
-    or more strengths at once) of the best one (`_best_minimum`), with the
-    state re-solved linearly at each.  The members whose objective ties
-    with the lowest are ranked by `_branch_key`, so distinct exact roots
-    that are both physical with every lam <= pi (a vanished coherence can
-    leave two) go by scan order.  Returns the chosen member's z (see
-    `_Profile`) and the number of members compared.
+    The family is every row of strengths in `cand` (in the order offered:
+    for a scan, lowest grid objective first) plus each reflection
+    lam_j -> 2*pi - lam_j (one or more strengths at once) of the best one
+    (`_best_minimum`), with the Cartesian state re-solved linearly at each.
+    The members whose least-squares objective ties with the lowest are
+    ranked by `_branch_key` on their Cartesian coordinates, so distinct
+    exact roots that are both physical with every lam <= pi (a vanished
+    coherence can leave two) go by the order offered.  Returns the chosen
+    member's z (see `_Profile`) and the number of members compared.
     """
     best = cand[_best_minimum(cand, profile.objective(cand), profile.scale)]
     members = [cand]
@@ -784,11 +756,22 @@ def resolve_twin_family(profile: _Profile, cand: np.ndarray) -> tuple:
             members.append(image[None, :])
     members = np.vstack(members)
     coords, resid = profile.fit(members)
-    zs = np.concatenate([coords, members], axis=1)
-    points = [profile.point(z) for z in zs]
-    chosen = _tie_choice(profile.layout, points, (resid ** 2).sum(axis=1),
-                         profile.scale)
-    return zs[chosen], len(members)
+    c_full = profile._full(coords)
+    chosen = min(_ties((resid ** 2).sum(axis=1), profile.scale),
+                 key=lambda i: _branch_key(profile.layout.dim, c_full[i],
+                                           members[i], i))
+    return np.concatenate([coords[chosen], members[chosen]]), len(members)
+
+
+def _settle_twins(profile: _Profile, cand: np.ndarray,
+                  kind: str = "least_squares") -> tuple:
+    """The member `resolve_twin_family` picks for the strength rows `cand`,
+    held in the box of `_Profile.bounds`: its parameter vector in name
+    order, its objective `kind` and the number of members compared."""
+    z, n_members = resolve_twin_family(profile, cand)
+    z = np.clip(z, *profile.bounds())
+    f = float(_objective_values(profile.model(z), profile.y, kind)[0])
+    return profile.point(z), f, n_members
 
 
 def prefer_sparse_coherences(protocol: Protocol, x: np.ndarray, f: float,
@@ -814,12 +797,10 @@ def prefer_sparse_coherences(protocol: Protocol, x: np.ndarray, f: float,
             continue
         keep = [c for c in cols if c not in (dim + 2 * k, dim + 2 * k + 1)]
         profile = _Profile(protocol, y, keep)
-        z, _ = resolve_twin_family(
-            profile, _scan(profile, _scan_stages(protocol)))
-        z = np.clip(z, *profile.bounds())
-        f_cand = float(_objective_values(profile.model(z), y, kind)[0])
+        x_cand, f_cand, _ = _settle_twins(
+            profile, _scan(profile, _scan_stages(protocol)), kind)
         if f_cand <= f + tie_tol:
-            x, f, cols = profile.point(z), f_cand, keep
+            x, f, cols = x_cand, f_cand, keep
     return x, float(f)
 
 
@@ -953,9 +934,9 @@ def _beta_names(names, beta_mode):
 
 def _block_fit(protocol: Protocol, y: np.ndarray, block: int,
                held: dict) -> dict:
-    """Profile fit of V block `block` (an index into V_BLOCKS) on its own
-    settings, with the values in `held` held; returns the block's values by
-    name.  A block without a strength (block 3) is one linear solve."""
+    """Profile fit of V block `block` (0 or 1, an index into V_BLOCKS) on
+    its own settings, with the values in `held` held; returns the block's
+    values by name."""
     indices, base_names = V_BLOCKS[block]
     names = _beta_names(base_names, not protocol.phase_known)
     sub = Protocol(name=f"V#b{block + 1}", dim=3,
@@ -968,49 +949,23 @@ def _block_fit(protocol: Protocol, y: np.ndarray, block: int,
     return dict(zip(names, profile.point(np.append(coords[best], cand[best]))))
 
 
-def _v_branches(protocol: Protocol, y: np.ndarray, b12: dict) -> tuple:
-    """Resolve the reflection twins of V blocks 1 and 2 (values in b12).
-
-    Neither single-pair block can tell its strength from the reflection
-    lam_j -> 2*pi - lam_j with its pair phase shifted by pi.  For each of
-    the four combinations block 3 is re-solved linearly with blocks 1 and 2
-    held; the members whose least-squares objective over all settings ties
-    with the lowest go by `_branch_key`.  Returns the chosen parameter
-    vector, its objective and the number of members compared.
-    """
-    keys = list(b12)
-    base = np.array([b12[n] for n in keys])
-    pairs = _twin_index_pairs(keys)
-    members = []
-    for flips in itertools.product((False, True), repeat=len(pairs)):
-        x = base
-        for flip, pair in zip(flips, pairs):
-            if flip:
-                x = _twin_image(x, *pair)
-        held = dict(zip(keys, x))
-        solved = {**held, **_block_fit(protocol, y, 2, held)}
-        members.append([solved[n] for n in protocol.unknown_names])
-    members = np.array(members)
-    layout = ProtocolLayout(protocol)
-    f = _objective_values(layout.statistics(members), y, "least_squares")
-    chosen = _tie_choice(layout, members, f, max(1.0, float((y ** 2).sum())))
-    return members[chosen], float(f[chosen]), len(members)
-
-
 def block_solve_v(counts, protocol: Protocol,
                   options: SolverOptions = None) -> ReconstructionResult:
     """Solve the V-type protocol block by block along its triangular structure.
 
     Block 1 (settings 0-4: rho00, rho11, rho01, lam1, gamma01) is fit on its
-    own settings by the profile scan of `reconstruct`; block 2 (settings
-    5-8: rho22, rho02, lam2, gamma02) likewise, with block 1 held (only
-    rho00 enters its statistics); block 3 (settings 9-10: rho12, gamma12)
-    is one linear solve with both held, once for each reflection
-    combination of blocks 1 and 2 (`_v_branches`).  No stage runs the
-    polish, so this is a different decomposition from the joint solve, and
-    on exact data the two must agree.  The fits are least squares;
-    `options.objective` sets the reported residual and gradient, and
-    `converged` reports whether that gradient meets GRAD_TOL.
+    own settings by the profile scan of `reconstruct`, which finds lam1;
+    block 2 (settings 5-8: rho22, rho02, lam2, gamma02) likewise, with the
+    block-1 state held (only rho00 enters its statistics), which finds lam2.
+    The state is then one linear least-squares solve over all settings at
+    those strengths and at each of their reflections, and the member is
+    picked by the rule of `reconstruct` (`_settle_twins`).  V is square, so
+    at the block fits' strengths this solve reproduces the blocks' state
+    and fits the excited-excited coherence (block 3, settings 9-10) exactly.
+    No stage runs the polish, so this is a different decomposition from the
+    joint solve, and on exact data the two must agree.  The fits are least
+    squares; `options.objective` sets the reported residual and gradient,
+    and `converged` reports whether that gradient meets GRAD_TOL.
     """
     options = options or SolverOptions()
     if protocol.name.split("~")[0] != "V" or protocol.dim != 3:
@@ -1018,7 +973,8 @@ def block_solve_v(counts, protocol: Protocol,
     y = _count_vector(counts, protocol)
     b1 = _block_fit(protocol, y, 0, {})
     b2 = _block_fit(protocol, y, 1, b1)
-    x, _, n_members = _v_branches(protocol, y, {**b1, **b2})
+    x, _, n_members = _settle_twins(_Profile(protocol, y),
+                                    np.array([[b1["lam1"], b2["lam2"]]]))
     f, grad = objective_eval(x, y, protocol, options.objective)
     gnorm = float(np.abs(grad).max())
     converged = gnorm <= GRAD_TOL * max(1.0, float((y ** 2).sum()))
@@ -1107,21 +1063,28 @@ def _oracle_core(protocol: Protocol, indices, names, fixed, y, grid,
 
 def grid_oracle(counts, protocol: Protocol, grid: int = 15,
                 refine_levels: int = 4) -> OracleResult:
-    """Exhaustive least-squares search on a recursively refined grid.
+    """Least-squares search over the strengths on a recursively refined grid.
 
     Statistics are linear in the Cartesian state coordinates for fixed
     coupling strengths, so each strength combination costs one small design
     matrix and the state grid is swept with dense linear algebra.  The
     refinement window shrinks by (grid-1)/2 per level (at least 2) around
     the incumbent.  Deterministic.  The V-type protocol is searched block by
-    block: blocks 1 and 2 on the grid, each on its own settings, and block 3
-    by the linear re-solve of `_v_branches`, which also settles the
-    reflection twins.  Any other protocol with more than six unknowns is
-    refused.
+    block: lam1 on block 1's settings, then lam2 on block 2's with block 1
+    held.  Any other protocol with more than six unknowns is refused.
+
+    The strengths found go to the reflection rule of `reconstruct`
+    (`_settle_twins`), with the state solved by linear least squares at
+    each member; `values` is the chosen member and `objective` its
+    least-squares objective.  The zooming grid keeps one incumbent, so at
+    its defaults this is not a global oracle: it can settle in a wrong
+    basin (V draws 6 and 7 of `sample_truth` from default_rng(54)), and a
+    `polish` from its values is what reaches the truth.
     """
     y = _count_vector(counts, protocol)
     cap = max(2.0 * float(np.max(y, initial=0.0)), 1e-6)
     names = protocol.unknown_names
+    profile = _Profile(protocol, y)
     if protocol.name.split("~")[0] == "V" and protocol.dim == 3:
         beta_mode = not protocol.phase_known
 
@@ -1133,13 +1096,13 @@ def grid_oracle(counts, protocol: Protocol, grid: int = 15,
             return dict(zip(res.names, res.values))
 
         b1 = block_oracle(0, {})
-        b2 = block_oracle(1, b1)
-        values, total, _ = _v_branches(protocol, y, {**b1, **b2})
-        return OracleResult(tuple(names), values, total)
-    if len(names) > 6:
-        raise TooManyDims(f"{len(names)} unknowns exceed the full-grid limit of 6")
-    result = _oracle_core(protocol, range(protocol.n_settings), names, {},
-                          y, grid, refine_levels, cap)
-    layout = ProtocolLayout(protocol)
-    canonical = canonicalize_twins(layout, result.values)
-    return OracleResult(result.names, canonical, result.objective)
+        lam = [b1["lam1"], block_oracle(1, b1)["lam2"]]
+    else:
+        if len(names) > 6:
+            raise TooManyDims(
+                f"{len(names)} unknowns exceed the full-grid limit of 6")
+        result = _oracle_core(protocol, range(protocol.n_settings), names, {},
+                              y, grid, refine_levels, cap)
+        lam = result.values[profile.lam_cols]
+    values, objective, _ = _settle_twins(profile, np.array([lam], dtype=float))
+    return OracleResult(tuple(names), values, objective)

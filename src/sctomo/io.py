@@ -9,6 +9,7 @@ fingerprint stable.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -66,12 +67,20 @@ def canonical_json(obj, indent: int = 0) -> str:
     raise SchemaError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_text(path, text: str) -> None:
-    """Write a UTF-8 file; an unwritable path is a SchemaError."""
+@contextlib.contextmanager
+def text_writer(path):
+    """A UTF-8 text stream to a file; an unwritable path is a SchemaError."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as stream:
+            yield stream
     except OSError as exc:
         raise SchemaError(f"cannot write {path}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write a UTF-8 file; an unwritable path is a SchemaError."""
+    with text_writer(path) as stream:
+        stream.write(text)
 
 
 def write_json(path, obj) -> None:

@@ -30,6 +30,8 @@ TWO_PI = 2.0 * math.pi
 
 # Off-diagonal pair ordering per dimension.
 COHERENCE_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
+# The phase of each pair, in the same order.
+PHASE_NAMES = {2: ("gamma",), 3: ("gamma01", "gamma02", "gamma12")}
 
 # Canonical serialization keys.
 STATE_KEYS = {
@@ -157,42 +159,19 @@ def vtype_generator(h1, h2, phi1, phi2) -> GeneratorParams:
     return GeneratorParams(3, 0.0, (h1, h2), (phi1, phi2))
 
 
-@dataclass(frozen=True)
-class DerivedAngles:
-    """Convention-invariant angle combinations and normalized couplings.
-
-    betas holds, per coherence pair, the phase combination the statistics
-    depend on: phi_j - gamma_0j for ground-excited pairs and
-    gamma_12 + phi_1 - phi_2 for the excited-excited pair (d = 3).
-    h_unit are h/omega (and hz/omega for d = 2); zero when omega = 0.
-    """
-
-    betas: tuple
-    c: float
-    s: float
-    h_unit: tuple
-    hz_unit: float
-
-
-def derived_angles(state: DensityParams, gen: GeneratorParams) -> DerivedAngles:
+def derived_angles(state: DensityParams, gen: GeneratorParams) -> tuple:
+    """Per coherence pair, the convention-invariant phase combination the
+    statistics depend on: phi_j - gamma_0j for ground-excited pairs and
+    gamma_12 + phi_1 - phi_2 for the excited-excited pair (d = 3)."""
     if state.dim != gen.dim:
         raise WrongDimension(f"state dim {state.dim} != generator dim {gen.dim}")
-    om = gen.omega
-    if om > 0:
-        h_unit = tuple(h / om for h in gen.couplings)
-        hz_unit = gen.hz / om
-    else:
-        h_unit = tuple(0.0 for _ in gen.couplings)
-        hz_unit = 0.0
     if state.dim == 2:
-        betas = (wrap_phase(gen.phases[0] - state.phases[0]),)
-    else:
-        betas = (
-            wrap_phase(gen.phases[0] - state.phases[0]),
-            wrap_phase(gen.phases[1] - state.phases[1]),
-            wrap_phase(state.phases[2] + gen.phases[0] - gen.phases[1]),
-        )
-    return DerivedAngles(betas, math.cos(om / 2), math.sin(om / 2), h_unit, hz_unit)
+        return (wrap_phase(gen.phases[0] - state.phases[0]),)
+    return (
+        wrap_phase(gen.phases[0] - state.phases[0]),
+        wrap_phase(gen.phases[1] - state.phases[1]),
+        wrap_phase(state.phases[2] + gen.phases[0] - gen.phases[1]),
+    )
 
 
 def state_matrix(p: DensityParams) -> np.ndarray:
@@ -224,11 +203,11 @@ def assemble_generator(g: GeneratorParams) -> np.ndarray:
     return m
 
 
-def state_params_from_matrix(m, phase_floor: float = 0.0) -> DensityParams:
+def state_params_from_matrix(m) -> DensityParams:
     """Extract magnitude/phase parameters from a Hermitian density matrix.
 
-    Phases of coherences with magnitude <= phase_floor are set to 0 (they are
-    undefined there).  Tiny negative populations (round-off) are clipped.
+    Phases of zero coherences are set to 0 (they are undefined there).  Tiny
+    negative populations (round-off) are clipped.
     """
     arr = smallmat.as_cmatrix(m)
     dim = arr.shape[0]
@@ -242,25 +221,8 @@ def state_params_from_matrix(m, phase_floor: float = 0.0) -> DensityParams:
         mags.append(mag)
         # entry = mag * exp(-i*phase)
         phases.append(wrap_phase(-math.atan2(entry.imag, entry.real))
-                      if mag > phase_floor else 0.0)
+                      if mag > 0.0 else 0.0)
     return DensityParams(pops, tuple(mags), tuple(phases))
-
-
-def bloch(x) -> np.ndarray:
-    """Pauli-basis 3-vector of a d=2 state or generator."""
-    if isinstance(x, DensityParams):
-        if x.dim != 2:
-            raise WrongDimension("bloch vector defined for dim 2 only")
-        r01, gam = x.coherences[0], x.phases[0]
-        return np.array([2 * r01 * math.cos(gam),
-                         2 * r01 * math.sin(gam),
-                         x.populations[0] - x.populations[1]])
-    if isinstance(x, GeneratorParams):
-        if x.dim != 2:
-            raise WrongDimension("bloch vector defined for dim 2 only")
-        hc, phi = x.couplings[0], x.phases[0]
-        return np.array([hc * math.cos(phi), hc * math.sin(phi), x.hz])
-    raise WrongDimension(f"bloch expects DensityParams or GeneratorParams, got {type(x)}")
 
 
 def _as_eta_tuple(dim: int, eta) -> tuple:

@@ -43,19 +43,20 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def hermitian_eig(m, rtol: float = INPUT_RTOL):
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
+def hermitian_eig(m):
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix whose
+    Hermiticity defect is within INPUT_RTOL of its norm."""
     arr = as_cmatrix(m)
-    _require_hermitian(arr, rtol, "hermitian_eig")
+    _require_hermitian(arr, INPUT_RTOL, "hermitian_eig")
     try:
         return np.linalg.eigh(symmetrize(arr))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on d<=8 is robust
         raise EigenFailure(str(exc)) from exc
 
 
-def expi_neg(g, rtol: float = INPUT_RTOL) -> np.ndarray:
+def expi_neg(g) -> np.ndarray:
     """exp(-iG) for Hermitian G, via G = V diag(w) V^dag -> V diag(e^{-iw}) V^dag."""
-    w, v = hermitian_eig(g, rtol)
+    w, v = hermitian_eig(g)
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 

@@ -360,23 +360,21 @@ def check_gauge_invariance(seed: int = 5, draws: int = 200) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_roundtrips(seed: int = 6, draws: int = 100,
-                     block_draws: int = None) -> CheckResult:
+def check_roundtrips(seed: int = 6, draws: int = 100) -> CheckResult:
     rng = np.random.default_rng(seed)
     details = []
     ok = True
-    block_draws = draws if block_draws is None else block_draws
     for name in ("A", "B", "V"):
         proto = scenario(name)
         worst = 0.0
         worst_block = 0.0
-        for i in range(draws):
+        for _ in range(draws):
             state, unknowns = sample_truth(name, rng)
             truth = pack_values(proto.unknown_names, state, unknowns)
             counts = predicted_statistics(proto, state, unknowns)
             rec = invert.reconstruct(counts, proto)
             worst = max(worst, max_param_error(proto.unknown_names, rec.x, truth))
-            if name == "V" and i < block_draws:
+            if name == "V":
                 blk = invert.block_solve_v(counts, proto)
                 worst_block = max(worst_block, max_param_error(
                     proto.unknown_names, blk.x, rec.x))
@@ -385,7 +383,7 @@ def check_roundtrips(seed: int = 6, draws: int = 100,
         if name == "V":
             ok &= worst_block <= 1e-6
             msg += (f"; block vs joint agreement {worst_block:.2e} over "
-                    f"{block_draws} (tol 1e-6)")
+                    f"{draws} (tol 1e-6)")
         details.append(msg)
     return _result(6, "noiseless identifiability (tol 1e-5)", ok,
                    "; ".join(details))

@@ -78,13 +78,14 @@ def test_coefficients_vtype_half_turn_example():
 def test_coefficient_families_resolve_identity():
     rng = np.random.default_rng(33)
     for dim in (2, 3):
+        sign = resolve_sign_convention(dim)
         for _ in range(100):
             gen = random_generator(dim, rng)
             betas = rng.uniform(0, 2 * np.pi, 1 if dim == 2 else 3)
             total_diag = np.zeros(dim)
             total_off = np.zeros(1 if dim == 2 else 3)
             for label in range(dim):
-                coeff = coefficients(gen, label, betas=betas).as_dict()
+                coeff = coefficients(gen, label, sign, betas=betas).as_dict()
                 total_diag += [coeff[(i, i)] for i in range(dim)]
                 pairs = [(0, 1)] if dim == 2 else [(0, 1), (0, 2), (1, 2)]
                 total_off += [coeff[p] for p in pairs]
@@ -109,12 +110,13 @@ def test_closed_forms_match_trace_path():
     rng = np.random.default_rng(34)
     worst = 0.0
     for dim in (2, 3):
+        sign = resolve_sign_convention(dim)
         for _ in range(150):
             state = random_physical_state(dim, rng)
             gen = random_generator(dim, rng)
             for label in range(dim):
                 exact = probability(state, gen, label)
-                approx = closed_form_statistic(state, gen, label)
+                approx = closed_form_statistic(state, gen, label, sign)
                 worst = max(worst, abs(exact - approx))
     assert worst < 1e-10
 

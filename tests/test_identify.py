@@ -185,6 +185,27 @@ def test_singularity_scan_flags_a_grid_singular_everywhere():
     assert all(row[-1] for row in scan.rows)
 
 
+def test_scan_rows_are_one_array_written_in_chunks():
+    proto = scenario("V")
+    state = vtype_state(0.4, 0.35, 0.25, 0.1, 0.11, 0.09, 0.9, 2.2, 1.4)
+    unknowns = vtype_unknowns(1.2, 1.7)
+    # one full chunk and a partial one, with lam2 = pi flagged
+    grid = math.isqrt(identify.SCAN_CHUNK) + 1
+    scan = singularity_scan(proto, state, unknowns,
+                            {"lam1": (0.2, 2 * np.pi), "lam2": (0.2, 2 * np.pi)},
+                            grid)
+    assert isinstance(scan.rows, np.ndarray)
+    assert scan.rows.shape == (grid ** 2, 4)
+    assert 0 < scan.rows[:, -1].sum() < grid ** 2
+    buf = std_io.StringIO()
+    scan.to_csv(buf)
+    lines = ["lam1,lam2,abs_det,flag\n"]
+    for *vals, flag in scan.rows.tolist():
+        lines.append(",".join([f"{v:.17g}" for v in vals] + [str(int(flag))])
+                     + "\n")
+    assert buf.getvalue() == "".join(lines)
+
+
 def test_scan_csv_format():
     proto = scenario("B")
     state = qubit_state(0.6, 0.4, 0.25, 0.8)

@@ -301,6 +301,36 @@ def test_grid_oracle_deterministic():
     assert a.objective == b.objective
 
 
+TWO_PI = 2 * math.pi
+TWIN_CASES = [("B", (TWO_PI - 1.3,))] + [
+    ("V", lams) for lams in ((TWO_PI - 1.2, 1.7), (1.2, TWO_PI - 1.7),
+                             (TWO_PI - 1.2, TWO_PI - 1.7))]
+
+
+@pytest.mark.parametrize("beta", [False, True], ids=["gamma", "beta"])
+@pytest.mark.parametrize("name, lams", TWIN_CASES)
+def test_every_solver_settles_the_twins_alike(name, lams, beta):
+    # truths with strengths above pi: every member of the reflection family
+    # fits exactly, and every solver must pick the same one
+    proto = scenario(name)
+    if beta:
+        proto = with_unknown_phase(proto)
+    if name == "B":
+        state = qubit_state(0.55, 0.45, 0.2, 2.0)
+        unknowns = qubit_unknowns(lam_c=lams[0])
+    else:
+        state = vtype_state(0.4, 0.35, 0.25, 0.1, 0.11, 0.09, 0.9, 2.2, 1.4)
+        unknowns = vtype_unknowns(*lams)
+    counts = predicted_statistics(proto, state, unknowns)
+    joint = reconstruct(counts, proto).x
+    others = [polish(counts, proto, grid_oracle(
+        counts, proto, grid=15, refine_levels=4).values).x]
+    if name == "V":
+        others.append(block_solve_v(counts, proto).x)
+    for x in others:
+        assert max_param_error(proto.unknown_names, x, joint) <= 1e-6
+
+
 def test_grid_oracle_refuses_high_dimension():
     proto = scenario("V")
     wide = Protocol("wide", 3, proto.settings,

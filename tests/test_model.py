@@ -1,13 +1,11 @@
 """Tests for state/generator parametrizations and gauge handling."""
 
-import math
-
 import numpy as np
 import pytest
 
 from sctomo import model
-from sctomo.errors import InvalidRange, WrongDimension
-from sctomo.model import (assemble_generator, bloch, gauge_fix,
+from sctomo.errors import InvalidRange
+from sctomo.model import (assemble_generator, gauge_fix,
                           gauge_transform, qubit_generator, qubit_state,
                           state_matrix, state_params_from_matrix,
                           vtype_generator, vtype_state, wrap_phase)
@@ -35,29 +33,6 @@ def test_assemble_generator_examples():
     assert np.allclose(evs, [-2.5, 0.0, 2.5], atol=1e-12)
     diag = assemble_generator(qubit_generator(1, 0, 2.2))
     assert np.allclose(diag, np.diag([0.5, -0.5]))
-
-
-def test_bloch_examples():
-    assert np.allclose(bloch(qubit_state(0.5, 0.5, 0, 0)), [0, 0, 0])
-    assert np.allclose(bloch(qubit_state(0.5, 0.5, 0.5, 0)), [1, 0, 0])
-    gen = qubit_generator(1, 2, np.pi / 2)
-    assert np.allclose(bloch(gen), [0, 2, 1], atol=1e-15)
-    assert gen.omega == pytest.approx(math.sqrt(5))
-    with pytest.raises(WrongDimension):
-        bloch(vtype_state(1 / 3, 1 / 3, 1 / 3, 0, 0, 0, 0, 0, 0))
-
-
-def test_bloch_norm_bounded_by_trace():
-    rng = np.random.default_rng(21)
-    for _ in range(200):
-        p0 = rng.uniform(0, 1)
-        r = rng.uniform(0, math.sqrt(p0 * (1 - p0))) if p0 not in (0, 1) else 0
-        state = qubit_state(p0, 1 - p0, r, rng.uniform(0, 7))
-        assert np.linalg.norm(bloch(state)) <= state.trace + 1e-10
-    # equality exactly at a zero eigenvalue (pure state)
-    pure = qubit_state(0.5, 0.5, 0.5, 1.0)
-    assert np.linalg.norm(bloch(pure)) == pytest.approx(pure.trace)
-    assert np.linalg.eigvalsh(model.state_matrix(pure))[0] == pytest.approx(0.0)
 
 
 def test_parameter_roundtrip():
