@@ -49,10 +49,6 @@ class RankDeficient(SctError):
     """Linear inversion design matrix has deficient rank."""
 
 
-class TooManyDims(SctError):
-    """Grid oracle refused: full grid over this many parameters is unaffordable."""
-
-
 class StructuralSingularity(SctError):
     """A declared unknown does not influence the protocol's statistics anywhere."""
 

@@ -10,8 +10,9 @@ Three routes are provided and cross-checked against each other:
   2 strengths; the exact-tie reflection family of the best minimum is
   enumerated and ranked by a stated rule, and the chosen member is polished
   on the least-squares or the Poisson-deviance objective;
-* `grid_oracle`, a brute-force recursive grid search over the strengths
-  used to validate the solver.
+* `grid_oracle`, a brute-force zooming grid over the strengths on the
+  same profile objective, which checks that the scan of `reconstruct`
+  reaches the global minimum.
 
 `block_solve_v` runs the same profile scan along the triangular information
 structure of the V-type protocol: lam1 from ground-excited pair 1 on its own
@@ -46,8 +47,7 @@ import numpy as np
 
 from . import identify
 from .errors import (DimensionMismatch, InvalidRange, RankDeficient,
-                     SingularAtSolutionWarning, StructuralSingularity,
-                     TooManyDims)
+                     SingularAtSolutionWarning, StructuralSingularity)
 from .forward import ProtocolLayout, observed_values
 from .model import (COHERENCE_PAIRS, DensityParams, PHASE_NAMES, TWO_PI,
                     state_matrix, state_params_from_matrix, wrap_phase)
@@ -239,11 +239,11 @@ def objective_eval(params, counts, protocol: Protocol,
     so it can be validated against direct finite differences of the
     objective itself.  Under the Poisson objective a negative model
     statistic, or a zero one against a positive count, yields (+inf, zero
-    gradient).
+    gradient).  The counts are checked as by `reconstruct`.
     """
     if kind not in OBJECTIVES:
         raise InvalidRange(f"objective {kind!r} not in {OBJECTIVES}")
-    y = counts if isinstance(counts, np.ndarray) else observed_values(counts)
+    y = _count_vector(counts, protocol)
     layout = ProtocolLayout(protocol)
     x = np.asarray(params, dtype=float)
     n_model = layout.statistics(x[None, :])
@@ -257,14 +257,6 @@ def objective_eval(params, counts, protocol: Protocol,
 # ---------------------------------------------------------------------------
 # Damped Gauss-Newton: the one iterative solver
 # ---------------------------------------------------------------------------
-
-
-def _param_kind(name: str) -> str:
-    if name.startswith("lam"):
-        return "lam"
-    if name.startswith("rho"):
-        return "mag"
-    return "phase"
 
 
 def _projected_descent(z, n_model, jac, f, y, kind, lo, hi):
@@ -363,7 +355,8 @@ def _lm_multistart(profile: _Profile, y: np.ndarray, start: np.ndarray,
 # Pereyra, SIAM J. Numer. Anal. 10, 1973).
 # That profile is scanned on a grid, its lowest grid minima are refined by
 # `_damped_gauss_newton` on the projected residual, and the best one heads
-# the exact-tie family that `resolve_twin_family` ranks.
+# the exact-tie family that `resolve_twin_family` ranks.  `grid_oracle`
+# searches the same profile by a zooming grid instead.
 
 SCAN_POINTS = {1: 256, 2: 64}  # grid points per strength axis, by scan dimension
 N_REFINE = 6                   # lowest grid minima refined per scan stage
@@ -711,9 +704,9 @@ def _scan(profile: _Profile, stages) -> np.ndarray:
 # the strengths alone and re-solves the Cartesian state linearly, which
 # finds the negated coherence.  Every solver settles the tie through it:
 # `reconstruct` and `prefer_sparse_coherences` on their profile minima,
-# `block_solve_v` and `grid_oracle` on the strengths they found
-# (`_settle_twins`).  Among exact ties the rule of `_branch_key` decides;
-# otherwise the data do.
+# `block_solve_v` on its block fits' strengths and `grid_oracle` on its
+# grid's incumbent (`_settle_twins`).  Among exact ties the rule of
+# `_branch_key` decides; otherwise the data do.
 
 
 def _branch_key(dim: int, coords: np.ndarray, lam: np.ndarray,
@@ -926,19 +919,14 @@ def polish(counts, protocol: Protocol, x0, options: SolverOptions = None
 # ---------------------------------------------------------------------------
 
 
-def _beta_names(names, beta_mode):
-    if not beta_mode:
-        return tuple(names)
-    return tuple(PHASE_TO_BETA.get(n, n) for n in names)
-
-
 def _block_fit(protocol: Protocol, y: np.ndarray, block: int,
                held: dict) -> dict:
     """Profile fit of V block `block` (0 or 1, an index into V_BLOCKS) on
     its own settings, with the values in `held` held; returns the block's
     values by name."""
-    indices, base_names = V_BLOCKS[block]
-    names = _beta_names(base_names, not protocol.phase_known)
+    indices, names = V_BLOCKS[block]
+    if not protocol.phase_known:
+        names = tuple(PHASE_TO_BETA.get(n, n) for n in names)
     sub = Protocol(name=f"V#b{block + 1}", dim=3,
                    settings=tuple(protocol.settings[i] for i in indices),
                    unknown_names=names, phase_known=protocol.phase_known)
@@ -994,115 +982,47 @@ class OracleResult:
     objective: float
 
 
-def _axis_points(name: str, lo: float, hi: float, grid: int,
-                 initial: bool) -> np.ndarray:
-    kind = _param_kind(name)
-    if kind == "phase":
-        return lo + (hi - lo) * np.arange(grid) / grid
-    if kind == "lam" and initial:
-        return hi * (np.arange(grid) + 1) / grid
-    return np.linspace(lo, hi, grid)
-
-
-def _oracle_core(protocol: Protocol, indices, names, fixed, y, grid,
-                 levels, cap) -> OracleResult:
-    names = tuple(names)
-    lam_names = [n for n in names if _param_kind(n) == "lam"]
-    state_names = [n for n in names if _param_kind(n) != "lam"]
-    fixed = dict(fixed or {})
-    # the design depends on the strengths alone, the coordinates on the state
-    lam_layout = ProtocolLayout(protocol, names=lam_names, fixed=fixed)
-    state_layout = ProtocolLayout(protocol, names=state_names, fixed=fixed)
-
-    windows = {n: (0.0, cap if _param_kind(n) == "mag" else TWO_PI)
-               for n in names}
-    zoom = max(2.0, (grid - 1) / 2.0)
-    best_vals, best_obj = None, np.inf
-    for level in range(levels + 1):
-        initial = level == 0
-        lam_pts = [_axis_points(n, *windows[n], grid, initial)
-                   for n in lam_names]
-        state_pts = [_axis_points(n, *windows[n], grid, initial)
-                     for n in state_names]
-        if state_pts:
-            meshes = np.meshgrid(*state_pts, indexing="ij")
-            state_combo = np.stack([m.ravel() for m in meshes], axis=1)
-        else:
-            state_combo = np.zeros((1, 0))
-        coords = state_layout.coordinates(state_combo)
-        lam_combos = list(itertools.product(*lam_pts))
-        designs = lam_layout.design(np.array(lam_combos).reshape(
-            len(lam_combos), len(lam_names)))[:, list(indices)]
-        for lam_combo, a in zip(lam_combos, designs):
-            lam_values = dict(zip(lam_names, lam_combo))
-            obj = ((coords @ a.T - y) ** 2).sum(axis=1)
-            idx = int(np.argmin(obj))
-            if obj[idx] < best_obj:
-                best_obj = float(obj[idx])
-                vals = dict(lam_values)
-                vals.update(dict(zip(state_names, state_combo[idx])))
-                best_vals = vals
-        if level == levels:
-            break
-        for n in names:
-            lo, hi = windows[n]
-            span = (hi - lo) / zoom
-            center = best_vals[n]
-            nlo, nhi = center - span / 2, center + span / 2
-            kind = _param_kind(n)
-            if kind == "mag":
-                nlo = max(nlo, 0.0)
-            elif kind == "lam":
-                nlo, nhi = max(nlo, LAM_FLOOR), min(nhi, TWO_PI)
-            windows[n] = (nlo, nhi)
-    values = np.array([wrap_phase(best_vals[n])
-                       if _param_kind(n) == "phase" else best_vals[n]
-                       for n in names])
-    return OracleResult(names, values, best_obj)
-
-
 def grid_oracle(counts, protocol: Protocol, grid: int = 15,
                 refine_levels: int = 4) -> OracleResult:
-    """Least-squares search over the strengths on a recursively refined grid.
+    """Least-squares search over the strengths on a zooming grid.
 
-    Statistics are linear in the Cartesian state coordinates for fixed
-    coupling strengths, so each strength combination costs one small design
-    matrix and the state grid is swept with dense linear algebra.  The
-    refinement window shrinks by (grid-1)/2 per level (at least 2) around
-    the incumbent.  Deterministic.  The V-type protocol is searched block by
-    block: lam1 on block 1's settings, then lam2 on block 2's with block 1
-    held.  Any other protocol with more than six unknowns is refused.
+    The state is solved by linear least squares at every grid point, so
+    the search runs over the 0, 1 or 2 strengths alone, jointly on every
+    setting, and scores each point by the exact profile objective
+    (`_Profile.objective`).  Level 0 puts `grid` points per strength at
+    2*pi*(k+1)/grid; each of the `refine_levels` later levels puts
+    `grid` points per strength on a window that shrinks by (grid-1)/2 (at
+    least 2) around the incumbent, clipped to [LAM_FLOOR, 2*pi].  The
+    incumbent changes only on a strictly lower objective, with the points
+    in `itertools.product` order, so the search is deterministic.  It
+    shares the inner linear solve with `reconstruct` but none of its
+    outer search (scan stages, grid minima, refine).
 
-    The strengths found go to the reflection rule of `reconstruct`
-    (`_settle_twins`), with the state solved by linear least squares at
-    each member; `values` is the chosen member and `objective` its
-    least-squares objective.  The zooming grid keeps one incumbent, so at
-    its defaults this is not a global oracle: it can settle in a wrong
-    basin (V draws 6 and 7 of `sample_truth` from default_rng(54)), and a
-    `polish` from its values is what reaches the truth.
+    The incumbent goes to the reflection rule of `reconstruct`
+    (`_settle_twins`); `values` is the chosen member and `objective` its
+    least-squares objective.  The zoom keeps a single incumbent, so this
+    is not a global oracle everywhere: on draws 0-39 of `sample_truth`
+    from default_rng(54) with exact counts, at the defaults, it misses
+    the truth by more than 1e-3 on none of B and V but on 7/40 of C-alt,
+    where a `polish` from its values still misses by more than 1e-6 on
+    5/40.
     """
     y = _count_vector(counts, protocol)
-    cap = max(2.0 * float(np.max(y, initial=0.0)), 1e-6)
-    names = protocol.unknown_names
     profile = _Profile(protocol, y)
-    if protocol.name.split("~")[0] == "V" and protocol.dim == 3:
-        beta_mode = not protocol.phase_known
-
-        def block_oracle(block, fixed):
-            indices, base_names = V_BLOCKS[block]
-            block_names = _beta_names(base_names, beta_mode)
-            res = _oracle_core(protocol, indices, block_names, fixed,
-                               y[list(indices)], grid, refine_levels, cap)
-            return dict(zip(res.names, res.values))
-
-        b1 = block_oracle(0, {})
-        lam = [b1["lam1"], block_oracle(1, b1)["lam2"]]
-    else:
-        if len(names) > 6:
-            raise TooManyDims(
-                f"{len(names)} unknowns exceed the full-grid limit of 6")
-        result = _oracle_core(protocol, range(protocol.n_settings), names, {},
-                              y, grid, refine_levels, cap)
-        lam = result.values[profile.lam_cols]
-    values, objective, _ = _settle_twins(profile, np.array([lam], dtype=float))
-    return OracleResult(tuple(names), values, objective)
+    n = len(profile.lam_cols)
+    zoom = max(2.0, (grid - 1) / 2.0)
+    windows = [(0.0, TWO_PI)] * n
+    best, best_obj = None, np.inf
+    for level in range(refine_levels + 1):
+        axes = [hi * (np.arange(grid) + 1) / grid if level == 0
+                else np.linspace(lo, hi, grid) for lo, hi in windows]
+        pts = np.array(list(itertools.product(*axes))).reshape(grid ** n, n)
+        f = profile.objective(pts)
+        i = int(np.argmin(f))
+        if f[i] < best_obj:
+            best, best_obj = pts[i], f[i]
+        windows = [(max(c - (hi - lo) / zoom / 2, LAM_FLOOR),
+                    min(c + (hi - lo) / zoom / 2, TWO_PI))
+                   for c, (lo, hi) in zip(best, windows)]
+    values, objective, _ = _settle_twins(profile, best[None, :])
+    return OracleResult(tuple(protocol.unknown_names), values, objective)

@@ -99,7 +99,7 @@ def max_param_error(names, x_est, x_true) -> float:
     """Worst-case parameter error; phase-like entries compared on the circle."""
     worst = 0.0
     for name, a, b in zip(names, x_est, x_true):
-        if invert._param_kind(name) == "phase":
+        if not name.startswith(("lam", "rho")):
             worst = max(worst, circular_distance(a, b))
         else:
             worst = max(worst, abs(float(a) - float(b)))
@@ -570,6 +570,14 @@ def conventions_report() -> str:
         "   settings drive the coupling and the diagonal together",
         "   (m_z = 1 and 2), since one scalar equation in lam_z leaves",
         "   several exact roots in (0, 2*pi].",
+        "",
+        "Branch rule for exact ties (the reflections lam_j -> 2*pi - lam_j):",
+        " every solver compares the reflection family of its best strengths,",
+        " with the state re-solved linearly at each member.  Members whose",
+        " least-squares objective exceeds the lowest by at most",
+        f" max({invert.TIE_RTOL:g} * lowest, {invert.TIE_ATOL:g} * max(1, |y|^2))",
+        " are exact ties; among them the physical member comes first, then",
+        " the one with the fewest strengths above pi, then the order offered.",
         "",
     ]
     return "\n".join(lines)

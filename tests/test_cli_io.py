@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sctomo import cli, io, validation
+from sctomo import cli, invert, io, validation
 from sctomo.errors import SchemaError
 from sctomo.protocol import scenario
 
@@ -247,6 +247,9 @@ def test_validate_command_plumbing(tmp_path, monkeypatch, capsys):
     assert conv.exists()
     text = conv.read_text()
     assert "sign convention" in text.lower()
+    assert "Branch rule for exact ties" in text
+    assert (f"max({invert.TIE_RTOL:g} * lowest, "
+            f"{invert.TIE_ATOL:g} * max(1, |y|^2))") in text
 
     def failing_suite(suite, seed):
         return [validation.CheckResult("1", "alpha", False, "broken")]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from sctomo import invert
-from sctomo.errors import (InvalidRange, StructuralSingularity, TooManyDims)
+from sctomo.errors import (DimensionMismatch, InvalidRange,
+                           StructuralSingularity)
 from sctomo.forward import NoiseModel, predicted_statistics, simulate_counts
 from sctomo.invert import (SolverOptions, block_solve_v, grid_oracle,
                            linear_invert, objective_eval, polish, reconstruct)
@@ -95,6 +96,17 @@ def test_perturbed_count_increases_objective():
     bumped[2] += 0.01
     f, _ = objective_eval(x, bumped, scenario("B"))
     assert f > 1e-6
+
+
+def test_objective_checks_its_counts():
+    proto = scenario("B")
+    x = np.array([0.55, 0.45, 0.2, 1.3, 2.0])
+    with pytest.raises(DimensionMismatch):
+        objective_eval(x, np.array([0.5]), proto)
+    counts = np.full(5, 0.3)
+    counts[2] = np.nan
+    with pytest.raises(InvalidRange):
+        objective_eval(x, counts, proto)
 
 
 def test_poisson_objective_infinite_for_nonpositive_model():
@@ -272,15 +284,35 @@ def test_polish_box_covers_start():
 
 
 def test_grid_oracle_v_then_polish():
+    # draws 0-7 of default_rng(54) on B and V: the oracle alone lands in
+    # the truth's basin, and the polish takes it to the truth
+    for name in ("B", "V"):
+        rng = np.random.default_rng(54)
+        proto = scenario(name)
+        for _ in range(8):
+            state, unknowns = sample_truth(name, rng)
+            counts = predicted_statistics(proto, state, unknowns)
+            expected = pack_values(proto.unknown_names, state, unknowns)
+            oracle = grid_oracle(counts, proto, grid=15, refine_levels=4)
+            assert max_param_error(proto.unknown_names, oracle.values,
+                                   expected) <= 1e-3
+            out = polish(counts, proto, oracle.values)
+            assert max_param_error(proto.unknown_names, out.x, expected) <= 1e-6
+
+
+def test_grid_oracle_without_strengths():
+    # scenario A has no strengths: the oracle is the one linear solve
     rng = np.random.default_rng(54)
-    proto = scenario("V")
-    for _ in range(3):
-        state, unknowns = sample_truth("V", rng)
+    proto = scenario("A")
+    for _ in range(4):
+        state, unknowns = sample_truth("A", rng)
         counts = predicted_statistics(proto, state, unknowns)
-        expected = pack_values(proto.unknown_names, state, unknowns)
         oracle = grid_oracle(counts, proto, grid=15, refine_levels=4)
-        out = polish(counts, proto, oracle.values)
-        assert max_param_error(proto.unknown_names, out.x, expected) <= 1e-6
+        linear = pack_values(proto.unknown_names,
+                             linear_invert(counts, proto).state, None)
+        assert max_param_error(proto.unknown_names, oracle.values,
+                               linear) <= 1e-12
+        assert oracle.objective <= 1e-28
 
 
 def test_grid_oracle_objective_reaches_truth_floor():
@@ -329,14 +361,6 @@ def test_every_solver_settles_the_twins_alike(name, lams, beta):
         others.append(block_solve_v(counts, proto).x)
     for x in others:
         assert max_param_error(proto.unknown_names, x, joint) <= 1e-6
-
-
-def test_grid_oracle_refuses_high_dimension():
-    proto = scenario("V")
-    wide = Protocol("wide", 3, proto.settings,
-                    proto.unknown_names[:7], phase_known=True)
-    with pytest.raises(TooManyDims):
-        grid_oracle(np.zeros(11), wide)
 
 
 def test_gauge_quotient_reconstruction():
