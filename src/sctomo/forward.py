@@ -32,14 +32,11 @@ import numpy as np
 from . import smallmat
 from .errors import BadLabel, DimensionMismatch, InvalidRange
 from .model import (COHERENCE_PAIRS, DensityParams, GeneratorParams,
-                    PHASE_NAMES, assemble_generator, derived_angles,
-                    random_generator, random_physical_state, state_matrix)
-from .protocol import (COUPLING_UNKNOWNS, BETA_TO_PHASE, DIAG_UNKNOWN,
-                       Protocol, UnknownParams, resolve)
+                    assemble_generator, derived_angles, random_generator,
+                    random_physical_state, state_matrix)
+from .protocol import NAMES, STRENGTHS, Protocol, UnknownParams, resolve
 
 NOISE_KINDS = ("exact", "poisson", "gaussian")
-# the strengths a generator is affine in, in `ProtocolLayout` order
-STRENGTHS = {2: COUPLING_UNKNOWNS[2] + (DIAG_UNKNOWN,), 3: COUPLING_UNKNOWNS[3]}
 
 
 @dataclass(frozen=True)
@@ -217,18 +214,18 @@ def closed_form_statistic(state: DensityParams, gen: GeneratorParams,
     return coefficients(gen, label, sign_convention, betas).contract(state)
 
 
-def resolve_sign_convention(dim: int, n_draws: int = 200, seed: int = 715) -> int:
+def resolve_sign_convention(dim: int) -> int:
     """Pick the sign (+1 or -1) minimizing |closed form - direct trace|.
 
-    Random states and generators are drawn from a fixed-seed generator; the
-    winning convention reproduces the trace path to round-off, the losing one
-    disagrees at order one, so the choice is unambiguous.
+    200 random states and generators are drawn from default_rng(715 + dim);
+    the winning convention reproduces the trace path to round-off, the
+    losing one disagrees at order one, so the choice is unambiguous.
     """
     if dim not in (2, 3):
         raise DimensionMismatch(f"dim {dim} not supported")
-    rng = np.random.default_rng(seed + dim)
+    rng = np.random.default_rng(715 + dim)
     worst = {1: 0.0, -1: 0.0}
-    for _ in range(n_draws):
+    for _ in range(200):
         state = random_physical_state(dim, rng)
         gen = random_generator(dim, rng)
         for label in range(dim):
@@ -245,11 +242,12 @@ def resolve_sign_convention(dim: int, n_draws: int = 200, seed: int = 715) -> in
 
 
 class ProtocolLayout:
-    """Precomputed decoding of a Γ name list against a protocol.
+    """Precomputed decoding of a protocol's Γ names (`protocol.NAMES`).
 
-    Maps vectors of parameter values (rows of X) to the full arrays the
-    vectorized statistics kernel needs.  Parameters absent from the name
-    list are held at the values in `fixed` (default 0).
+    Maps vectors of parameter values in the order of
+    `protocol.unknown_names` (rows of X) to the full arrays the vectorized
+    statistics kernel needs.  Parameters the protocol does not declare are
+    held at 0.
 
     The kernel is closed-form.  Every generator has the spectrum
     {-Ω/2, (0,) +Ω/2} with Ω² = 2 tr G², so
@@ -261,52 +259,24 @@ class ProtocolLayout:
     design in closed form too.  Only the label row of U is formed.
     """
 
-    def __init__(self, protocol: Protocol, names=None, fixed=None):
+    def __init__(self, protocol: Protocol):
         self.protocol = protocol
         self.dim = d = protocol.dim
-        self.names = tuple(names if names is not None else protocol.unknown_names)
-        self.fixed = dict(fixed or {})
         self.npair = len(COHERENCE_PAIRS[d])
-        # slots: populations, coherence mags, state phases (with sign), strengths
-        self._pop = {f"rho{i}{i}": i for i in range(d)}
-        self._mag = {f"rho{i}{j}": k for k, (i, j) in
-                     enumerate(COHERENCE_PAIRS[d])}
-        self._phase = {n: k for k, n in enumerate(PHASE_NAMES[d])}
-        self._lam = {n: k for k, n in enumerate(STRENGTHS[d])}
-
-        def decode(name):
-            if name in self._pop:
-                return ("pop", self._pop[name], 1.0)
-            if name in self._mag:
-                return ("mag", self._mag[name], 1.0)
-            if name in self._phase:
-                return ("phase", self._phase[name], 1.0)
-            if name in BETA_TO_PHASE:
-                target = BETA_TO_PHASE[name]
-                sign = 1.0 if target == "gamma12" else -1.0
-                return ("phase", self._phase[target], sign)
-            if name in self._lam:
-                return ("lam", self._lam[name], 1.0)
-            raise InvalidRange(f"unrecognized parameter name {name!r}")
-
-        self._slots = [decode(n) for n in self.names]
-        # positions in `names` of the strengths, and their indices in STRENGTHS
+        self._slots = [NAMES[d][n] for n in protocol.unknown_names]
+        # positions among the names of the strengths, and their indices in
+        # STRENGTHS
         self.lam_cols = [k for k, s in enumerate(self._slots) if s[0] == "lam"]
         self._lam_idx = [self._slots[k][1] for k in self.lam_cols]
         # a row of x maps to [populations, magnitudes, signed state phases,
-        # strengths] as offset + x @ select; a named parameter beats `fixed`
+        # strengths] as x @ select
         n_lam = len(STRENGTHS[d])
         start = {"pop": 0, "mag": d, "phase": d + self.npair,
                  "lam": d + 2 * self.npair}
         self._split = np.cumsum([d, self.npair, self.npair])
-        self._select = np.zeros((len(self.names), self._split[-1] + n_lam))
+        self._select = np.zeros((len(self._slots), self._split[-1] + n_lam))
         for k, (kind, idx, sign) in enumerate(self._slots):
             self._select[k, start[kind] + idx] = sign
-        self._offset = np.zeros(self._select.shape[1])
-        for name, value in self.fixed.items():
-            kind, idx, sign = decode(name)
-            if not self._select[:, start[kind] + idx].any():
-                self._offset[start[kind] + idx] = sign * float(value)
 
         settings = protocol.settings
         n_set = len(settings)
@@ -332,10 +302,10 @@ class ProtocolLayout:
     def _decode(self, x: np.ndarray):
         """Populations, magnitudes, signed state phases and strengths per row."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != len(self.names):
+        if x.shape[1] != len(self._slots):
             raise DimensionMismatch(
-                f"vector length {x.shape[1]} != {len(self.names)} parameters")
-        return np.split(self._offset + x @ self._select, self._split, axis=1)
+                f"vector length {x.shape[1]} != {len(self._slots)} parameters")
+        return np.split(x @ self._select, self._split, axis=1)
 
     def _label_rows(self, lam: np.ndarray, derivative: bool = False):
         """Row `label` of U = exp(-iG) for every point and setting, (P, S, d),
@@ -405,36 +375,36 @@ class ProtocolLayout:
     def design(self, x: np.ndarray) -> np.ndarray:
         """Linear map from Cartesian state coordinates to statistics: (P, S, C).
 
-        Only the strengths of each row of x (and of `fixed`) matter.  The
-        coordinates are the populations, then x = 2*mag*cos(phase) and
-        y = 2*mag*sin(phase) per coherence pair, so that state entry (i, j)
-        is (x - i*y)/2; the statistics of a state are design @ coordinates.
+        Only the strengths of each row of x matter.  The coordinates are
+        the populations, then x = 2*mag*cos(phase) and y = 2*mag*sin(phase)
+        per coherence pair, so that state entry (i, j) is (x - i*y)/2; the
+        statistics of a state are design @ coordinates.
         """
         return self._columns(self._label_rows(self._decode(x)[3]))
 
     def design_and_derivative(self, x: np.ndarray) -> tuple:
         """The design (P, S, C) and its derivative (P, S, C, K) in the K
-        strengths among `names` (positions `lam_cols`), in name order."""
+        declared strengths (positions `lam_cols`), in name order."""
         lam = self._decode(x)[3]
         rows, d_rows = self._label_rows(lam, derivative=True)
         d_design = self._columns(rows, d_rows[:, :, self._lam_idx])
         return self._columns(rows), d_design
 
     def coordinates(self, x: np.ndarray) -> np.ndarray:
-        """Cartesian state coordinates of each row of x (and of `fixed`):
-        (P, C), in the column order of `design`, so that
-        statistics(x) = design(x) @ coordinates(x) row by row."""
+        """Cartesian state coordinates of each row of x: (P, C), in the
+        column order of `design`, so that statistics(x) = design(x) @
+        coordinates(x) row by row."""
         return self._coordinates(*self._decode(x)[:3])
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Derivative of the statistics in every parameter of `names`, for
+        """Derivative of the statistics in every declared parameter, for
         each row of x: (P, S, K).  Since s = design(lam) @ coordinates(state),
         a state column is design @ ∂coordinates and a strength column
         ∂design @ coordinates."""
         pops, mags, sph, _ = self._decode(x)
         design, d_design = self.design_and_derivative(x)
         coords = self._coordinates(pops, mags, sph)
-        jac = np.empty(design.shape[:2] + (len(self.names),))
+        jac = np.empty(design.shape[:2] + (len(self._slots),))
         jac[..., self.lam_cols] = np.einsum("psck,pc->psk", d_design, coords)
         d = self.dim
         for k, (kind, idx, sign) in enumerate(self._slots):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, EmptyRegion, MissingSymbol)
 from .forward import ProtocolLayout
-from .protocol import Protocol, UnknownParams, pack_values
+from .protocol import NAMES, Protocol, UnknownParams, pack_values
 from .model import DensityParams
 
 FD_SCALE = 1e-6
@@ -88,18 +88,18 @@ def central_differences(fn, x: np.ndarray, cols=None):
 
 def jacobian_from_vector(protocol: Protocol, x0) -> JacobianReport:
     """Jacobian report for an explicit Γ-ordered value vector."""
-    layout = ProtocolLayout(protocol)
+    names = protocol.unknown_names
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (len(layout.names),):
+    if x0.shape != (len(names),):
         raise DimensionMismatch(
-            f"point has {x0.size} values for {len(layout.names)} parameters")
-    jac = layout.jacobian(x0)[0]
+            f"point has {x0.size} values for {len(names)} parameters")
+    jac = ProtocolLayout(protocol).jacobian(x0)[0]
     det = float(np.linalg.det(jac)) if jac.shape[0] == jac.shape[1] else None
     svals = np.linalg.svd(jac, compute_uv=False)
     smin = float(svals[-1])
     cond = math.inf if smin == 0.0 else float(svals[0]) / smin
     return JacobianReport(
-        names=tuple(layout.names), matrix=jac, determinant=det,
+        names=names, matrix=jac, determinant=det,
         smallest_singular_value=smin, condition_number=cond)
 
 
@@ -259,21 +259,14 @@ PROBE_SEED = 90125
 
 
 def _probe_vectors(protocol: Protocol) -> np.ndarray:
+    """N_PROBE generic points: each parameter uniform on the range of its
+    kind (`protocol.NAMES`), drawn in name order from PROBE_SEED."""
     rng = np.random.default_rng(PROBE_SEED)
-    out = np.empty((N_PROBE, len(protocol.unknown_names)))
-    for i in range(N_PROBE):
-        vals = []
-        for name in protocol.unknown_names:
-            if name.startswith("rho") and name[3] == name[4]:
-                vals.append(rng.uniform(0.25, 0.45))
-            elif name.startswith("rho"):
-                vals.append(rng.uniform(0.08, 0.16))
-            elif name.startswith("lam"):
-                vals.append(rng.uniform(0.7, 2.3))
-            else:  # phase-like
-                vals.append(rng.uniform(0.3, 5.9))
-        out[i] = vals
-    return out
+    ranges = {"pop": (0.25, 0.45), "mag": (0.08, 0.16), "lam": (0.7, 2.3),
+              "phase": (0.3, 5.9)}
+    kinds = [NAMES[protocol.dim][n][0] for n in protocol.unknown_names]
+    return np.array([[rng.uniform(*ranges[kind]) for kind in kinds]
+                     for _ in range(N_PROBE)])
 
 
 def structural_zero_columns(protocol: Protocol) -> tuple:

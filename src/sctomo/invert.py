@@ -15,8 +15,9 @@ Three routes are provided and cross-checked against each other:
   reaches the global minimum.
 
 `block_solve_v` runs the same profile scan along the triangular information
-structure of the V-type protocol: lam1 from ground-excited pair 1 on its own
-settings, then lam2 from pair 2 on its own settings with pair 1 held, then
+structure of the V-type protocol, each block as rows of the one full
+profile: lam1 from ground-excited pair 1 on its own settings, then lam2
+from pair 2 on its own settings with pair 1's fitted coordinates held, then
 the whole state by one linear solve.  It must agree with the joint solve on
 exact data.
 
@@ -51,8 +52,7 @@ from .errors import (DimensionMismatch, InvalidRange, RankDeficient,
 from .forward import ProtocolLayout, observed_values
 from .model import (COHERENCE_PAIRS, DensityParams, PHASE_NAMES, TWO_PI,
                     state_matrix, state_params_from_matrix, wrap_phase)
-from .protocol import (PHASE_TO_BETA, Protocol, UnknownParams, V_BLOCKS,
-                       split_values)
+from .protocol import NAMES, Protocol, UnknownParams, V_BLOCKS, split_values
 
 OBJECTIVES = ("least_squares", "poisson_mle")
 LAM_FLOOR = 1e-9
@@ -154,14 +154,15 @@ def _count_vector(counts, protocol: Protocol) -> np.ndarray:
 
 def _undefined_phases(state: DensityParams, protocol: Protocol) -> tuple:
     """The state with every phase whose magnitude is at most TINY_MAG times
-    max(trace, 1) set to 0, and the declared names of those phases."""
+    max(trace, 1) set to 0, and the names of those phases: the declared
+    name of the phase slot (gamma or beta), else the state's."""
+    declared = {NAMES[protocol.dim][n][:2]: n for n in protocol.unknown_names}
     phases, undefined = list(state.phases), []
     for k, mag in enumerate(state.coherences):
         if mag <= TINY_MAG * max(state.trace, 1.0):
             phases[k] = 0.0
-            name = PHASE_NAMES[protocol.dim][k]
-            undefined.append(name if protocol.phase_known
-                             else PHASE_TO_BETA.get(name, name))
+            undefined.append(declared.get(("phase", k),
+                                          PHASE_NAMES[protocol.dim][k]))
     return replace(state, phases=tuple(phases)), tuple(undefined)
 
 
@@ -454,16 +455,20 @@ def _pinv_solve(a, y, d_a=None, v0=None) -> tuple:
     return coords, resid, v - np.einsum("pcs,pck->psk", a_pinv, w)
 
 
-def _free_coordinates(protocol: Protocol) -> list:
-    """Cartesian coordinates the declared state unknowns can move; the rest
-    stay at zero, as the layout holds undeclared parameters at zero."""
-    names, dim = protocol.unknown_names, protocol.dim
-    cols = [i for i in range(dim) if f"rho{i}{i}" in names]
-    for k, (i, j) in enumerate(COHERENCE_PAIRS[dim]):
-        phase = PHASE_NAMES[dim][k]
-        if f"rho{i}{j}" in names:
+def _free_coordinates(protocol: Protocol, names=None) -> list:
+    """Cartesian coordinates, in order, that the state parameters `names`
+    (default: the declared unknowns; gamma and beta names alike) move: a
+    population its own, a magnitude its pair's x, and with the pair's phase
+    its y too.  The rest stay at zero, as the layout holds undeclared
+    parameters at zero."""
+    dim = protocol.dim
+    slots = {NAMES[dim][n][:2] for n in
+             (protocol.unknown_names if names is None else names)}
+    cols = [i for i in range(dim) if ("pop", i) in slots]
+    for k in range(len(COHERENCE_PAIRS[dim])):
+        if ("mag", k) in slots:
             cols.append(dim + 2 * k)
-            if phase in names or PHASE_TO_BETA[phase] in names:
+            if ("phase", k) in slots:
                 cols.append(dim + 2 * k + 1)
     return cols
 
@@ -471,27 +476,26 @@ def _free_coordinates(protocol: Protocol) -> list:
 class _Profile:
     """One protocol and count vector as a function of z = [Cartesian state
     coordinates `cols` (default: all that the declared unknowns move),
-    strengths in name order], with the parameters in `held` (name -> value,
-    as `ProtocolLayout` takes `fixed`) held.  `fit` solves the coordinates
-    at fixed strengths (the scan and the refine), `model` gives the
-    statistics of a whole z (the polish), `bounds` is the box of z, and
-    `start` and `point` convert from and to the parameter vector in name
-    order."""
+    strengths in name order], with the Cartesian coordinates `held`
+    (default 0) held: the full coordinates are `held` plus z's on `cols`.
+    `fit` solves the coordinates at fixed strengths (the scan and the
+    refine), `model` gives the statistics of a whole z (the polish),
+    `bounds` is the box of z, and `start` and `point` convert from and to
+    the parameter vector in name order."""
 
     def __init__(self, protocol: Protocol, y: np.ndarray, cols=None,
                  held=None):
-        self.layout = ProtocolLayout(protocol, fixed=held)
+        self.layout = ProtocolLayout(protocol)
         self.y = y
         self.lam_cols = self.layout.lam_cols
         self.cols = _free_coordinates(protocol) if cols is None else cols
         self.scale = max(1.0, float((y ** 2).sum()))
-        # coordinates of the held state alone: every declared parameter at 0
-        self.held = self.layout.coordinates(
-            np.zeros((1, len(self.layout.names))))[0]
+        n_coords = protocol.dim + 2 * self.layout.npair
+        self.held = np.zeros(n_coords) if held is None else held
 
     def _at(self, lam) -> np.ndarray:
         """Parameter rows in name order carrying only the strengths lam."""
-        x = np.zeros((len(lam), len(self.layout.names)))
+        x = np.zeros((len(lam), len(self.layout._slots)))
         x[:, self.lam_cols] = lam
         return x
 
@@ -583,7 +587,7 @@ class _Profile:
         n, d = len(self.cols), self.layout.dim
         full = self._full(z[None, :n])[0]
         lam_values = iter(z[n:])
-        out = np.empty(len(self.layout.names))
+        out = np.empty(len(self.layout._slots))
         for k, (kind, idx, sign) in enumerate(self.layout._slots):
             if kind == "pop":
                 out[k] = full[idx]
@@ -780,13 +784,12 @@ def prefer_sparse_coherences(protocol: Protocol, x: np.ndarray, f: float,
     the objective beyond the tie tolerance is discarded, so genuine
     coherences are never suppressed.
     """
-    names = protocol.unknown_names
     dim = protocol.dim
+    slots = [NAMES[dim][n][:2] for n in protocol.unknown_names]
     tie_tol = max(1e-12 * max(1.0, float((y ** 2).sum())), 1e-9 * abs(f))
     cols = _free_coordinates(protocol)
-    for k, (i, j) in enumerate(COHERENCE_PAIRS[dim]):
-        mag_name = f"rho{i}{j}"
-        if mag_name not in names or x[names.index(mag_name)] <= TINY_MAG:
+    for k in range(len(COHERENCE_PAIRS[dim])):
+        if ("mag", k) not in slots or x[slots.index(("mag", k))] <= TINY_MAG:
             continue
         keep = [c for c in cols if c not in (dim + 2 * k, dim + 2 * k + 1)]
         profile = _Profile(protocol, y, keep)
@@ -919,39 +922,33 @@ def polish(counts, protocol: Protocol, x0, options: SolverOptions = None
 # ---------------------------------------------------------------------------
 
 
-def _block_fit(protocol: Protocol, y: np.ndarray, block: int,
-               held: dict) -> dict:
-    """Profile fit of V block `block` (0 or 1, an index into V_BLOCKS) on
-    its own settings, with the values in `held` held; returns the block's
-    values by name."""
-    indices, names = V_BLOCKS[block]
-    if not protocol.phase_known:
-        names = tuple(PHASE_TO_BETA.get(n, n) for n in names)
-    sub = Protocol(name=f"V#b{block + 1}", dim=3,
-                   settings=tuple(protocol.settings[i] for i in indices),
-                   unknown_names=names, phase_known=protocol.phase_known)
-    profile = _Profile(sub, y[list(indices)], held=held)
-    cand = _scan(profile, _scan_stages(sub))
-    coords, resid = profile.fit(cand)
+def _block_fit(profile: _Profile, k: int, rows) -> tuple:
+    """The profile scan of strength k on the settings `rows` alone: the
+    best minimum's full Cartesian coordinates and strengths."""
+    rows = list(rows)
+    cand = _scan(profile, [([k], rows)])
+    coords, resid = profile.fit(cand, rows)
     best = _best_minimum(cand, (resid ** 2).sum(axis=1), profile.scale)
-    return dict(zip(names, profile.point(np.append(coords[best], cand[best]))))
+    return profile._full(coords[best:best + 1])[0], cand[best]
 
 
 def block_solve_v(counts, protocol: Protocol,
                   options: SolverOptions = None) -> ReconstructionResult:
     """Solve the V-type protocol block by block along its triangular structure.
 
+    Every block is a set of rows of the one full profile of `reconstruct`.
     Block 1 (settings 0-4: rho00, rho11, rho01, lam1, gamma01) is fit on its
-    own settings by the profile scan of `reconstruct`, which finds lam1;
-    block 2 (settings 5-8: rho22, rho02, lam2, gamma02) likewise, with the
-    block-1 state held (only rho00 enters its statistics), which finds lam2.
-    The state is then one linear least-squares solve over all settings at
-    those strengths and at each of their reflections, and the member is
-    picked by the rule of `reconstruct` (`_settle_twins`).  V is square, so
-    at the block fits' strengths this solve reproduces the blocks' state
-    and fits the excited-excited coherence (block 3, settings 9-10) exactly.
-    No stage runs the polish, so this is a different decomposition from the
-    joint solve, and on exact data the two must agree.  The fits are least
+    own settings by the profile scan, which finds lam1; block 2 (settings
+    5-8: rho22, rho02, lam2, gamma02) likewise, on a profile that moves only
+    its own coordinates and holds block 1's fitted ones (only rho00 enters
+    its statistics), which finds lam2.  The state is then one linear
+    least-squares solve over all settings at those strengths and at each of
+    their reflections, and the member is picked by the rule of
+    `reconstruct` (`_settle_twins`).  V is square, so at the block fits'
+    strengths this solve reproduces the blocks' state and fits the
+    excited-excited coherence (block 3, settings 9-10) exactly.  No stage
+    runs the polish, so this is a different decomposition from the joint
+    solve, and on exact data the two must agree.  The fits are least
     squares; `options.objective` sets the reported residual and gradient,
     and `converged` reports whether that gradient meets GRAD_TOL.
     """
@@ -959,10 +956,12 @@ def block_solve_v(counts, protocol: Protocol,
     if protocol.name.split("~")[0] != "V" or protocol.dim != 3:
         raise InvalidRange("block solve is defined for the V-type protocol")
     y = _count_vector(counts, protocol)
-    b1 = _block_fit(protocol, y, 0, {})
-    b2 = _block_fit(protocol, y, 1, b1)
-    x, _, n_members = _settle_twins(_Profile(protocol, y),
-                                    np.array([[b1["lam1"], b2["lam2"]]]))
+    joint = _Profile(protocol, y)
+    held, (lam1, _) = _block_fit(joint, 0, V_BLOCKS[0][0])
+    rows, names = V_BLOCKS[1]
+    block2 = _Profile(protocol, y, _free_coordinates(protocol, names), held)
+    _, (_, lam2) = _block_fit(block2, 1, rows)
+    x, _, n_members = _settle_twins(joint, np.array([[lam1, lam2]]))
     f, grad = objective_eval(x, y, protocol, options.objective)
     gnorm = float(np.abs(grad).max())
     converged = gnorm <= GRAD_TOL * max(1.0, float((y ** 2).sum()))

@@ -263,7 +263,8 @@ def load_experiment(path) -> ExperimentConfig:
 def parse_protocol_dict(obj: dict) -> Protocol:
     """A protocol from its file object.  Each setting has only known fields,
     each of its JSON type, and every number in it is finite; the unknowns
-    are distinct names and declare every strength a setting drives."""
+    are names of `protocol.NAMES`, no two for one coordinate, that declare
+    every strength a setting drives and agree with `phase_known`."""
     _check_fields(obj, {"name": str, "dim": int, "settings": list,
                         "unknowns": list},
                   {"phase_known": bool, "schema_version": int}, "protocol")
@@ -284,8 +285,6 @@ def parse_protocol_dict(obj: dict) -> Protocol:
         if not isinstance(name, str):
             raise SchemaError(f"protocol.unknowns[{i}]: expected str, "
                               f"got {type(name).__name__}")
-        if name in names[:i]:
-            raise SchemaError(f"protocol.unknowns[{i}]: duplicate {name!r}")
     try:
         protocol = Protocol.from_dict(obj)
     except Exception as exc:

@@ -27,10 +27,14 @@ unknown set, in a fixed canonical order.  Shipped scenarios:
 
 Settings resolve to generators via h_j = m_j * lam_j + fixed_j (the fixed
 offsets express fully known rotations such as scenario A's) and phi_j equal
-to the control phases.  With phase_known=False the declared unknowns swap
-each state phase for the corresponding control-relative combination (beta),
-which is all the statistics can determine when the control phases carry an
-unknown reference offset.
+to the control phases.  A protocol may declare, in place of a state phase,
+the corresponding control-relative combination (beta), which is all the
+statistics can determine when the control phases carry an unknown reference
+offset; `Protocol.phase_known` is derived from the names, never set.
+
+`NAMES` is the one place a Γ name is decoded, to (kind, index, sign): a
+population by level, a coherence magnitude or a state phase (sign times the
+named value) by pair, or a strength by its index in `STRENGTHS`.
 """
 
 from __future__ import annotations
@@ -41,11 +45,12 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InvalidRange, MissingUnknown,
                      UnknownScenario, WrongDimension)
-from .model import (COHERENCE_PAIRS, STATE_KEYS, DensityParams,
+from .model import (COHERENCE_PAIRS, PHASE_NAMES, DensityParams,
                     GeneratorParams, TWO_PI, wrap_phase)
 
-COUPLING_UNKNOWNS = {2: ("lam_c",), 3: ("lam1", "lam2")}
-DIAG_UNKNOWN = "lam_z"
+# the strengths a generator is affine in: one per coupling, then (d=2) the
+# diagonal's
+STRENGTHS = {2: ("lam_c", "lam_z"), 3: ("lam1", "lam2")}
 
 # Γ name catalogs, in canonical (reporting and Jacobian-column) order.
 GAMMA_ORDER = {
@@ -57,10 +62,26 @@ GAMMA_ORDER = {
           "rho22", "rho02", "lam2", "gamma02", "rho12", "gamma12"),
 }
 
-# gamma <-> beta substitutions for phase_known=False protocols.
+# gamma <-> beta substitutions for protocols with uncalibrated control phases.
 PHASE_TO_BETA = {"gamma": "beta", "gamma01": "beta01", "gamma02": "beta02",
                  "gamma12": "beta12"}
 BETA_TO_PHASE = {v: k for k, v in PHASE_TO_BETA.items()}
+
+
+def _name_table(dim: int) -> dict:
+    """`NAMES` of one dimension.  A beta name decodes to its pair's phase
+    with gamma_0j = -beta_0j and gamma_12 = beta_12."""
+    table = {f"rho{i}{i}": ("pop", i, 1.0) for i in range(dim)}
+    for k, (i, j) in enumerate(COHERENCE_PAIRS[dim]):
+        phase = PHASE_NAMES[dim][k]
+        table[f"rho{i}{j}"] = ("mag", k, 1.0)
+        table[phase] = ("phase", k, 1.0)
+        table[PHASE_TO_BETA[phase]] = ("phase", k, 1.0 if i else -1.0)
+    table.update((n, ("lam", k, 1.0)) for k, n in enumerate(STRENGTHS[dim]))
+    return table
+
+
+NAMES = {dim: _name_table(dim) for dim in (2, 3)}
 
 
 @dataclass(frozen=True)
@@ -73,12 +94,9 @@ class UnknownParams:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise WrongDimension(f"dim {self.dim} not supported")
-        allowed = set(COUPLING_UNKNOWNS[self.dim])
-        if self.dim == 2:
-            allowed.add(DIAG_UNKNOWN)
         cleaned = []
         for name, value in self.items:
-            if name not in allowed:
+            if name not in STRENGTHS[self.dim]:
                 raise InvalidRange(f"unknown parameter name {name!r} for dim {self.dim}")
             value = float(value)
             if not 0.0 < value <= TWO_PI:
@@ -89,9 +107,6 @@ class UnknownParams:
 
     def as_dict(self) -> dict:
         return dict(self.items)
-
-    def get(self, name: str):
-        return self.as_dict().get(name)
 
 
 def qubit_unknowns(lam_c=None, lam_z=None) -> UnknownParams:
@@ -152,11 +167,9 @@ class MeasurementSetting:
     def driven_strengths(self) -> set:
         """Names of the strengths this setting's rotation depends on: those
         with a non-zero multiplier, and lam_z with a non-zero mz."""
-        used = {n for n, m in zip(COUPLING_UNKNOWNS[self.dim], self.multipliers)
-                if m != 0}
-        if self.mz != 0:
-            used.add(DIAG_UNKNOWN)
-        return used
+        # d=3 has no diagonal strength, so zip drops its mz (always 0)
+        return {n for n, m in zip(STRENGTHS[self.dim],
+                                  self.multipliers + (self.mz,)) if m != 0}
 
     def to_dict(self) -> dict:
         return {
@@ -182,13 +195,13 @@ class MeasurementSetting:
 
 @dataclass(frozen=True)
 class Protocol:
-    """Ordered settings plus the declared unknown set in canonical order."""
+    """Ordered settings plus the declared unknown set in canonical order.
+    Each unknown is a name of `NAMES`, and no two name one coordinate."""
 
     name: str
     dim: int
     settings: tuple
     unknown_names: tuple
-    phase_known: bool = True
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -197,10 +210,28 @@ class Protocol:
             if s.dim != self.dim:
                 raise DimensionMismatch(
                     f"setting dim {s.dim} inside dim-{self.dim} protocol")
-        if len(self.settings) < len(self.unknown_names):
-            raise InvalidRange("fewer settings than declared unknowns")
         object.__setattr__(self, "settings", tuple(self.settings))
         object.__setattr__(self, "unknown_names", tuple(self.unknown_names))
+        table, seen = NAMES[self.dim], {}
+        for k, name in enumerate(self.unknown_names):
+            if name not in table:
+                raise InvalidRange(
+                    f"unknowns[{k}]: {name!r} is not a dim-{self.dim} "
+                    f"parameter ({', '.join(table)})")
+            slot = table[name][:2]
+            if slot in seen:
+                j = seen[slot]
+                raise InvalidRange(
+                    f"unknowns[{k}]: {name!r} names the same coordinate as "
+                    f"unknowns[{j}] ({self.unknown_names[j]!r})")
+            seen[slot] = k
+        if len(self.settings) < len(self.unknown_names):
+            raise InvalidRange("fewer settings than declared unknowns")
+
+    @property
+    def phase_known(self) -> bool:
+        """Whether the control phases are calibrated: no beta name declared."""
+        return not any(n in BETA_TO_PHASE for n in self.unknown_names)
 
     @property
     def n_settings(self) -> int:
@@ -208,7 +239,8 @@ class Protocol:
 
     @property
     def process_unknown_names(self) -> tuple:
-        return tuple(n for n in self.unknown_names if n.startswith("lam"))
+        return tuple(n for n in self.unknown_names
+                     if NAMES[self.dim][n][0] == "lam")
 
     def to_dict(self) -> dict:
         return {
@@ -221,13 +253,20 @@ class Protocol:
 
     @staticmethod
     def from_dict(d: dict) -> "Protocol":
-        return Protocol(
+        """The protocol of `to_dict`'s form; a `phase_known` (absent means
+        true) that the unknown names contradict is refused."""
+        protocol = Protocol(
             name=str(d["name"]),
             dim=int(d["dim"]),
             settings=tuple(MeasurementSetting.from_dict(s) for s in d["settings"]),
             unknown_names=tuple(d["unknowns"]),
-            phase_known=bool(d.get("phase_known", True)),
         )
+        stated = bool(d.get("phase_known", True))
+        if stated != protocol.phase_known:
+            raise InvalidRange(
+                f"phase_known: {str(stated).lower()} contradicts unknowns, "
+                f"which name {'no' if stated else 'a'} beta phase")
+        return protocol
 
 
 def _qubit_setting(m, phi, label, fixed=0.0, mz=0.0):
@@ -296,22 +335,24 @@ def resolve(setting: MeasurementSetting, unknowns: UnknownParams,
 
     phase_ref, when given, is an unknown reference offset added to every
     control phase (one value for d=2, a pair for d=3); it models dials whose
-    zero point is not calibrated and is what the phase_known=False protocols
-    quotient out.
+    zero point is not calibrated and is what the protocols declaring beta
+    phases quotient out.
     """
     dim = setting.dim
     if unknowns is not None and unknowns.dim != dim:
         raise DimensionMismatch("unknowns dimension differs from setting")
     values = unknowns.as_dict() if unknowns is not None else {}
+    # h per strength, the d=2 diagonal's last: multiplier * strength + offset
     hs = []
-    for k, name in enumerate(COUPLING_UNKNOWNS[dim]):
-        m = setting.multipliers[k]
+    for name, m, fixed in zip(STRENGTHS[dim],
+                              setting.multipliers + (setting.mz,),
+                              setting.fixed_couplings + (setting.fixed_diag,)):
         if m != 0.0:
             if name not in values:
                 raise MissingUnknown(f"setting needs {name} (multiplier {m})")
-            hs.append(m * values[name] + setting.fixed_couplings[k])
+            hs.append(m * values[name] + fixed)
         else:
-            hs.append(setting.fixed_couplings[k])
+            hs.append(fixed)
     refs = (0.0,) * len(setting.phases)
     if phase_ref is not None:
         refs = tuple(float(r) for r in np.atleast_1d(phase_ref))
@@ -319,21 +360,14 @@ def resolve(setting: MeasurementSetting, unknowns: UnknownParams,
             raise DimensionMismatch("phase_ref length mismatch")
     phases = tuple(wrap_phase(p + r) for p, r in zip(setting.phases, refs))
     if dim == 2:
-        if setting.mz != 0.0:
-            if DIAG_UNKNOWN not in values:
-                raise MissingUnknown(f"setting needs {DIAG_UNKNOWN} (mz {setting.mz})")
-            hz = setting.mz * values[DIAG_UNKNOWN] + setting.fixed_diag
-        else:
-            hz = setting.fixed_diag
-        return GeneratorParams(2, hz, (hs[0],), phases)
+        return GeneratorParams(2, hs[1], (hs[0],), phases)
     return GeneratorParams(3, 0.0, tuple(hs), phases)
 
 
 def with_unknown_phase(protocol: Protocol) -> Protocol:
     """Variant whose declared unknowns use control-relative phases (beta)."""
     names = tuple(PHASE_TO_BETA.get(n, n) for n in protocol.unknown_names)
-    return replace(protocol, unknown_names=names, phase_known=False,
-                   name=protocol.name + "~beta")
+    return replace(protocol, unknown_names=names, name=protocol.name + "~beta")
 
 
 def values_dict(state: DensityParams, unknowns: UnknownParams = None) -> dict:
@@ -348,25 +382,23 @@ def values_dict(state: DensityParams, unknowns: UnknownParams = None) -> dict:
 
 def pack_values(names, state: DensityParams, unknowns: UnknownParams = None,
                 phase_ref=None) -> np.ndarray:
-    """Order a point's values along a Γ name list (beta names supported)."""
+    """Order a point's values along a Γ name list.  A beta name of pair
+    (i, j) takes sign * (gamma_ij + R_i - R_j) (`NAMES`), with R the
+    reference offset of each level: 0 for the ground level, phase_ref
+    (default 0) for the excited ones."""
     vals = values_dict(state, unknowns)
-    refs = {}
-    if state.dim == 2:
-        r = 0.0 if phase_ref is None else float(np.atleast_1d(phase_ref)[0])
-        refs = {"beta": wrap_phase(r - vals["gamma"])}
-    else:
-        r = (np.zeros(2) if phase_ref is None else np.atleast_1d(phase_ref))
-        refs = {
-            "beta01": wrap_phase(r[0] - vals["gamma01"]),
-            "beta02": wrap_phase(r[1] - vals["gamma02"]),
-            "beta12": wrap_phase(vals["gamma12"] + r[0] - r[1]),
-        }
+    refs = np.zeros(state.dim)
+    if phase_ref is not None:
+        refs[1:] = np.atleast_1d(phase_ref)
     out = []
     for n in names:
-        if n in vals:
+        if n in BETA_TO_PHASE and n in NAMES[state.dim]:
+            _, k, sign = NAMES[state.dim][n]
+            i, j = COHERENCE_PAIRS[state.dim][k]
+            gamma = vals[BETA_TO_PHASE[n]]
+            out.append(wrap_phase(sign * (gamma + refs[i] - refs[j])))
+        elif n in vals:
             out.append(vals[n])
-        elif n in refs:
-            out.append(refs[n])
         else:
             raise MissingUnknown(f"no value for parameter {n!r}")
     return np.array(out, dtype=float)
@@ -375,25 +407,21 @@ def pack_values(names, state: DensityParams, unknowns: UnknownParams = None,
 def split_values(protocol: Protocol, values):
     """Split a Γ-ordered vector into (DensityParams, UnknownParams).
 
-    beta-style phases are mapped to the canonical gauge representative
-    (reference offsets zero): gamma_0j = -beta_0j and gamma_12 = beta_12.
+    Undeclared state parameters are 0, and beta-style phases are mapped to
+    the canonical gauge representative (reference offsets zero):
+    gamma_0j = -beta_0j and gamma_12 = beta_12 (`NAMES`).
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (len(protocol.unknown_names),):
         raise DimensionMismatch("value vector length differs from unknown set")
-    byname = dict(zip(protocol.unknown_names, values))
-    full = {}
-    for key in STATE_KEYS[protocol.dim]:
-        if key in byname:
-            full[key] = byname[key]
-        elif key in PHASE_TO_BETA and PHASE_TO_BETA[key] in byname:
-            beta = byname[PHASE_TO_BETA[key]]
-            full[key] = wrap_phase(beta if key == "gamma12" else -beta)
+    npair = len(COHERENCE_PAIRS[protocol.dim])
+    parts = {"pop": [0.0] * protocol.dim, "mag": [0.0] * npair,
+             "phase": [0.0] * npair, "lam": []}
+    for name, value in zip(protocol.unknown_names, values):
+        kind, idx, sign = NAMES[protocol.dim][name]
+        if kind == "lam":
+            parts["lam"].append((name, value))
         else:
-            full[key] = 0.0
-    from .model import state_from_dict  # local import avoids cycle at module load
-    state = state_from_dict(full)
-    lam = {n: v for n, v in byname.items() if n.startswith("lam")}
-    unknowns = unknowns_from_dict(protocol.dim, lam) if lam else UnknownParams(
-        protocol.dim, ())
-    return state, unknowns
+            parts[kind][idx] = sign * value
+    return (DensityParams(parts["pop"], parts["mag"], parts["phase"]),
+            UnknownParams(protocol.dim, tuple(parts["lam"])))

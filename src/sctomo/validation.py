@@ -55,16 +55,16 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def sample_truth(scenario_name: str, rng, smin_floor: float = None):
+def sample_truth(scenario_name: str, rng):
     """Random physical truth kept away from the singular loci.
 
     Rejection is on the smallest singular value of the closed-form Jacobian
     (`identify.numeric_jacobian`) at the truth, i.e. on the actual local
-    invertibility of the protocol.
+    invertibility of the protocol: a truth below the scenario's floor is
+    drawn again.
     """
     proto = scenario(scenario_name)
-    if smin_floor is None:
-        smin_floor = {"A": 0.05, "B": 0.02, "C-alt": 0.01, "V": 0.008}[scenario_name]
+    smin_floor = {"A": 0.05, "B": 0.02, "C-alt": 0.01, "V": 0.008}[scenario_name]
     while True:
         if proto.dim == 2:
             state = random_physical_state(2, rng, min_coherence=0.1,
@@ -207,7 +207,7 @@ def check_jacobian_formulas(seed: int = 3, draws: int = 200) -> CheckResult:
     n_used = 0
     rngv = np.random.default_rng(seed + 17)
     while n_used < draws:
-        state, unknowns = sample_truth("V", rngv, smin_floor=0.008)
+        state, unknowns = sample_truth("V", rngv)
         point = values_dict(state, unknowns)
         corrected = abs(identify.closed_form_jacobian(
             "Vtotal", point, phase_sign=-1, j3_corrected=True))
@@ -279,7 +279,7 @@ def check_block_pattern(seed: int = 4, draws: int = 50) -> CheckResult:
     gray_ok = True
     blocks_ok = True
     for _ in range(draws):
-        state, unknowns = sample_truth("V", rng, smin_floor=0.008)
+        state, unknowns = sample_truth("V", rng)
         jac = identify.numeric_jacobian(proto, state, unknowns).matrix
         # zeros above-right of each solved block, and block-2 rows touch no
         # block-1 parameter other than the ground population (column 0)

@@ -418,27 +418,39 @@ def test_bad_arguments_exit_2(tmp_path, capsys, monkeypatch, case):
     assert not (tmp_path / (out or "unused")).exists()
 
 
-# case -> (setting index or None for the top level, field, value, error
+DROP = object()  # an edit that deletes the field
+B_NAMES = ["rho00", "rho01", "rho11", "lam_c"]
+# case -> (setting index or None for the top level, field edits, error
 # text); written into scenario B's protocol file
 MALFORMED_PROTOCOLS = {
-    "phases-nan": (1, "phases", [float("nan")], "settings[1].phases[0]"),
-    "multipliers-inf": (2, "multipliers", [float("inf")],
+    "phases-nan": (1, {"phases": [float("nan")]}, "settings[1].phases[0]"),
+    "multipliers-inf": (2, {"multipliers": [float("inf")]},
                         "settings[2].multipliers[0]"),
-    "fixed-couplings-nan": (0, "fixed_couplings", [float("nan")],
+    "fixed-couplings-nan": (0, {"fixed_couplings": [float("nan")]},
                             "settings[0].fixed_couplings[0]"),
-    "mz-inf": (3, "mz", float("-inf"), "settings[3].mz"),
-    "multipliers-string": (1, "multipliers", ["1"],
+    "mz-inf": (3, {"mz": float("-inf")}, "settings[3].mz"),
+    "multipliers-string": (1, {"multipliers": ["1"]},
                            "settings[1].multipliers[0]"),
-    "label-string": (1, "label", "1", "settings[1].label"),
-    "label-float": (1, "label", 1.5, "settings[1].label"),
-    "label-bool": (1, "label", True, "settings[1].label"),
-    "setting-unknown-key": (1, "gain", 1.0, "unknown field 'gain'"),
-    "unknowns-duplicate": (None, "unknowns",
-                           ["rho00", "rho01", "rho11", "lam_c", "rho00"],
+    "label-string": (1, {"label": "1"}, "settings[1].label"),
+    "label-float": (1, {"label": 1.5}, "settings[1].label"),
+    "label-bool": (1, {"label": True}, "settings[1].label"),
+    "setting-unknown-key": (1, {"gain": 1.0}, "unknown field 'gain'"),
+    "unknowns-duplicate": (None, {"unknowns": B_NAMES + ["rho00"]},
                            "unknowns[4]"),
-    "unknowns-omit-strength": (None, "unknowns", ["rho00", "rho01", "rho11",
-                                                  "gamma"],
+    "unknowns-omit-strength": (None, {"unknowns": ["rho00", "rho01", "rho11",
+                                                   "gamma"]},
                                "drives lam_c"),
+    "unknowns-not-a-name": (None, {"unknowns": ["rho00", "rho01", "rho10",
+                                                "lam_c", "gamma"]},
+                            "unknowns[2]: 'rho10'"),
+    "unknowns-gamma-and-beta": (None,
+                                {"unknowns": B_NAMES + ["gamma", "beta"]},
+                                "unknowns[5]: 'beta'"),
+    "phase-known-false-with-gamma": (None, {"phase_known": False},
+                                     "phase_known: false"),
+    "beta-without-phase-known": (None, {"unknowns": B_NAMES + ["beta"],
+                                        "phase_known": DROP},
+                                 "phase_known: true"),
 }
 
 
@@ -452,8 +464,13 @@ def test_malformed_protocol_exit_2(tmp_path, capsys, case):
     protocol = tmp_path / "protocol.json"
     io.write_protocol(protocol, scenario("B"))
     obj = json.loads(protocol.read_text())
-    index, field, value, message = MALFORMED_PROTOCOLS[case]
-    (obj if index is None else obj["settings"][index])[field] = value
+    index, edits, message = MALFORMED_PROTOCOLS[case]
+    target = obj if index is None else obj["settings"][index]
+    for field, value in edits.items():
+        if value is DROP:
+            del target[field]
+        else:
+            target[field] = value
     # json.dumps, not canonical_json: NaN and Infinity stay literal tokens
     protocol.write_text(json.dumps(obj))
     capsys.readouterr()

@@ -205,10 +205,6 @@ def test_layout_statistics_are_design_times_coordinates():
         stats = np.einsum("sc,c->s", layout.design(x[None, :])[0],
                           layout.coordinates(x[None, :])[0])
         assert np.abs(stats - layout.statistics(x[None, :])[0]).max() < 1e-13
-        # parameters held in `fixed` enter the coordinates as declared ones do
-        held = ProtocolLayout(proto, names=names[1:], fixed={names[0]: x[0]})
-        assert np.array_equal(held.coordinates(x[None, 1:]),
-                              layout.coordinates(x[None, :]))
 
 
 KERNEL_PROTOCOLS = ("A", "B", "B~beta", "C-alt", "V")

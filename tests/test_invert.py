@@ -12,7 +12,7 @@ from sctomo.forward import NoiseModel, predicted_statistics, simulate_counts
 from sctomo.invert import (SolverOptions, block_solve_v, grid_oracle,
                            linear_invert, objective_eval, polish, reconstruct)
 from sctomo.model import circular_distance, qubit_state, vtype_state
-from sctomo.protocol import (Protocol, pack_values, qubit_unknowns, scenario,
+from sctomo.protocol import (pack_values, qubit_unknowns, scenario,
                              vtype_unknowns, with_unknown_phase)
 from sctomo.validation import max_param_error, sample_truth
 
@@ -223,34 +223,28 @@ def test_block_solve_zero_02_coherence():
 
 
 def test_block_three_sensitive_to_strength_errors():
-    # forward sensitivity probe: with the estimated coherence held, a 0.1
-    # error in either strength leaves a strictly positive block-3 residual
+    # forward sensitivity probe: with the estimated state held, a 0.1 error
+    # in either strength leaves a strictly positive block-3 residual
+    # (settings 9-10)
+    from sctomo.forward import ProtocolLayout
+    from sctomo.invert import _objective_values
     proto = scenario("V")
     state = vtype_state(0.4, 0.35, 0.25, 0.1, 0.11, 0.09, 0.9, 2.2, 1.4)
     unknowns = vtype_unknowns(1.2, 1.7)
     counts = predicted_statistics(proto, state, unknowns)
-    y3 = counts[9:11]
-    good = dict(zip(proto.unknown_names,
-                    pack_values(proto.unknown_names, state, unknowns)))
-    from sctomo.forward import ProtocolLayout
-    from sctomo.invert import _objective_values
-    from sctomo.protocol import V_BLOCKS
-    indices, names3 = V_BLOCKS[2]
-    sub = Protocol("V#b3", 3, tuple(proto.settings[i] for i in indices),
-                   names3)
-    x3 = np.array([good[n] for n in names3])
+    good = pack_values(proto.unknown_names, state, unknowns)
+    layout = ProtocolLayout(proto)
 
-    def block3_residual(fixed):
-        layout = ProtocolLayout(sub, names=names3, fixed=fixed)
-        return float(_objective_values(layout.statistics(x3[None, :]),
-                                       y3, "least_squares")[0])
+    def block3_residual(x):
+        stats = layout.statistics(x[None, :])[:, 9:11]
+        return float(_objective_values(stats, counts[9:11],
+                                       "least_squares")[0])
 
-    fixed_ok = {k: v for k, v in good.items() if k not in names3}
-    assert block3_residual(fixed_ok) < 1e-20
+    assert block3_residual(good) < 1e-20
     for lam in ("lam1", "lam2"):
-        fixed_bad = dict(fixed_ok)
-        fixed_bad[lam] += 0.1
-        assert block3_residual(fixed_bad) > 1e-6
+        bad = good.copy()
+        bad[proto.unknown_names.index(lam)] += 0.1
+        assert block3_residual(bad) > 1e-6
 
 
 def test_grid_oracle_scenario_b():
@@ -407,17 +401,18 @@ def test_profile_jacobian_matches_differences_of_residual():
     counts = predicted_statistics(proto, state, unknowns) \
         + 1e-2 * rng.standard_normal(proto.n_settings)
     # the profile of V block 2 (settings 5-8) with block 1 held at the truth
-    indices, names = invert.V_BLOCKS[1]
-    sub = Protocol(name="V#b2", dim=3,
-                   settings=tuple(proto.settings[i] for i in indices),
-                   unknown_names=names)
-    truth = dict(zip(proto.unknown_names,
-                     pack_values(proto.unknown_names, state, unknowns)))
-    block2 = invert._Profile(sub, counts[list(indices)],
-                             held={n: truth[n] for n in invert.V_BLOCKS[0][1]})
     full_v = invert._Profile(proto, counts)
+    truth = full_v.layout.coordinates(
+        pack_values(proto.unknown_names, state, unknowns)[None, :])[0]
+    held = np.zeros_like(truth)
+    cols1 = invert._free_coordinates(proto, invert.V_BLOCKS[0][1])
+    held[cols1] = truth[cols1]
+    indices, names = invert.V_BLOCKS[1]
+    block2 = invert._Profile(proto, counts,
+                             invert._free_coordinates(proto, names), held)
     cases = [
-        (block2, rng.uniform(0.3, 2.8, (6, 1)), [0], None),
+        (block2, np.column_stack([np.full(6, 1.1), rng.uniform(0.3, 2.8, 6)]),
+         [1], list(indices)),
         # the V scan's first stage: lam1 on settings 0-4, lam2 held
         (full_v, np.column_stack([rng.uniform(0.3, 2.8, 6), np.full(6, 1.1)]),
          [0], [0, 1, 2, 3, 4]),
@@ -646,7 +641,8 @@ def _inner_solve_cases():
     stage of the V scan and each V block, on noisy counts (so that no
     residual is zero), with strength rows from default_rng(8): 32 random
     ones at least 0.3 from 0, pi and 2*pi, then degenerate ones, every
-    strength or one at a time at LAM_FLOOR, pi and 2*pi."""
+    strength or one at a time at LAM_FLOOR, pi and 2*pi.  V block 3 frees
+    no strength and gets the one row of true strengths."""
     rng = np.random.default_rng(8)
 
     def noisy(name):
@@ -654,8 +650,7 @@ def _inner_solve_cases():
         state, unknowns = sample_truth(name, rng)
         y = predicted_statistics(proto, state, unknowns)
         truth = pack_values(proto.unknown_names, state, unknowns)
-        return (proto, y + 1e-2 * rng.standard_normal(y.size),
-                dict(zip(proto.unknown_names, truth)))
+        return proto, y + 1e-2 * rng.standard_normal(y.size), truth
 
     cases = []
     for name in ("B", "C-alt"):
@@ -666,20 +661,24 @@ def _inner_solve_cases():
     joint = invert._Profile(proto, y)
     for k, (free, rows) in enumerate(invert._scan_stages(proto)):
         cases.append((f"V stage {k + 1}", joint, free, rows))
-    held = {}
+    # each V block: its settings and coordinates of the full profile, the
+    # coordinates of the blocks before it held at the truth
+    coords = joint.layout.coordinates(truth[None, :])[0]
+    held = np.zeros_like(coords)
     for b, (indices, names) in enumerate(invert.V_BLOCKS):
-        sub = Protocol(name=f"V#b{b + 1}", dim=3,
-                       settings=tuple(proto.settings[i] for i in indices),
-                       unknown_names=names)
+        cols = invert._free_coordinates(proto, names)
+        free = [k for k, n in enumerate(proto.process_unknown_names)
+                if n in names]
         cases.append((f"V block {b + 1}",
-                      invert._Profile(sub, y[list(indices)], held=dict(held)),
-                      list(range(len(sub.process_unknown_names))), None))
-        held.update({n: truth[n] for n in names})
+                      invert._Profile(proto, y, cols, held.copy()), free,
+                      list(indices)))
+        held[cols] = coords[cols]
     out = []
     for label, profile, free, rows in cases:
         n = len(profile.lam_cols)
-        if n == 0:  # V block 3: one linear solve
-            out.append((label, profile, free, rows, np.zeros((1, 0))))
+        if not free:  # V block 3: one linear solve at the true strengths
+            out.append((label, profile, free, rows,
+                        truth[profile.lam_cols][None, :]))
             continue
         lam = (rng.uniform(0.3, math.pi - 0.3, (32, n))
                + math.pi * rng.integers(0, 2, (32, n)))

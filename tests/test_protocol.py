@@ -136,6 +136,38 @@ def test_beta_variant_names_and_split():
     assert state2.phases[0] == pytest.approx(2.0)
 
 
+def test_name_table_decodes_every_unknown_once():
+    # every catalog name and its beta variant decode to distinct
+    # coordinates, the beta name to its state phase's, with sign -1 for a
+    # ground-excited pair; phase_known is read from the names
+    from sctomo.invert import _free_coordinates
+    from sctomo.protocol import GAMMA_ORDER, NAMES, PHASE_TO_BETA, V_BLOCKS
+    for name, names in GAMMA_ORDER.items():
+        proto, beta = scenario(name), with_unknown_phase(scenario(name))
+        table = NAMES[proto.dim]
+        slots = [table[n][:2] for n in names]
+        assert len(set(slots)) == len(names)
+        assert [table[n][:2] for n in beta.unknown_names] == slots
+        for n in set(beta.unknown_names) - set(names):
+            assert table[n][2] == (1.0 if n == "beta12" else -1.0)
+        assert proto.phase_known is True and beta.phase_known is False
+        # the Cartesian coordinates the unknowns move
+        cols = [0, 1, 2, 3] if proto.dim == 2 else list(range(9))
+        assert _free_coordinates(proto) == _free_coordinates(beta) == cols
+    v, v_beta = scenario("V"), with_unknown_phase(scenario("V"))
+    for (_, names), cols in zip(V_BLOCKS, ([0, 1, 3, 4], [2, 5, 6], [7, 8])):
+        assert _free_coordinates(v, names) == cols
+        assert _free_coordinates(
+            v_beta, [PHASE_TO_BETA.get(n, n) for n in names]) == cols
+    # a magnitude without its phase moves x alone
+    assert _free_coordinates(scenario("B"), ("rho01", "rho11")) == [1, 2]
+    settings = scenario("B").settings
+    for names in (("rho00", "rho10", "rho11", "lam_c"),
+                  ("rho00", "rho01", "rho11", "gamma", "beta")):
+        with pytest.raises(InvalidRange):
+            Protocol("bad", 2, settings, names)
+
+
 def test_protocol_requires_enough_settings():
     proto = scenario("B")
     with pytest.raises(InvalidRange):
