@@ -15,11 +15,10 @@ Three routes are provided and cross-checked against each other:
   reaches the global minimum.
 
 `block_solve_v` runs the same profile scan along the triangular information
-structure of the V-type protocol, each block as rows of the one full
-profile: lam1 from ground-excited pair 1 on its own settings, then lam2
-from pair 2 on its own settings with pair 1's fitted coordinates held, then
-the whole state by one linear solve.  It must agree with the joint solve on
-exact data.
+structure of the V-type protocol, each block as rows and columns of the
+one full profile: lam1 from ground-excited pair 1 on its own settings, then
+lam2 from pair 2 on its own settings and coordinates, then the whole state
+by one linear solve.  It must agree with the joint solve on exact data.
 
 The reflections lam_j -> 2*pi - lam_j are exact ties of the data, and every
 solver settles them by one rule, in one place: `resolve_twin_family`
@@ -405,30 +404,30 @@ def _merge(ok, good, bad) -> np.ndarray:
     return out
 
 
-def _lstsq(a, y, d_a=None, v0=None) -> tuple:
+def _lstsq(a, y, d_a=None) -> tuple:
     """Least squares min |A c - y| per row of a (P, S, K): the coordinates
     and the residuals A c - y; with the strength derivative d_a of A
-    (P, S, K, F) and v0 = (∂D/∂lam) held (P, S, F) also the Golub-Pereyra
-    Jacobian P⊥ v - (A⁺)ᵀ w, with v = v0 + d_a c and w = d_aᵀ (A c - y).
+    (P, S, K, F) also the Golub-Pereyra Jacobian P⊥ v - (A⁺)ᵀ w, with
+    v = d_a c and w = d_aᵀ (A c - y).
 
     A row whose A passes `_full_rank` is solved by its Householder QR,
     A⁺ = R⁻¹Qᵀ and P⊥ = I - QQᵀ; the others by the pseudo-inverse with
     cutoff RANK_RTOL (`_pinv_solve`), which gives the minimum-norm
     coordinates."""
     if a.shape[1] < a.shape[2]:  # fewer equations than coordinates
-        return _pinv_solve(a, y, d_a, v0)
+        return _pinv_solve(a, y, d_a)
     q, r = np.linalg.qr(a)
     ok, r_inv = _full_rank(r)
     if ok.all():
-        return _qr_solve(q, r_inv, y, d_a, v0)
-    out = _pinv_solve(a[~ok], y[~ok], *_rows(~ok, d_a, v0))
+        return _qr_solve(q, r_inv, y, d_a)
+    out = _pinv_solve(a[~ok], y[~ok], *_rows(~ok, d_a))
     if ok.any():
-        good = _qr_solve(q[ok], r_inv[ok], y[ok], *_rows(ok, d_a, v0))
+        good = _qr_solve(q[ok], r_inv[ok], y[ok], *_rows(ok, d_a))
         out = [_merge(ok, g, b) for g, b in zip(good, out)]
     return out
 
 
-def _qr_solve(q, r_inv, y, d_a=None, v0=None) -> tuple:
+def _qr_solve(q, r_inv, y, d_a=None) -> tuple:
     """`_lstsq` from A = QR of full rank: coordinates R⁻¹Qᵀy, residuals
     QQᵀy - y and Jacobian v - QQᵀv - QR⁻ᵀw."""
     qty = np.einsum("psc,ps->pc", q, y)
@@ -436,20 +435,20 @@ def _qr_solve(q, r_inv, y, d_a=None, v0=None) -> tuple:
     resid = np.einsum("psc,pc->ps", q, qty) - y
     if d_a is None:
         return coords, resid
-    v = v0 + np.einsum("psck,pc->psk", d_a, coords)
+    v = np.einsum("psck,pc->psk", d_a, coords)
     w = np.einsum("psck,ps->pck", d_a, resid)
     v -= q @ (np.swapaxes(q, 1, 2) @ v)
     return coords, resid, v - q @ (np.swapaxes(r_inv, 1, 2) @ w)
 
 
-def _pinv_solve(a, y, d_a=None, v0=None) -> tuple:
+def _pinv_solve(a, y, d_a=None) -> tuple:
     """`_lstsq` by the pseudo-inverse with cutoff RANK_RTOL."""
     a_pinv = np.linalg.pinv(a, rcond=RANK_RTOL)
     coords = np.einsum("pcs,ps->pc", a_pinv, y)
     resid = np.einsum("psc,pc->ps", a, coords) - y
     if d_a is None:
         return coords, resid
-    v = v0 + np.einsum("psck,pc->psk", d_a, coords)
+    v = np.einsum("psck,pc->psk", d_a, coords)
     v -= a @ (a_pinv @ v)
     w = np.einsum("psck,ps->pck", d_a, resid)
     return coords, resid, v - np.einsum("pcs,pck->psk", a_pinv, w)
@@ -476,46 +475,42 @@ def _free_coordinates(protocol: Protocol, names=None) -> list:
 class _Profile:
     """One protocol and count vector as a function of z = [Cartesian state
     coordinates `cols` (default: all that the declared unknowns move),
-    strengths in name order], with the Cartesian coordinates `held`
-    (default 0) held: the full coordinates are `held` plus z's on `cols`.
-    `fit` solves the coordinates at fixed strengths (the scan and the
-    refine), `model` gives the statistics of a whole z (the polish),
-    `bounds` is the box of z, and `start` and `point` convert from and to
-    the parameter vector in name order."""
+    strengths in name order]; the other coordinates are 0.  `fit` solves
+    the coordinates at fixed strengths (the scan and the refine), `model`
+    gives the statistics of a whole z (the polish), `bounds` is the box of
+    z, and `start` and `point` convert from and to the parameter vector in
+    name order."""
 
-    def __init__(self, protocol: Protocol, y: np.ndarray, cols=None,
-                 held=None):
+    def __init__(self, protocol: Protocol, y: np.ndarray, cols=None):
         self.layout = ProtocolLayout(protocol)
         self.y = y
         self.lam_cols = self.layout.lam_cols
         self.cols = _free_coordinates(protocol) if cols is None else cols
         self.scale = max(1.0, float((y ** 2).sum()))
-        n_coords = protocol.dim + 2 * self.layout.npair
-        self.held = np.zeros(n_coords) if held is None else held
 
     def _at(self, lam) -> np.ndarray:
         """Parameter rows in name order carrying only the strengths lam."""
-        x = np.zeros((len(lam), len(self.layout._slots)))
+        x = np.zeros((len(lam), len(self.layout.protocol.unknown_names)))
         x[:, self.lam_cols] = lam
         return x
 
     def _full(self, coords) -> np.ndarray:
-        """All coordinates: the held ones plus `coords` on `cols`."""
-        c_full = np.tile(self.held, (len(coords), 1))
-        c_full[:, self.cols] += coords
+        """All coordinates: `coords` on `cols`, 0 elsewhere."""
+        layout = self.layout
+        c_full = np.zeros((len(coords), layout.dim + 2 * layout.npair))
+        c_full[:, self.cols] = coords
         return c_full
 
     def fit(self, lam, rows=None, free=None):
         """Coordinates (P, C) and residual vectors (P, S) at each row of lam,
-        fit on the settings `rows` (default all) to the counts less the
-        held state's statistics.
+        fit on the settings `rows` (default all).
 
         With `free` (strength indices) also the Jacobian of the residuals in
         those strengths, (P, S, len(free)), in the full variable-projection
         form of Golub & Pereyra (Inverse Problems 19, R1, 2003):
         P⊥ (∂D/∂lam) c_full - (A⁺)ᵀ (∂A/∂lam)ᵀ r, where D is the design,
-        A its columns `cols`, c_full the fitted coordinates with the held
-        ones and P⊥ = I - A A⁺, all on `rows`.
+        A its columns `cols`, c_full the fitted coordinates on `cols` and 0
+        elsewhere, and P⊥ = I - A A⁺, all on `rows`.
 
         Columns of A that are exactly zero at every row of lam are dropped
         and their coordinates left at zero, as the minimum-norm solution
@@ -524,7 +519,7 @@ class _Profile:
         """
         x = self._at(np.atleast_2d(lam))
         rows = slice(None) if rows is None else rows
-        d_a = v0 = None
+        d_a = None
         if free is None:
             design = self.layout.design(x)[:, rows]
         else:
@@ -536,8 +531,8 @@ class _Profile:
             a = a[..., kept]
         if free is not None:
             d_a = d_design[:, :, np.asarray(self.cols)[kept]]
-            v0 = np.einsum("psck,c->psk", d_design, self.held)
-        coords, *out = _lstsq(a, self.y[rows] - design @ self.held, d_a, v0)
+        y = np.broadcast_to(self.y[rows], a.shape[:2])
+        coords, *out = _lstsq(a, y, d_a)
         if not kept.all():
             full = np.zeros((len(a), len(self.cols)))
             full[:, kept] = coords
@@ -577,7 +572,7 @@ class _Profile:
     def start(self, x) -> np.ndarray:
         """z of a parameter vector in name order."""
         x = np.asarray(x, dtype=float)
-        coords = self.layout.coordinates(x[None, :])[0] - self.held
+        coords = self.layout.coordinates(x[None, :])[0]
         return np.concatenate([coords[self.cols], x[self.lam_cols]])
 
     def point(self, z) -> np.ndarray:
@@ -587,8 +582,10 @@ class _Profile:
         n, d = len(self.cols), self.layout.dim
         full = self._full(z[None, :n])[0]
         lam_values = iter(z[n:])
-        out = np.empty(len(self.layout._slots))
-        for k, (kind, idx, sign) in enumerate(self.layout._slots):
+        names = self.layout.protocol.unknown_names
+        out = np.empty(len(names))
+        for k, name in enumerate(names):
+            kind, idx, sign = NAMES[d][name]
             if kind == "pop":
                 out[k] = full[idx]
             elif kind == "mag":
@@ -922,14 +919,13 @@ def polish(counts, protocol: Protocol, x0, options: SolverOptions = None
 # ---------------------------------------------------------------------------
 
 
-def _block_fit(profile: _Profile, k: int, rows) -> tuple:
-    """The profile scan of strength k on the settings `rows` alone: the
-    best minimum's full Cartesian coordinates and strengths."""
+def _block_fit(profile: _Profile, k: int, rows) -> float:
+    """Strength k of the best minimum of the profile scan of strength k on
+    the settings `rows` alone."""
     rows = list(rows)
     cand = _scan(profile, [([k], rows)])
-    coords, resid = profile.fit(cand, rows)
-    best = _best_minimum(cand, (resid ** 2).sum(axis=1), profile.scale)
-    return profile._full(coords[best:best + 1])[0], cand[best]
+    resid = profile.fit(cand, rows)[1]
+    return cand[_best_minimum(cand, (resid ** 2).sum(axis=1), profile.scale), k]
 
 
 def block_solve_v(counts, protocol: Protocol,
@@ -940,8 +936,11 @@ def block_solve_v(counts, protocol: Protocol,
     Block 1 (settings 0-4: rho00, rho11, rho01, lam1, gamma01) is fit on its
     own settings by the profile scan, which finds lam1; block 2 (settings
     5-8: rho22, rho02, lam2, gamma02) likewise, on a profile that moves only
-    its own coordinates and holds block 1's fitted ones (only rho00 enters
-    its statistics), which finds lam2.  The state is then one linear
+    its own coordinates, which finds lam2.  Of block 1 only rho00 enters
+    settings 5-8, and there its column is 1 minus the rho22 column, with
+    the constant in the span of block 2's columns at every lam2 but pi/2,
+    pi and 3*pi/2, so block 1's state shifts block 2's coordinates but not
+    its residual, and is not held.  The state is then one linear
     least-squares solve over all settings at those strengths and at each of
     their reflections, and the member is picked by the rule of
     `reconstruct` (`_settle_twins`).  V is square, so at the block fits'
@@ -957,10 +956,10 @@ def block_solve_v(counts, protocol: Protocol,
         raise InvalidRange("block solve is defined for the V-type protocol")
     y = _count_vector(counts, protocol)
     joint = _Profile(protocol, y)
-    held, (lam1, _) = _block_fit(joint, 0, V_BLOCKS[0][0])
+    lam1 = _block_fit(joint, 0, V_BLOCKS[0][0])
     rows, names = V_BLOCKS[1]
-    block2 = _Profile(protocol, y, _free_coordinates(protocol, names), held)
-    _, (_, lam2) = _block_fit(block2, 1, rows)
+    lam2 = _block_fit(_Profile(protocol, y, _free_coordinates(protocol, names)),
+                      1, rows)
     x, _, n_members = _settle_twins(joint, np.array([[lam1, lam2]]))
     f, grad = objective_eval(x, y, protocol, options.objective)
     gnorm = float(np.abs(grad).max())

@@ -400,16 +400,11 @@ def test_profile_jacobian_matches_differences_of_residual():
     # noisy counts, so that no point below fits them exactly
     counts = predicted_statistics(proto, state, unknowns) \
         + 1e-2 * rng.standard_normal(proto.n_settings)
-    # the profile of V block 2 (settings 5-8) with block 1 held at the truth
+    # the profile of V block 2: settings 5-8 and its own coordinates
     full_v = invert._Profile(proto, counts)
-    truth = full_v.layout.coordinates(
-        pack_values(proto.unknown_names, state, unknowns)[None, :])[0]
-    held = np.zeros_like(truth)
-    cols1 = invert._free_coordinates(proto, invert.V_BLOCKS[0][1])
-    held[cols1] = truth[cols1]
     indices, names = invert.V_BLOCKS[1]
     block2 = invert._Profile(proto, counts,
-                             invert._free_coordinates(proto, names), held)
+                             invert._free_coordinates(proto, names))
     cases = [
         (block2, np.column_stack([np.full(6, 1.1), rng.uniform(0.3, 2.8, 6)]),
          [1], list(indices)),
@@ -637,12 +632,12 @@ def test_poisson_polish_takes_a_zero_count_at_a_zero_statistic():
 
 
 def _inner_solve_cases():
-    """(label, profile, free strengths, setting rows) for B, C-alt, each
-    stage of the V scan and each V block, on noisy counts (so that no
+    """(label, profile, free strengths, setting rows) for A, B, C-alt,
+    each stage of the V scan and each V block, on noisy counts (so that no
     residual is zero), with strength rows from default_rng(8): 32 random
     ones at least 0.3 from 0, pi and 2*pi, then degenerate ones, every
-    strength or one at a time at LAM_FLOOR, pi and 2*pi.  V block 3 frees
-    no strength and gets the one row of true strengths."""
+    strength or one at a time at LAM_FLOOR, pi and 2*pi.  A and V block 3
+    free no strength and get the one row of true strengths (none for A)."""
     rng = np.random.default_rng(8)
 
     def noisy(name):
@@ -653,7 +648,7 @@ def _inner_solve_cases():
         return proto, y + 1e-2 * rng.standard_normal(y.size), truth
 
     cases = []
-    for name in ("B", "C-alt"):
+    for name in ("A", "B", "C-alt"):
         proto, y, _ = noisy(name)
         cases.append((name, invert._Profile(proto, y),
                       list(range(len(proto.process_unknown_names))), None))
@@ -661,22 +656,17 @@ def _inner_solve_cases():
     joint = invert._Profile(proto, y)
     for k, (free, rows) in enumerate(invert._scan_stages(proto)):
         cases.append((f"V stage {k + 1}", joint, free, rows))
-    # each V block: its settings and coordinates of the full profile, the
-    # coordinates of the blocks before it held at the truth
-    coords = joint.layout.coordinates(truth[None, :])[0]
-    held = np.zeros_like(coords)
+    # each V block: its settings and coordinates of the full profile
     for b, (indices, names) in enumerate(invert.V_BLOCKS):
         cols = invert._free_coordinates(proto, names)
         free = [k for k, n in enumerate(proto.process_unknown_names)
                 if n in names]
-        cases.append((f"V block {b + 1}",
-                      invert._Profile(proto, y, cols, held.copy()), free,
-                      list(indices)))
-        held[cols] = coords[cols]
+        cases.append((f"V block {b + 1}", invert._Profile(proto, y, cols),
+                      free, list(indices)))
     out = []
     for label, profile, free, rows in cases:
         n = len(profile.lam_cols)
-        if not free:  # V block 3: one linear solve at the true strengths
+        if not free:  # A, V block 3: one linear solve at the true strengths
             out.append((label, profile, free, rows,
                         truth[profile.lam_cols][None, :]))
             continue
@@ -698,25 +688,32 @@ def _pinv_fit(profile, lam, rows, free):
     the Golub-Pereyra Jacobian, and per row the singular-value ratio
     sigma_min/sigma_max of A.  Columns of A that are zero at every row are
     left out: the pseudo-inverse of [A, 0] is [A⁺; 0], and leaving them in
-    only adds round-off of the SVD."""
+    only adds round-off of the SVD.  Both are formed from the SVD A = U S Vᵀ,
+    and P⊥ = I - U Uᵀ on the kept singular vectors: I - A A⁺ would lose
+    digits in proportion to the size of the coordinates, which the
+    rho00 constant makes large in V block 2 near lam2 = pi/2, 3*pi/2."""
     rows = slice(None) if rows is None else rows
     design, d_design = profile.layout.design_and_derivative(profile._at(lam))
     design, d_design = design[:, rows], d_design[:, rows][..., free]
     cols = [c for c in profile.cols if design[:, :, c].any()]
     a = design[:, :, cols]
-    y = profile.y[rows] - design @ profile.held
-    a_pinv = np.linalg.pinv(a, rcond=1e-10)
+    y = np.broadcast_to(profile.y[rows], a.shape[:2])
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    keep = sv > 1e-10 * sv[:, :1]
+    inv = np.zeros_like(sv)
+    inv[keep] = 1.0 / sv[keep]
+    a_pinv = np.einsum("pkc,pk,psk->pcs", vt, inv, u)
+    u = u * keep[:, None, :]
     kept = np.einsum("pcs,ps->pc", a_pinv, y)
     resid = np.einsum("psc,pc->ps", a, kept) - y
-    c_full = np.tile(profile.held, (len(lam), 1))
-    c_full[:, cols] += kept
+    c_full = np.zeros((len(lam), design.shape[2]))
+    c_full[:, cols] = kept
     v = np.einsum("psck,pc->psk", d_design, c_full)
-    v -= a @ (a_pinv @ v)
+    v -= u @ (np.swapaxes(u, 1, 2) @ v)
     w = np.einsum("psck,ps->pck", d_design[:, :, cols], resid)
     coords = np.zeros((len(lam), len(profile.cols)))
     coords[:, [profile.cols.index(c) for c in cols]] = kept
     jac = v - np.einsum("pcs,pck->psk", a_pinv, w)
-    sv = np.linalg.svd(a, compute_uv=False)
     ratio = (sv[:, -1] / sv[:, 0] if a.shape[1] >= a.shape[2]
              else np.zeros(len(lam)))
     return coords, resid, jac, ratio, np.abs(y).max(axis=1)
