@@ -14,11 +14,11 @@ Three routes are provided and cross-checked against each other:
   same profile objective, which checks that the scan of `reconstruct`
   reaches the global minimum.
 
-`block_solve_v` runs the same profile scan along the triangular information
-structure of the V-type protocol, each block as rows and columns of the
-one full profile: lam1 from ground-excited pair 1 on its own settings, then
-lam2 from pair 2 on its own settings and coordinates, then the whole state
-by one linear solve.  It must agree with the joint solve on exact data.
+The scan runs in stages derived from the protocol (`_scan_stages`).  On the
+V-type protocol they are its triangular blocks: lam1 on the settings and
+coordinates of ground-excited pair 1, then lam2 on those of pair 2.
+`reconstruct` refines their minima jointly on every setting; `block_solve_v`
+solves the state linearly at them instead.  The two must agree on exact data.
 
 The reflections lam_j -> 2*pi - lam_j are exact ties of the data, and every
 solver settles them by one rule, in one place: `resolve_twin_family`
@@ -51,7 +51,7 @@ from .errors import (DimensionMismatch, InvalidRange, RankDeficient,
 from .forward import ProtocolLayout, observed_values
 from .model import (COHERENCE_PAIRS, DensityParams, PHASE_NAMES, TWO_PI,
                     state_matrix, state_params_from_matrix, wrap_phase)
-from .protocol import NAMES, Protocol, UnknownParams, V_BLOCKS, split_values
+from .protocol import NAMES, Protocol, UnknownParams, split_values
 
 OBJECTIVES = ("least_squares", "poisson_mle")
 LAM_FLOOR = 1e-9
@@ -88,7 +88,9 @@ class ReconstructionResult:
     `reconstruct` the polish's projected gradient in its Cartesian
     coordinates and strengths (components held at a bound excluded), for
     `block_solve_v` the gradient in `names` (`objective_eval`).  The
-    Jacobian figures are those of the statistics in `names` at `x`."""
+    Jacobian figures are those of the statistics in `names` at `x`.
+    `n_starts_tried` counts the reflection-family members that
+    `resolve_twin_family` compared (the name is the result file's key)."""
 
     state: DensityParams
     unknowns: UnknownParams
@@ -365,6 +367,8 @@ REFINE_FTOL = 1e-8             # least relative gain of an accepted refine step
 SCAN_CHUNK = 1024              # profile points per design evaluation
 TIE_RTOL = 1e-9
 TIE_ATOL = 1e-18               # times max(1, |y|^2)
+SPARSE_RTOL = 1e-9             # sparse-coherence tie, times the objective
+SPARSE_ATOL = 1e-12            # sparse-coherence tie, times max(1, |y|^2)
 RANK_RTOL = 1e-10              # least singular value of the inner solve, times the largest
 
 
@@ -454,15 +458,13 @@ def _pinv_solve(a, y, d_a=None) -> tuple:
     return coords, resid, v - np.einsum("pcs,pck->psk", a_pinv, w)
 
 
-def _free_coordinates(protocol: Protocol, names=None) -> list:
-    """Cartesian coordinates, in order, that the state parameters `names`
-    (default: the declared unknowns; gamma and beta names alike) move: a
-    population its own, a magnitude its pair's x, and with the pair's phase
-    its y too.  The rest stay at zero, as the layout holds undeclared
-    parameters at zero."""
+def _free_coordinates(protocol: Protocol) -> list:
+    """Cartesian coordinates, in order, that the declared unknowns (gamma
+    and beta names alike) move: a population its own, a magnitude its
+    pair's x, and with the pair's phase its y too.  The rest stay at zero,
+    as the layout holds undeclared parameters at zero."""
     dim = protocol.dim
-    slots = {NAMES[dim][n][:2] for n in
-             (protocol.unknown_names if names is None else names)}
+    slots = {NAMES[dim][n][:2] for n in protocol.unknown_names}
     cols = [i for i in range(dim) if ("pop", i) in slots]
     for k in range(len(COHERENCE_PAIRS[dim])):
         if ("mag", k) in slots:
@@ -501,48 +503,37 @@ class _Profile:
         c_full[:, self.cols] = coords
         return c_full
 
-    def fit(self, lam, rows=None, free=None):
-        """Coordinates (P, C) and residual vectors (P, S) at each row of lam,
-        fit on the settings `rows` (default all).
+    def fit(self, lam, rows=None, cols=None, free=None):
+        """Coordinates (P, len(cols)) and residual vectors (P, S) at each
+        row of lam, fit on the settings `rows` (default all) with the
+        coordinates `cols` (default the profile's `cols`), the others at 0.
 
         With `free` (strength indices) also the Jacobian of the residuals in
         those strengths, (P, S, len(free)), in the full variable-projection
         form of Golub & Pereyra (Inverse Problems 19, R1, 2003):
         P⊥ (∂D/∂lam) c_full - (A⁺)ᵀ (∂A/∂lam)ᵀ r, where D is the design,
         A its columns `cols`, c_full the fitted coordinates on `cols` and 0
-        elsewhere, and P⊥ = I - A A⁺, all on `rows`.
-
-        Columns of A that are exactly zero at every row of lam are dropped
-        and their coordinates left at zero, as the minimum-norm solution
-        does; the rest is solved by `_lstsq`, a batched Householder QR with
-        the pseudo-inverse for rows that fail its rank test.
+        elsewhere, and P⊥ = I - A A⁺, all on `rows`.  The least squares is
+        `_lstsq`, a batched Householder QR with the pseudo-inverse, which
+        gives the minimum-norm coordinates, for rows that fail its rank
+        test.
         """
         x = self._at(np.atleast_2d(lam))
         rows = slice(None) if rows is None else rows
-        d_a = None
+        cols = self.cols if cols is None else cols
         if free is None:
-            design = self.layout.design(x)[:, rows]
+            design, d_a = self.layout.design(x)[:, rows], None
         else:
             design, d_design = self.layout.design_and_derivative(x)
-            design, d_design = design[:, rows], d_design[:, rows][..., free]
-        a = design[:, :, self.cols]
-        kept = a.any(axis=(0, 1))
-        if not kept.all():
-            a = a[..., kept]
-        if free is not None:
-            d_a = d_design[:, :, np.asarray(self.cols)[kept]]
-        y = np.broadcast_to(self.y[rows], a.shape[:2])
-        coords, *out = _lstsq(a, y, d_a)
-        if not kept.all():
-            full = np.zeros((len(a), len(self.cols)))
-            full[:, kept] = coords
-            coords = full
-        return (coords, *out)
+            design = design[:, rows]
+            d_a = d_design[:, rows][:, :, cols][..., free]
+        a = design[:, :, cols]
+        return _lstsq(a, np.broadcast_to(self.y[rows], a.shape[:2]), d_a)
 
-    def objective(self, lam, rows=None) -> np.ndarray:
-        """Profile least-squares objective at each row of lam."""
+    def objective(self, lam, rows=None, cols=None) -> np.ndarray:
+        """Profile least-squares objective at each row of lam (see `fit`)."""
         return np.concatenate([
-            (self.fit(lam[i:i + SCAN_CHUNK], rows)[1] ** 2).sum(axis=1)
+            (self.fit(lam[i:i + SCAN_CHUNK], rows, cols)[1] ** 2).sum(axis=1)
             for i in range(0, len(lam), SCAN_CHUNK)])
 
     def model(self, z, jacobian=False):
@@ -597,22 +588,22 @@ class _Profile:
                 out[k] = next(lam_values)
         return out
 
-    def refine(self, lam, free, rows=None):
-        """`_damped_gauss_newton` on the projected residual of `fit` over the
-        strengths `free` from each row of lam (the other strengths are the
-        same in every row); returns the end points and their objectives on
-        `rows`.  A start also stops on an accepted step that gains at most
-        REFINE_FTOL of its objective: one that creeps towards a degenerate
-        strength (lam -> 0, 2*pi, or pi where sin(lam) silences settings)
-        gains that little per step, one that converges to a root orders of
-        magnitude more.
+    def refine(self, lam, free, rows=None, cols=None):
+        """`_damped_gauss_newton` on the projected residual of `fit` on
+        `rows` and `cols` over the strengths `free` from each row of lam
+        (the other strengths are the same in every row); returns the end
+        points and their objectives.  A start also stops on an accepted
+        step that gains at most REFINE_FTOL of its objective: one that
+        creeps towards a degenerate strength (lam -> 0, 2*pi, or pi where
+        sin(lam) silences settings) gains that little per step, one that
+        converges to a root orders of magnitude more.
         """
         lam = np.array(lam, dtype=float)
 
         def residual(z):
             at = np.tile(lam[0], (len(z), 1))
             at[:, free] = z
-            return self.fit(at, rows, free)[1:]
+            return self.fit(at, rows, cols, free)[1:]
 
         lam[:, free], f, _, _ = _damped_gauss_newton(
             residual, lam[:, free], LAM_FLOOR, TWO_PI, 0.0, "least_squares",
@@ -620,23 +611,36 @@ class _Profile:
         return lam, f
 
 
-def _scan_stages(protocol: Protocol) -> list:
-    """Strength groups scanned in turn, each with the settings it is fit on.
+def _scan_stages(profile: _Profile) -> list:
+    """The blocks the profile is scanned on in turn, derived from its
+    protocol: [(strength indices, setting rows, coordinates)].
 
-    When every strength has settings of its own, each gets a 1-D scan on the
-    settings that involve no strength scanned later (V: lam1 on settings
-    0-4, then lam2 with lam1 held, on all settings: settings 5-8 alone fit
-    their four coordinates, rho00 included, exactly at every lam2, and
-    settings 9-10 add as many equations as coordinates).  Otherwise the
-    strengths are scanned jointly on every setting (C-alt: lam_z appears
-    only next to lam_c).  Returns [(strength indices, setting rows)].
+    When every strength has settings that drive it alone, each strength is
+    a stage on those settings (the first also on the settings that drive
+    none) and on the coordinates of `cols` they move that no earlier stage
+    moved; a column moves when it is non-zero at the generic probe points
+    of `identify.structural_zero_columns`.  On V that is block 1 (lam1;
+    settings 0-4; rho00, rho11, x01, y01) and block 2 (lam2; settings 5-8;
+    rho22, x02, y02).  Leaving rho00 out of block 2 keeps its residual: on
+    a setting that drives one coupling 0-k the rho00 column is 1 minus the
+    rho_kk column, and the constant lies in the span of the block's columns
+    at every lam2 but pi/2, pi and 3*pi/2.  Otherwise the strengths are one
+    joint stage on every setting and coordinate (C-alt).
     """
+    protocol = profile.layout.protocol
     lams = protocol.process_unknown_names
     deps = [s.driven_strengths() & set(lams) for s in protocol.settings]
     if not all(any(d == {n} for d in deps) for n in lams):
-        return [(list(range(len(lams))), None)] if lams else []
-    return [([k], [i for i, d in enumerate(deps) if d <= set(lams[:k + 1])])
-            for k in range(len(lams))]
+        return [(list(range(len(lams))), None, profile.cols)]
+    moves = profile.layout.design(identify._probe_vectors(protocol)).any(axis=0)
+    stages, moved = [], set()
+    for k, name in enumerate(lams):
+        rows = [i for i, d in enumerate(deps) if d == {name} or not (k or d)]
+        cols = [c for c in profile.cols
+                if c not in moved and moves[rows, c].any()]
+        moved.update(cols)
+        stages.append(([k], rows, cols))
+    return stages
 
 
 def _grid_minima(f: np.ndarray, n: int) -> np.ndarray:
@@ -669,22 +673,31 @@ def _best_minimum(cand: np.ndarray, f: np.ndarray, scale: float) -> int:
 
 
 def _scan(profile: _Profile, stages) -> np.ndarray:
-    """Refined profile minima, one row of strengths each."""
-    n_lam = len(profile.lam_cols)
-    lam = np.full(n_lam, math.pi / 2)  # placeholder for strengths not yet scanned
+    """Refined profile minima of the last of `stages` (`_scan_stages`), one
+    row of strengths each; the strengths of an earlier stage are at its
+    best minimum."""
+    lam = np.full(len(profile.lam_cols), math.pi / 2)  # not yet scanned
     cand = lam[None, :]
-    for free, rows in stages:
+    for free, rows, cols in stages:
         g = SCAN_POINTS[len(free)]
         axis = TWO_PI * (np.arange(g) + 0.5) / g
         grid = np.stack(np.meshgrid(*[axis] * len(free), indexing="ij"), axis=-1)
         pts = np.tile(lam, (g ** len(free), 1))
         pts[:, free] = grid.reshape(-1, len(free))
-        f = profile.objective(pts, rows)
+        f = profile.objective(pts, rows, cols)
         starts = pts[_grid_minima(f.reshape((g,) * len(free)), N_REFINE)]
-        cand, f_cand = profile.refine(starts, free, rows)
+        cand, f_cand = profile.refine(starts, free, rows, cols)
         lam = cand[_best_minimum(cand, f_cand, profile.scale)]
+    return cand
+
+
+def _search(profile: _Profile) -> np.ndarray:
+    """The profile minima of `reconstruct`: the staged scan, then after
+    several stages a joint refine on every setting and coordinate."""
+    stages = _scan_stages(profile)
+    cand = _scan(profile, stages)
     if len(stages) > 1:
-        cand, _ = profile.refine(cand, list(range(n_lam)))
+        cand, _ = profile.refine(cand, list(range(len(profile.lam_cols))))
     return cand
 
 
@@ -705,7 +718,7 @@ def _scan(profile: _Profile, stages) -> np.ndarray:
 # the strengths alone and re-solves the Cartesian state linearly, which
 # finds the negated coherence.  Every solver settles the tie through it:
 # `reconstruct` and `prefer_sparse_coherences` on their profile minima,
-# `block_solve_v` on its block fits' strengths and `grid_oracle` on its
+# `block_solve_v` on the minima of its staged scan and `grid_oracle` on its
 # grid's incumbent (`_settle_twins`).  Among exact ties the rule of
 # `_branch_key` decides; otherwise the data do.
 
@@ -783,15 +796,15 @@ def prefer_sparse_coherences(protocol: Protocol, x: np.ndarray, f: float,
     """
     dim = protocol.dim
     slots = [NAMES[dim][n][:2] for n in protocol.unknown_names]
-    tie_tol = max(1e-12 * max(1.0, float((y ** 2).sum())), 1e-9 * abs(f))
+    tie_tol = max(SPARSE_ATOL * max(1.0, float((y ** 2).sum())),
+                  SPARSE_RTOL * abs(f))
     cols = _free_coordinates(protocol)
     for k in range(len(COHERENCE_PAIRS[dim])):
         if ("mag", k) not in slots or x[slots.index(("mag", k))] <= TINY_MAG:
             continue
         keep = [c for c in cols if c not in (dim + 2 * k, dim + 2 * k + 1)]
         profile = _Profile(protocol, y, keep)
-        x_cand, f_cand, _ = _settle_twins(
-            profile, _scan(profile, _scan_stages(protocol)), kind)
+        x_cand, f_cand, _ = _settle_twins(profile, _search(profile), kind)
         if f_cand <= f + tie_tol:
             x, f, cols = x_cand, f_cand, keep
     return x, float(f)
@@ -869,12 +882,15 @@ def reconstruct(counts, protocol: Protocol,
     1. Scan.  At fixed strengths the state is solved by linear least squares
        in its Cartesian coordinates, which leaves a profile objective over
        the 0, 1 or 2 strengths.  It is evaluated on a grid over (0, 2*pi]
-       per strength (SCAN_POINTS per axis) in the stages of `_scan_stages`:
-       V scans lam1 on settings 0-4 and then lam2, C-alt scans
-       (lam_c, lam_z) jointly, and a protocol without strengths (A) is a
-       single linear solve.  The N_REFINE lowest grid minima of each stage
-       are refined by damped Gauss-Newton on the projected residual, with
-       its closed-form Jacobian; a start whose steps stall stops early.
+       per strength (SCAN_POINTS per axis) in the stages of `_scan_stages`,
+       each on its own settings and coordinates: V scans lam1 on block 1
+       and then lam2 on block 2, C-alt scans (lam_c, lam_z) jointly on
+       every setting, and a protocol without strengths (A) is a single
+       linear solve.  The N_REFINE lowest grid minima of each stage are
+       refined by damped Gauss-Newton on the projected residual, with its
+       closed-form Jacobian; a start whose steps stall stops early.  After
+       more than one stage the minima of the last are refined jointly, in
+       every strength on every setting (`_search`).
     2. Branch rule.  The best minimum, its reflections lam_j -> 2*pi - lam_j
        and any other refined minimum are compared; among those tied with
        the lowest objective the member chosen is physical first, then has
@@ -896,8 +912,7 @@ def reconstruct(counts, protocol: Protocol,
     y = _count_vector(counts, protocol)
     _check_structure(protocol)
     profile = _Profile(protocol, y)
-    z0, n_members = resolve_twin_family(
-        profile, _scan(profile, _scan_stages(protocol)))
+    z0, n_members = resolve_twin_family(profile, _search(profile))
     outcome = _lm_multistart(profile, y, z0, options.objective, options)
     return _package_result(protocol, outcome.x, outcome.f, outcome.gradient_norm,
                            n_members, outcome.converged, options.objective, y=y)
@@ -919,48 +934,31 @@ def polish(counts, protocol: Protocol, x0, options: SolverOptions = None
 # ---------------------------------------------------------------------------
 
 
-def _block_fit(profile: _Profile, k: int, rows) -> float:
-    """Strength k of the best minimum of the profile scan of strength k on
-    the settings `rows` alone."""
-    rows = list(rows)
-    cand = _scan(profile, [([k], rows)])
-    resid = profile.fit(cand, rows)[1]
-    return cand[_best_minimum(cand, (resid ** 2).sum(axis=1), profile.scale), k]
-
-
 def block_solve_v(counts, protocol: Protocol,
                   options: SolverOptions = None) -> ReconstructionResult:
     """Solve the V-type protocol block by block along its triangular structure.
 
-    Every block is a set of rows of the one full profile of `reconstruct`.
-    Block 1 (settings 0-4: rho00, rho11, rho01, lam1, gamma01) is fit on its
-    own settings by the profile scan, which finds lam1; block 2 (settings
-    5-8: rho22, rho02, lam2, gamma02) likewise, on a profile that moves only
-    its own coordinates, which finds lam2.  Of block 1 only rho00 enters
-    settings 5-8, and there its column is 1 minus the rho22 column, with
-    the constant in the span of block 2's columns at every lam2 but pi/2,
-    pi and 3*pi/2, so block 1's state shifts block 2's coordinates but not
-    its residual, and is not held.  The state is then one linear
-    least-squares solve over all settings at those strengths and at each of
-    their reflections, and the member is picked by the rule of
-    `reconstruct` (`_settle_twins`).  V is square, so at the block fits'
+    The profile scan of `reconstruct` runs in its stages (`_scan_stages`):
+    block 1 finds lam1 on the settings that drive it alone (rho00, rho11
+    and the 0-1 pair), then block 2 finds lam2 on its own (rho22 and the
+    0-2 pair).  Their minima are not refined jointly.  The state is then one
+    linear least-squares solve over all settings at those strengths and at
+    each of their reflections, and the member is picked by the rule of
+    `reconstruct` (`_settle_twins`).  V is square, so at the blocks'
     strengths this solve reproduces the blocks' state and fits the
-    excited-excited coherence (block 3, settings 9-10) exactly.  No stage
-    runs the polish, so this is a different decomposition from the joint
-    solve, and on exact data the two must agree.  The fits are least
-    squares; `options.objective` sets the reported residual and gradient,
-    and `converged` reports whether that gradient meets GRAD_TOL.
+    excited-excited coherence (block 3, the settings that drive both
+    couplings) exactly.  No stage runs the joint refine or the polish, so
+    on exact data the agreement with `reconstruct` checks those.  The fits
+    are least squares; `options.objective` sets the reported residual and
+    gradient, and `converged` reports whether that gradient meets GRAD_TOL.
     """
     options = options or SolverOptions()
     if protocol.name.split("~")[0] != "V" or protocol.dim != 3:
         raise InvalidRange("block solve is defined for the V-type protocol")
     y = _count_vector(counts, protocol)
-    joint = _Profile(protocol, y)
-    lam1 = _block_fit(joint, 0, V_BLOCKS[0][0])
-    rows, names = V_BLOCKS[1]
-    lam2 = _block_fit(_Profile(protocol, y, _free_coordinates(protocol, names)),
-                      1, rows)
-    x, _, n_members = _settle_twins(joint, np.array([[lam1, lam2]]))
+    profile = _Profile(protocol, y)
+    x, _, n_members = _settle_twins(
+        profile, _scan(profile, _scan_stages(profile)))
     f, grad = objective_eval(x, y, protocol, options.objective)
     gnorm = float(np.abs(grad).max())
     converged = gnorm <= GRAD_TOL * max(1.0, float((y ** 2).sum()))

@@ -321,14 +321,6 @@ def scenario_names() -> tuple:
     return ("A", "B", "C", "C-alt", "V")
 
 
-# Blocks of scenario V: (setting indices, unknown names), in solve order.
-V_BLOCKS = (
-    (tuple(range(0, 5)), ("rho00", "rho11", "rho01", "lam1", "gamma01")),
-    (tuple(range(5, 9)), ("rho22", "rho02", "lam2", "gamma02")),
-    (tuple(range(9, 11)), ("rho12", "gamma12")),
-)
-
-
 def resolve(setting: MeasurementSetting, unknowns: UnknownParams,
             phase_ref=None) -> GeneratorParams:
     """Resolve a setting's controls against the process unknowns.

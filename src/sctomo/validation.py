@@ -579,5 +579,14 @@ def conventions_report() -> str:
         " are exact ties; among them the physical member comes first, then",
         " the one with the fewest strengths above pi, then the order offered.",
         "",
+        "Sparse-coherence rule (a vanished coherence leaves a curve of exact",
+        " fits): when the Jacobian at the solution is near-singular, each",
+        " coherence pair in turn is refit without its coordinates, and that",
+        " zero-coherence member is adopted when its objective is at most",
+        f" f + max({invert.SPARSE_ATOL:g} * max(1, |y|^2), "
+        f"{invert.SPARSE_RTOL:g} * |f|), f the objective so",
+        " far; its phase is then undefined.  Among the exact fits left on the",
+        " curve, the order offered decides.",
+        "",
     ]
     return "\n".join(lines)

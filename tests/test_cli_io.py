@@ -250,6 +250,9 @@ def test_validate_command_plumbing(tmp_path, monkeypatch, capsys):
     assert "Branch rule for exact ties" in text
     assert (f"max({invert.TIE_RTOL:g} * lowest, "
             f"{invert.TIE_ATOL:g} * max(1, |y|^2))") in text
+    assert "Sparse-coherence rule" in text
+    assert (f"f + max({invert.SPARSE_ATOL:g} * max(1, |y|^2), "
+            f"{invert.SPARSE_RTOL:g} * |f|)") in text
 
     def failing_suite(suite, seed):
         return [validation.CheckResult("1", "alpha", False, "broken")]

@@ -12,7 +12,7 @@ from sctomo.forward import NoiseModel, predicted_statistics, simulate_counts
 from sctomo.invert import (SolverOptions, block_solve_v, grid_oracle,
                            linear_invert, objective_eval, polish, reconstruct)
 from sctomo.model import circular_distance, qubit_state, vtype_state
-from sctomo.protocol import (pack_values, qubit_unknowns, scenario,
+from sctomo.protocol import (Protocol, pack_values, qubit_unknowns, scenario,
                              vtype_unknowns, with_unknown_phase)
 from sctomo.validation import max_param_error, sample_truth
 
@@ -208,6 +208,51 @@ def test_block_solve_matches_joint():
         assert max_param_error(proto.unknown_names, block.x, joint.x) < 1e-6
 
 
+# scenario V with its settings reordered: block 1 is settings 0, 7-10 and
+# block 2 settings 3-6
+V_REORDER = [0, 9, 10, 5, 6, 7, 8, 1, 2, 3, 4]
+
+
+def _reordered_v():
+    v = scenario("V")
+    return Protocol("V", 3, tuple(v.settings[i] for i in V_REORDER),
+                    v.unknown_names)
+
+
+def test_scan_stages_follow_the_protocol():
+    # (strengths, setting rows, coordinates) per stage, derived from the
+    # settings and not from their order
+    b_stage = ([0], [0, 1, 2, 3, 4], [0, 1, 2, 3])
+    v_blocks = [([0], [0, 1, 2, 3, 4], [0, 1, 3, 4]),
+                ([1], [5, 6, 7, 8], [2, 5, 6])]
+    cases = {
+        "A": (scenario("A"), []),
+        "B": (scenario("B"), [b_stage]),
+        "B~beta": (with_unknown_phase(scenario("B")), [b_stage]),
+        "C-alt": (scenario("C-alt"), [([0, 1], None, [0, 1, 2, 3])]),
+        "V": (scenario("V"), v_blocks),
+        "V~beta": (with_unknown_phase(scenario("V")), v_blocks),
+        "V reordered": (_reordered_v(), [
+            (free, sorted(V_REORDER.index(i) for i in rows), cols)
+            for free, rows, cols in v_blocks]),
+    }
+    for label, (proto, stages) in cases.items():
+        profile = invert._Profile(proto, np.zeros(proto.n_settings))
+        assert invert._scan_stages(profile) == stages, label
+
+
+def test_block_solve_follows_reordered_settings():
+    # a literal table of V's setting blocks sent block_solve_v to a wrong
+    # root here (parameter error 15) while reconstruct was exact
+    proto = _reordered_v()
+    state, unknowns = sample_truth("V", np.random.default_rng(52))
+    counts = predicted_statistics(proto, state, unknowns)
+    expected = pack_values(proto.unknown_names, state, unknowns)
+    for solve in (reconstruct, block_solve_v):
+        assert max_param_error(proto.unknown_names, solve(counts, proto).x,
+                               expected) < 1e-8, solve.__name__
+
+
 @pytest.mark.filterwarnings("ignore::sctomo.errors.SingularAtSolutionWarning")
 def test_block_solve_zero_02_coherence():
     proto = scenario("V")
@@ -400,28 +445,26 @@ def test_profile_jacobian_matches_differences_of_residual():
     # noisy counts, so that no point below fits them exactly
     counts = predicted_statistics(proto, state, unknowns) \
         + 1e-2 * rng.standard_normal(proto.n_settings)
-    # the profile of V block 2: settings 5-8 and its own coordinates
-    full_v = invert._Profile(proto, counts)
-    indices, names = invert.V_BLOCKS[1]
-    block2 = invert._Profile(proto, counts,
-                             invert._free_coordinates(proto, names))
+    profile = invert._Profile(proto, counts)
+    (_, rows1, cols1), (_, rows2, cols2) = invert._scan_stages(profile)
     cases = [
-        (block2, np.column_stack([np.full(6, 1.1), rng.uniform(0.3, 2.8, 6)]),
-         [1], list(indices)),
-        # the V scan's first stage: lam1 on settings 0-4, lam2 held
-        (full_v, np.column_stack([rng.uniform(0.3, 2.8, 6), np.full(6, 1.1)]),
-         [0], [0, 1, 2, 3, 4]),
-        (full_v, rng.uniform(0.3, 2.8, (6, 2)), [0, 1], [0, 5, 6, 7, 8, 9, 10]),
-        (full_v, rng.uniform(0.3, 2.8, (6, 2)), [0, 1], None),
+        # V block 2: lam2 on its settings and coordinates, lam1 held
+        (np.column_stack([np.full(6, 1.1), rng.uniform(0.3, 2.8, 6)]),
+         [1], rows2, cols2),
+        # V block 1: lam1 on its settings and coordinates, lam2 held
+        (np.column_stack([rng.uniform(0.3, 2.8, 6), np.full(6, 1.1)]),
+         [0], rows1, cols1),
+        (rng.uniform(0.3, 2.8, (6, 2)), [0, 1], [0, 5, 6, 7, 8, 9, 10], None),
+        (rng.uniform(0.3, 2.8, (6, 2)), [0, 1], None, None),
     ]
-    for profile, lam, free, rows in cases:
-        coords, resid, jac = profile.fit(lam, rows, free)
+    for lam, free, rows, cols in cases:
+        coords, resid, jac = profile.fit(lam, rows, cols, free)
         assert (resid ** 2).sum(axis=1).min() > 1e-8
-        fd, _ = central_differences(lambda p: profile.fit(p, rows)[1], lam,
-                                    free)
+        fd, _ = central_differences(
+            lambda p: profile.fit(p, rows, cols)[1], lam, free)
         assert jac.shape == fd.shape
         assert np.abs(jac - fd).max() <= 1e-6
-        c2, r2 = profile.fit(lam, rows)
+        c2, r2 = profile.fit(lam, rows, cols)
         assert np.array_equal(c2, coords) and np.array_equal(r2, resid)
 
 
@@ -507,11 +550,10 @@ def test_stall_stop_keeps_the_best_minimum(monkeypatch, name):
         state, unknowns = sample_truth(name, rng)
         counts = predicted_statistics(proto, state, unknowns)
         profile = invert._Profile(proto, counts)
-        stages = invert._scan_stages(proto)
         runs = []
         for ftol in (0.0, invert.REFINE_FTOL):
             monkeypatch.setattr(invert, "REFINE_FTOL", ftol)
-            cand = invert._scan(profile, stages)
+            cand = invert._search(profile)
             f = profile.objective(cand)
             best = invert._best_minimum(cand, f, profile.scale)
             runs.append((cand[best], f[best], reconstruct(counts, proto).x))
@@ -632,43 +674,32 @@ def test_poisson_polish_takes_a_zero_count_at_a_zero_statistic():
 
 
 def _inner_solve_cases():
-    """(label, profile, free strengths, setting rows) for A, B, C-alt,
-    each stage of the V scan and each V block, on noisy counts (so that no
-    residual is zero), with strength rows from default_rng(8): 32 random
-    ones at least 0.3 from 0, pi and 2*pi, then degenerate ones, every
-    strength or one at a time at LAM_FLOOR, pi and 2*pi.  A and V block 3
-    free no strength and get the one row of true strengths (none for A)."""
+    """(label, profile, free strengths, setting rows, coordinates, strength
+    rows) for the whole profile of A, B, C-alt and V and each stage of the
+    V scan, on noisy counts (so that no residual is zero), with strength
+    rows from default_rng(8): 32 random ones at least 0.3 from 0, pi and
+    2*pi, then degenerate ones, every strength or one at a time at
+    LAM_FLOOR, pi and 2*pi.  A frees no strength and gets one empty row."""
     rng = np.random.default_rng(8)
 
     def noisy(name):
         proto = scenario(name)
         state, unknowns = sample_truth(name, rng)
         y = predicted_statistics(proto, state, unknowns)
-        truth = pack_values(proto.unknown_names, state, unknowns)
-        return proto, y + 1e-2 * rng.standard_normal(y.size), truth
+        return invert._Profile(proto, y + 1e-2 * rng.standard_normal(y.size))
 
     cases = []
-    for name in ("A", "B", "C-alt"):
-        proto, y, _ = noisy(name)
-        cases.append((name, invert._Profile(proto, y),
-                      list(range(len(proto.process_unknown_names))), None))
-    proto, y, truth = noisy("V")
-    joint = invert._Profile(proto, y)
-    for k, (free, rows) in enumerate(invert._scan_stages(proto)):
-        cases.append((f"V stage {k + 1}", joint, free, rows))
-    # each V block: its settings and coordinates of the full profile
-    for b, (indices, names) in enumerate(invert.V_BLOCKS):
-        cols = invert._free_coordinates(proto, names)
-        free = [k for k, n in enumerate(proto.process_unknown_names)
-                if n in names]
-        cases.append((f"V block {b + 1}", invert._Profile(proto, y, cols),
-                      free, list(indices)))
+    for name in ("A", "B", "C-alt", "V"):
+        profile = noisy(name)
+        cases.append((name, profile, list(range(len(profile.lam_cols))),
+                      None, None))
+    for k, stage in enumerate(invert._scan_stages(profile)):
+        cases.append((f"V stage {k + 1}", profile) + stage)
     out = []
-    for label, profile, free, rows in cases:
+    for label, profile, free, rows, cols in cases:
         n = len(profile.lam_cols)
-        if not free:  # A, V block 3: one linear solve at the true strengths
-            out.append((label, profile, free, rows,
-                        truth[profile.lam_cols][None, :]))
+        if not free:  # A: one linear solve
+            out.append((label, profile, free, rows, cols, np.zeros((1, 0))))
             continue
         lam = (rng.uniform(0.3, math.pi - 0.3, (32, n))
                + math.pi * rng.integers(0, 2, (32, n)))
@@ -679,23 +710,21 @@ def _inner_solve_cases():
                 row = np.full(n, 1.1)
                 row[j] = value
                 degenerate.append(row)
-        out.append((label, profile, free, rows, np.vstack([lam, degenerate])))
+        out.append((label, profile, free, rows, cols,
+                    np.vstack([lam, degenerate])))
     return out
 
 
-def _pinv_fit(profile, lam, rows, free):
+def _pinv_fit(profile, lam, rows, cols, free):
     """The variable-projection fit by the pseudo-inverse (cutoff 1e-10) with
     the Golub-Pereyra Jacobian, and per row the singular-value ratio
-    sigma_min/sigma_max of A.  Columns of A that are zero at every row are
-    left out: the pseudo-inverse of [A, 0] is [A⁺; 0], and leaving them in
-    only adds round-off of the SVD.  Both are formed from the SVD A = U S Vᵀ,
+    sigma_min/sigma_max of A.  Both are formed from the SVD A = U S Vᵀ,
     and P⊥ = I - U Uᵀ on the kept singular vectors: I - A A⁺ would lose
-    digits in proportion to the size of the coordinates, which the
-    rho00 constant makes large in V block 2 near lam2 = pi/2, 3*pi/2."""
+    digits in proportion to the size of the coordinates."""
     rows = slice(None) if rows is None else rows
+    cols = profile.cols if cols is None else cols
     design, d_design = profile.layout.design_and_derivative(profile._at(lam))
     design, d_design = design[:, rows], d_design[:, rows][..., free]
-    cols = [c for c in profile.cols if design[:, :, c].any()]
     a = design[:, :, cols]
     y = np.broadcast_to(profile.y[rows], a.shape[:2])
     u, sv, vt = np.linalg.svd(a, full_matrices=False)
@@ -704,15 +733,13 @@ def _pinv_fit(profile, lam, rows, free):
     inv[keep] = 1.0 / sv[keep]
     a_pinv = np.einsum("pkc,pk,psk->pcs", vt, inv, u)
     u = u * keep[:, None, :]
-    kept = np.einsum("pcs,ps->pc", a_pinv, y)
-    resid = np.einsum("psc,pc->ps", a, kept) - y
+    coords = np.einsum("pcs,ps->pc", a_pinv, y)
+    resid = np.einsum("psc,pc->ps", a, coords) - y
     c_full = np.zeros((len(lam), design.shape[2]))
-    c_full[:, cols] = kept
+    c_full[:, cols] = coords
     v = np.einsum("psck,pc->psk", d_design, c_full)
     v -= u @ (np.swapaxes(u, 1, 2) @ v)
     w = np.einsum("psck,ps->pck", d_design[:, :, cols], resid)
-    coords = np.zeros((len(lam), len(profile.cols)))
-    coords[:, [profile.cols.index(c) for c in cols]] = kept
     jac = v - np.einsum("pcs,pck->psk", a_pinv, w)
     ratio = (sv[:, -1] / sv[:, 0] if a.shape[1] >= a.shape[2]
              else np.zeros(len(lam)))
@@ -727,19 +754,19 @@ def test_inner_solve_matches_pinv_reference():
     # The Jacobian is checked to its own size on the well-conditioned rows
     # (ratio > 1e-6): on the rest it is dominated by round-off of the
     # coordinates, in the reference as much as in `fit`.
-    for label, profile, free, rows, lam in _inner_solve_cases():
-        coords, resid, jac = (profile.fit(lam, rows, free) if free
-                              else profile.fit(lam, rows) + (None,))
+    for label, profile, free, rows, cols, lam in _inner_solve_cases():
+        coords, resid, jac = (profile.fit(lam, rows, cols, free) if free
+                              else profile.fit(lam, rows, cols) + (None,))
         ref_c, ref_r, ref_j, ratio, y_size = _pinv_fit(profile, lam, rows,
-                                                       free)
+                                                       cols, free)
         c_scale = np.maximum(1.0, np.abs(ref_c).max(axis=1))
         assert (np.abs(coords - ref_c).max(axis=1) <= 1e-10 * c_scale).all(), label
         assert (np.abs(resid - ref_r).max(axis=1) <= 1e-10 * y_size).all(), label
         truncated = ratio <= invert.RANK_RTOL
         if truncated.any():
             a = profile.layout.design(profile._at(lam[truncated]))
-            a = a[:, slice(None) if rows is None else rows][:, :, profile.cols]
-            a = a[..., a.any(axis=(0, 1))]
+            a = a[:, slice(None) if rows is None else rows]
+            a = a[:, :, profile.cols if cols is None else cols]
             if a.shape[1] >= a.shape[2]:
                 assert not invert._full_rank(np.linalg.qr(a)[1])[0].any(), label
         well = ratio > 1e-6
@@ -774,13 +801,13 @@ def test_inner_solve_rank_test_uses_singular_values_not_pivots():
 
 def test_inner_solve_jacobian_matches_differences_of_residual():
     from sctomo.identify import central_differences
-    for label, profile, free, rows, lam in _inner_solve_cases():
+    for label, profile, free, rows, cols, lam in _inner_solve_cases():
         if not free:
             continue
         lam = lam[:32]  # the rows away from the degenerate strengths
-        jac = profile.fit(lam, rows, free)[2]
-        fd, _ = central_differences(lambda p: profile.fit(p, rows)[1], lam,
-                                    free)
+        jac = profile.fit(lam, rows, cols, free)[2]
+        fd, _ = central_differences(
+            lambda p: profile.fit(p, rows, cols)[1], lam, free)
         assert np.abs(jac - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max()), label
 
 

@@ -141,7 +141,7 @@ def test_name_table_decodes_every_unknown_once():
     # coordinates, the beta name to its state phase's, with sign -1 for a
     # ground-excited pair; phase_known is read from the names
     from sctomo.invert import _free_coordinates
-    from sctomo.protocol import GAMMA_ORDER, NAMES, PHASE_TO_BETA, V_BLOCKS
+    from sctomo.protocol import GAMMA_ORDER, NAMES
     for name, names in GAMMA_ORDER.items():
         proto, beta = scenario(name), with_unknown_phase(scenario(name))
         table = NAMES[proto.dim]
@@ -154,14 +154,10 @@ def test_name_table_decodes_every_unknown_once():
         # the Cartesian coordinates the unknowns move
         cols = [0, 1, 2, 3] if proto.dim == 2 else list(range(9))
         assert _free_coordinates(proto) == _free_coordinates(beta) == cols
-    v, v_beta = scenario("V"), with_unknown_phase(scenario("V"))
-    for (_, names), cols in zip(V_BLOCKS, ([0, 1, 3, 4], [2, 5, 6], [7, 8])):
-        assert _free_coordinates(v, names) == cols
-        assert _free_coordinates(
-            v_beta, [PHASE_TO_BETA.get(n, n) for n in names]) == cols
     # a magnitude without its phase moves x alone
-    assert _free_coordinates(scenario("B"), ("rho01", "rho11")) == [1, 2]
     settings = scenario("B").settings
+    assert _free_coordinates(
+        Protocol("B", 2, settings, ("rho01", "rho11", "lam_c"))) == [1, 2]
     for names in (("rho00", "rho10", "rho11", "lam_c"),
                   ("rho00", "rho01", "rho11", "gamma", "beta")):
         with pytest.raises(InvalidRange):
