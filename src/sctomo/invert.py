@@ -14,11 +14,14 @@ Three routes are provided and cross-checked against each other:
   same profile objective, which checks that the scan of `reconstruct`
   reaches the global minimum.
 
-The scan runs in stages derived from the protocol (`_scan_stages`).  On the
-V-type protocol they are its triangular blocks: lam1 on the settings and
-coordinates of ground-excited pair 1, then lam2 on those of pair 2.
-`reconstruct` refines their minima jointly on every setting; `block_solve_v`
-solves the state linearly at them instead.  The two must agree on exact data.
+The scan runs in stages derived from the protocol (`_scan_stages`) and
+solves them by back-substitution (`_scan`).  On the V-type protocol they are
+its triangular blocks: lam1 on the settings and coordinates of
+ground-excited pair 1, then lam2 on those of pair 2 with pair 1's fit held.
+A stage that fits the data exactly along a whole curve of strengths (a
+vanished coherence) is re-solved with that coherence at zero.
+`reconstruct` polishes the scan's solution jointly and `block_solve_v`
+does not; the two must agree on exact data.
 
 The reflections lam_j -> 2*pi - lam_j are exact ties of the data, and every
 solver settles them by one rule, in one place: `resolve_twin_family`
@@ -58,6 +61,7 @@ LAM_FLOOR = 1e-9
 TINY_MAG = 1e-8
 GRAD_TOL = 1e-10  # times max(1, |y|^2), on the largest gradient component
 STEP_TOL = 1e-12  # times 1 + max |z|, on the largest step component
+COUNT_MAX = 1e100  # largest |count|, so that sums of squares stay finite
 
 
 @dataclass(frozen=True)
@@ -144,12 +148,15 @@ class LinearInversionResult:
 
 
 def _count_vector(counts, protocol: Protocol) -> np.ndarray:
-    """Observed statistics as an array: one per setting, all finite."""
+    """Observed statistics as an array: one per setting, all finite and at
+    most COUNT_MAX in size, so that the objectives stay finite."""
     y = counts if isinstance(counts, np.ndarray) else observed_values(counts)
     if len(y) != protocol.n_settings:
         raise DimensionMismatch("count vector length differs from settings")
     if not np.all(np.isfinite(y)):
         raise InvalidRange("counts must be finite")
+    if np.abs(y).max(initial=0.0) > COUNT_MAX:
+        raise InvalidRange(f"counts must be at most {COUNT_MAX:g} in size")
     return y
 
 
@@ -367,8 +374,6 @@ REFINE_FTOL = 1e-8             # least relative gain of an accepted refine step
 SCAN_CHUNK = 1024              # profile points per design evaluation
 TIE_RTOL = 1e-9
 TIE_ATOL = 1e-18               # times max(1, |y|^2)
-SPARSE_RTOL = 1e-9             # sparse-coherence tie, times the objective
-SPARSE_ATOL = 1e-12            # sparse-coherence tie, times max(1, |y|^2)
 RANK_RTOL = 1e-10              # least singular value of the inner solve, times the largest
 
 
@@ -408,30 +413,30 @@ def _merge(ok, good, bad) -> np.ndarray:
     return out
 
 
-def _lstsq(a, y, d_a=None) -> tuple:
+def _lstsq(a, y, d_a=None, v0=None) -> tuple:
     """Least squares min |A c - y| per row of a (P, S, K): the coordinates
     and the residuals A c - y; with the strength derivative d_a of A
     (P, S, K, F) also the Golub-Pereyra Jacobian P⊥ v - (A⁺)ᵀ w, with
-    v = d_a c and w = d_aᵀ (A c - y).
+    v = d_a c (plus v0, (P, S, F), if given) and w = d_aᵀ (A c - y).
 
     A row whose A passes `_full_rank` is solved by its Householder QR,
     A⁺ = R⁻¹Qᵀ and P⊥ = I - QQᵀ; the others by the pseudo-inverse with
     cutoff RANK_RTOL (`_pinv_solve`), which gives the minimum-norm
     coordinates."""
     if a.shape[1] < a.shape[2]:  # fewer equations than coordinates
-        return _pinv_solve(a, y, d_a)
+        return _pinv_solve(a, y, d_a, v0)
     q, r = np.linalg.qr(a)
     ok, r_inv = _full_rank(r)
     if ok.all():
-        return _qr_solve(q, r_inv, y, d_a)
-    out = _pinv_solve(a[~ok], y[~ok], *_rows(~ok, d_a))
+        return _qr_solve(q, r_inv, y, d_a, v0)
+    out = _pinv_solve(a[~ok], y[~ok], *_rows(~ok, d_a, v0))
     if ok.any():
-        good = _qr_solve(q[ok], r_inv[ok], y[ok], *_rows(ok, d_a))
+        good = _qr_solve(q[ok], r_inv[ok], y[ok], *_rows(ok, d_a, v0))
         out = [_merge(ok, g, b) for g, b in zip(good, out)]
     return out
 
 
-def _qr_solve(q, r_inv, y, d_a=None) -> tuple:
+def _qr_solve(q, r_inv, y, d_a=None, v0=None) -> tuple:
     """`_lstsq` from A = QR of full rank: coordinates R⁻¹Qᵀy, residuals
     QQᵀy - y and Jacobian v - QQᵀv - QR⁻ᵀw."""
     qty = np.einsum("psc,ps->pc", q, y)
@@ -440,12 +445,14 @@ def _qr_solve(q, r_inv, y, d_a=None) -> tuple:
     if d_a is None:
         return coords, resid
     v = np.einsum("psck,pc->psk", d_a, coords)
+    if v0 is not None:
+        v += v0
     w = np.einsum("psck,ps->pck", d_a, resid)
     v -= q @ (np.swapaxes(q, 1, 2) @ v)
     return coords, resid, v - q @ (np.swapaxes(r_inv, 1, 2) @ w)
 
 
-def _pinv_solve(a, y, d_a=None) -> tuple:
+def _pinv_solve(a, y, d_a=None, v0=None) -> tuple:
     """`_lstsq` by the pseudo-inverse with cutoff RANK_RTOL."""
     a_pinv = np.linalg.pinv(a, rcond=RANK_RTOL)
     coords = np.einsum("pcs,ps->pc", a_pinv, y)
@@ -453,6 +460,8 @@ def _pinv_solve(a, y, d_a=None) -> tuple:
     if d_a is None:
         return coords, resid
     v = np.einsum("psck,pc->psk", d_a, coords)
+    if v0 is not None:
+        v += v0
     v -= a @ (a_pinv @ v)
     w = np.einsum("psck,ps->pck", d_a, resid)
     return coords, resid, v - np.einsum("pcs,pck->psk", a_pinv, w)
@@ -476,18 +485,18 @@ def _free_coordinates(protocol: Protocol) -> list:
 
 class _Profile:
     """One protocol and count vector as a function of z = [Cartesian state
-    coordinates `cols` (default: all that the declared unknowns move),
-    strengths in name order]; the other coordinates are 0.  `fit` solves
-    the coordinates at fixed strengths (the scan and the refine), `model`
-    gives the statistics of a whole z (the polish), `bounds` is the box of
-    z, and `start` and `point` convert from and to the parameter vector in
-    name order."""
+    coordinates `cols` (all that the declared unknowns move), strengths in
+    name order]; the other coordinates are 0.  `fit` solves the
+    coordinates at fixed strengths (the scan and the refine), `model` gives
+    the statistics of a whole z (the polish), `bounds` is the box of z, and
+    `start` and `point` convert from and to the parameter vector in name
+    order."""
 
-    def __init__(self, protocol: Protocol, y: np.ndarray, cols=None):
+    def __init__(self, protocol: Protocol, y: np.ndarray):
         self.layout = ProtocolLayout(protocol)
         self.y = y
         self.lam_cols = self.layout.lam_cols
-        self.cols = _free_coordinates(protocol) if cols is None else cols
+        self.cols = _free_coordinates(protocol)
         self.scale = max(1.0, float((y ** 2).sum()))
 
     def _at(self, lam) -> np.ndarray:
@@ -503,37 +512,45 @@ class _Profile:
         c_full[:, self.cols] = coords
         return c_full
 
-    def fit(self, lam, rows=None, cols=None, free=None):
+    def fit(self, lam, rows=None, cols=None, free=None, held=None):
         """Coordinates (P, len(cols)) and residual vectors (P, S) at each
         row of lam, fit on the settings `rows` (default all) with the
-        coordinates `cols` (default the profile's `cols`), the others at 0.
+        coordinates `cols` (default the profile's `cols`).  The other
+        coordinates are held at `held` (all coordinates, 0 on `cols`;
+        default 0): the fit is to the counts less D @ held on `rows`.
 
         With `free` (strength indices) also the Jacobian of the residuals in
         those strengths, (P, S, len(free)), in the full variable-projection
         form of Golub & Pereyra (Inverse Problems 19, R1, 2003):
         P⊥ (∂D/∂lam) c_full - (A⁺)ᵀ (∂A/∂lam)ᵀ r, where D is the design,
-        A its columns `cols`, c_full the fitted coordinates on `cols` and 0
-        elsewhere, and P⊥ = I - A A⁺, all on `rows`.  The least squares is
-        `_lstsq`, a batched Householder QR with the pseudo-inverse, which
-        gives the minimum-norm coordinates, for rows that fail its rank
-        test.
+        A its columns `cols`, c_full the held coordinates with the fitted
+        ones on `cols`, and P⊥ = I - A A⁺, all on `rows`.  The least
+        squares is `_lstsq`, a batched Householder QR with the
+        pseudo-inverse, which gives the minimum-norm coordinates, for rows
+        that fail its rank test.
         """
         x = self._at(np.atleast_2d(lam))
         rows = slice(None) if rows is None else rows
         cols = self.cols if cols is None else cols
         if free is None:
-            design, d_a = self.layout.design(x)[:, rows], None
+            design = self.layout.design(x)[:, rows]
         else:
             design, d_design = self.layout.design_and_derivative(x)
-            design = design[:, rows]
-            d_a = d_design[:, rows][:, :, cols][..., free]
+            design, d_design = design[:, rows], d_design[:, rows][..., free]
         a = design[:, :, cols]
-        return _lstsq(a, np.broadcast_to(self.y[rows], a.shape[:2]), d_a)
+        y = np.broadcast_to(self.y[rows], a.shape[:2])
+        if held is not None:
+            y = y - design @ held
+        if free is None:
+            return _lstsq(a, y)
+        v0 = None if held is None else np.einsum("psck,c->psk", d_design, held)
+        return _lstsq(a, y, d_design[:, :, cols], v0)
 
-    def objective(self, lam, rows=None, cols=None) -> np.ndarray:
+    def objective(self, lam, rows=None, cols=None, held=None) -> np.ndarray:
         """Profile least-squares objective at each row of lam (see `fit`)."""
         return np.concatenate([
-            (self.fit(lam[i:i + SCAN_CHUNK], rows, cols)[1] ** 2).sum(axis=1)
+            (self.fit(lam[i:i + SCAN_CHUNK], rows, cols, held=held)[1] ** 2
+             ).sum(axis=1)
             for i in range(0, len(lam), SCAN_CHUNK)])
 
     def model(self, z, jacobian=False):
@@ -588,22 +605,22 @@ class _Profile:
                 out[k] = next(lam_values)
         return out
 
-    def refine(self, lam, free, rows=None, cols=None):
+    def refine(self, lam, free, rows, cols, held):
         """`_damped_gauss_newton` on the projected residual of `fit` on
-        `rows` and `cols` over the strengths `free` from each row of lam
-        (the other strengths are the same in every row); returns the end
-        points and their objectives.  A start also stops on an accepted
-        step that gains at most REFINE_FTOL of its objective: one that
-        creeps towards a degenerate strength (lam -> 0, 2*pi, or pi where
-        sin(lam) silences settings) gains that little per step, one that
-        converges to a root orders of magnitude more.
+        `rows` and `cols`, with `held` held, over the strengths `free` from
+        each row of lam (the other strengths are the same in every row);
+        returns the end points and their objectives.  A start also stops
+        on an accepted step that gains at most REFINE_FTOL of its
+        objective: one that creeps towards a degenerate strength (lam -> 0,
+        2*pi, or pi where sin(lam) silences settings) gains that little per
+        step, one that converges to a root orders of magnitude more.
         """
         lam = np.array(lam, dtype=float)
 
         def residual(z):
             at = np.tile(lam[0], (len(z), 1))
             at[:, free] = z
-            return self.fit(at, rows, cols, free)[1:]
+            return self.fit(at, rows, cols, free, held)[1:]
 
         lam[:, free], f, _, _ = _damped_gauss_newton(
             residual, lam[:, free], LAM_FLOOR, TWO_PI, 0.0, "least_squares",
@@ -621,11 +638,9 @@ def _scan_stages(profile: _Profile) -> list:
     moved; a column moves when it is non-zero at the generic probe points
     of `identify.structural_zero_columns`.  On V that is block 1 (lam1;
     settings 0-4; rho00, rho11, x01, y01) and block 2 (lam2; settings 5-8;
-    rho22, x02, y02).  Leaving rho00 out of block 2 keeps its residual: on
-    a setting that drives one coupling 0-k the rho00 column is 1 minus the
-    rho_kk column, and the constant lies in the span of the block's columns
-    at every lam2 but pi/2, pi and 3*pi/2.  Otherwise the strengths are one
-    joint stage on every setting and coordinate (C-alt).
+    rho22, x02, y02), which also see rho00 and rho11 and hold them at
+    block 1's fit (`_scan`).  Otherwise the strengths are one joint stage on
+    every setting and coordinate (C-alt).
     """
     protocol = profile.layout.protocol
     lams = protocol.process_unknown_names
@@ -672,33 +687,52 @@ def _best_minimum(cand: np.ndarray, f: np.ndarray, scale: float) -> int:
                key=lambda i: (int((cand[i] > math.pi + 1e-12).sum()), i))
 
 
-def _scan(profile: _Profile, stages) -> np.ndarray:
-    """Refined profile minima of the last of `stages` (`_scan_stages`), one
-    row of strengths each; the strengths of an earlier stage are at its
-    best minimum."""
+def _scan(profile: _Profile) -> np.ndarray:
+    """Refined profile minima of the last stage of `_scan_stages`, one row
+    of strengths each, by back-substitution: every later stage holds the
+    strengths and the coordinates that an earlier one fitted at its best
+    minimum, so on exact data each stage's profile vanishes at the true
+    strengths.
+
+    A stage whose grid objective ties with zero (TIE_ATOL times
+    max(1, |y|^2)) at more than half of its points is flat, and
+    `prefer_sparse_coherences` re-solves it with its coherence at zero."""
     lam = np.full(len(profile.lam_cols), math.pi / 2)  # not yet scanned
     cand = lam[None, :]
-    for free, rows, cols in stages:
+    held = np.zeros(profile.layout.dim + 2 * profile.layout.npair)
+    for free, rows, cols in _scan_stages(profile):
         g = SCAN_POINTS[len(free)]
         axis = TWO_PI * (np.arange(g) + 0.5) / g
         grid = np.stack(np.meshgrid(*[axis] * len(free), indexing="ij"), axis=-1)
         pts = np.tile(lam, (g ** len(free), 1))
         pts[:, free] = grid.reshape(-1, len(free))
-        f = profile.objective(pts, rows, cols)
+        f = profile.objective(pts, rows, cols, held)
+        if np.count_nonzero(f <= TIE_ATOL * profile.scale) > f.size / 2:
+            cols, f = prefer_sparse_coherences(profile, pts, rows, cols, held)
         starts = pts[_grid_minima(f.reshape((g,) * len(free)), N_REFINE)]
-        cand, f_cand = profile.refine(starts, free, rows, cols)
+        cand, f_cand = profile.refine(starts, free, rows, cols, held)
         lam = cand[_best_minimum(cand, f_cand, profile.scale)]
+        held[cols] = profile.fit(lam, rows, cols, held=held)[0][0]
     return cand
 
 
-def _search(profile: _Profile) -> np.ndarray:
-    """The profile minima of `reconstruct`: the staged scan, then after
-    several stages a joint refine on every setting and coordinate."""
-    stages = _scan_stages(profile)
-    cand = _scan(profile, stages)
-    if len(stages) > 1:
-        cand, _ = profile.refine(cand, list(range(len(profile.lam_cols))))
-    return cand
+def prefer_sparse_coherences(profile: _Profile, pts: np.ndarray, rows, cols,
+                             held) -> tuple:
+    """A flat stage of `_scan` re-solved on its populations alone, with its
+    coherence at zero: the stage's coordinates left and its objective at
+    the strength rows `pts`.  (`sctbench/tracer.py` hooks this name.)
+
+    When a coherence vanishes (the zero locus |J_A| = rho01 of B, and
+    rho01 or rho02 on the V blocks), its phase drops out of the statistics
+    and the stage fits the data exactly along a whole curve of strengths,
+    each with a coherence of its own.  A stage profile that is not
+    identically zero is a ratio of trigonometric polynomials of low degree
+    and cannot vanish on half of the grid.  Without the coherence the
+    populations single the strength out up to its reflection, or leave a
+    few exact roots between which the order offered decides; the phase is
+    then reported undefined."""
+    cols = [c for c in cols if c < profile.layout.dim]
+    return cols, profile.objective(pts, rows, cols, held)
 
 
 # ---------------------------------------------------------------------------
@@ -717,10 +751,9 @@ def _search(profile: _Profile) -> np.ndarray:
 # `resolve_twin_family` is the only code that forms reflections: it reflects
 # the strengths alone and re-solves the Cartesian state linearly, which
 # finds the negated coherence.  Every solver settles the tie through it:
-# `reconstruct` and `prefer_sparse_coherences` on their profile minima,
-# `block_solve_v` on the minima of its staged scan and `grid_oracle` on its
-# grid's incumbent (`_settle_twins`).  Among exact ties the rule of
-# `_branch_key` decides; otherwise the data do.
+# `reconstruct` and `block_solve_v` on the minima of their staged scan and
+# `grid_oracle` on its grid's incumbent (`_settle_twins`).  Among exact ties
+# the rule of `_branch_key` decides; otherwise the data do.
 
 
 def _branch_key(dim: int, coords: np.ndarray, lam: np.ndarray,
@@ -770,44 +803,15 @@ def resolve_twin_family(profile: _Profile, cand: np.ndarray) -> tuple:
     return np.concatenate([coords[chosen], members[chosen]]), len(members)
 
 
-def _settle_twins(profile: _Profile, cand: np.ndarray,
-                  kind: str = "least_squares") -> tuple:
+def _settle_twins(profile: _Profile, cand: np.ndarray) -> tuple:
     """The member `resolve_twin_family` picks for the strength rows `cand`,
     held in the box of `_Profile.bounds`: its parameter vector in name
-    order, its objective `kind` and the number of members compared."""
+    order, its least-squares objective and the number of members compared."""
     z, n_members = resolve_twin_family(profile, cand)
     z = np.clip(z, *profile.bounds())
-    f = float(_objective_values(profile.model(z), profile.y, kind)[0])
+    f = float(_objective_values(profile.model(z), profile.y,
+                                "least_squares")[0])
     return profile.point(z), f, n_members
-
-
-def prefer_sparse_coherences(protocol: Protocol, x: np.ndarray, f: float,
-                             y: np.ndarray, kind: str) -> tuple:
-    """Among exact ties, adopt the representative with a coherence at zero.
-
-    When a true coherence vanishes, its phase drops out of the statistics and
-    the exact solutions form a tie manifold (the Jacobian is singular along
-    it), on which even the strengths can wander.  For each coherence pair
-    the profile search of `reconstruct` is rerun without that pair's
-    coordinates; if it reaches the same objective, the sparse representative
-    is adopted (its phase is then flagged undefined).  A refit that worsens
-    the objective beyond the tie tolerance is discarded, so genuine
-    coherences are never suppressed.
-    """
-    dim = protocol.dim
-    slots = [NAMES[dim][n][:2] for n in protocol.unknown_names]
-    tie_tol = max(SPARSE_ATOL * max(1.0, float((y ** 2).sum())),
-                  SPARSE_RTOL * abs(f))
-    cols = _free_coordinates(protocol)
-    for k in range(len(COHERENCE_PAIRS[dim])):
-        if ("mag", k) not in slots or x[slots.index(("mag", k))] <= TINY_MAG:
-            continue
-        keep = [c for c in cols if c not in (dim + 2 * k, dim + 2 * k + 1)]
-        profile = _Profile(protocol, y, keep)
-        x_cand, f_cand, _ = _settle_twins(profile, _search(profile), kind)
-        if f_cand <= f + tie_tol:
-            x, f, cols = x_cand, f_cand, keep
-    return x, float(f)
 
 
 # ---------------------------------------------------------------------------
@@ -817,16 +821,8 @@ def prefer_sparse_coherences(protocol: Protocol, x: np.ndarray, f: float,
 
 def _package_result(protocol: Protocol, x: np.ndarray, outcome_f: float,
                     grad_norm: float, n_starts: int, converged: bool,
-                    objective: str, y: np.ndarray) -> ReconstructionResult:
+                    objective: str) -> ReconstructionResult:
     report = identify.jacobian_from_vector(protocol, x)
-    if report.near_singular:
-        # a singular solution can sit on an exact-tie manifold from a
-        # vanished coherence; report its zero-coherence member if so
-        x_sparse, outcome_f = prefer_sparse_coherences(
-            protocol, x, outcome_f, y, objective)
-        if not np.array_equal(x_sparse, x):
-            x = x_sparse
-            report = identify.jacobian_from_vector(protocol, x)
     if report.near_singular:
         warnings.warn("Jacobian is near-singular at the solution",
                       SingularAtSolutionWarning, stacklevel=3)
@@ -884,13 +880,14 @@ def reconstruct(counts, protocol: Protocol,
        the 0, 1 or 2 strengths.  It is evaluated on a grid over (0, 2*pi]
        per strength (SCAN_POINTS per axis) in the stages of `_scan_stages`,
        each on its own settings and coordinates: V scans lam1 on block 1
-       and then lam2 on block 2, C-alt scans (lam_c, lam_z) jointly on
-       every setting, and a protocol without strengths (A) is a single
-       linear solve.  The N_REFINE lowest grid minima of each stage are
-       refined by damped Gauss-Newton on the projected residual, with its
-       closed-form Jacobian; a start whose steps stall stops early.  After
-       more than one stage the minima of the last are refined jointly, in
-       every strength on every setting (`_search`).
+       and then lam2 on block 2 with block 1's fit held, C-alt scans
+       (lam_c, lam_z) jointly on every setting, and a protocol without
+       strengths (A) is a single linear solve.  The N_REFINE lowest grid
+       minima of each stage are refined by damped Gauss-Newton on the
+       projected residual, with its closed-form Jacobian; a start whose
+       steps stall stops early.  A flat stage, one that fits the data
+       exactly at most of its grid (a vanished coherence), is re-solved
+       with its coherence at zero (`_scan`).
     2. Branch rule.  The best minimum, its reflections lam_j -> 2*pi - lam_j
        and any other refined minimum are compared; among those tied with
        the lowest objective the member chosen is physical first, then has
@@ -912,10 +909,10 @@ def reconstruct(counts, protocol: Protocol,
     y = _count_vector(counts, protocol)
     _check_structure(protocol)
     profile = _Profile(protocol, y)
-    z0, n_members = resolve_twin_family(profile, _search(profile))
+    z0, n_members = resolve_twin_family(profile, _scan(profile))
     outcome = _lm_multistart(profile, y, z0, options.objective, options)
     return _package_result(protocol, outcome.x, outcome.f, outcome.gradient_norm,
-                           n_members, outcome.converged, options.objective, y=y)
+                           n_members, outcome.converged, options.objective)
 
 
 def polish(counts, protocol: Protocol, x0, options: SolverOptions = None
@@ -938,18 +935,17 @@ def block_solve_v(counts, protocol: Protocol,
                   options: SolverOptions = None) -> ReconstructionResult:
     """Solve the V-type protocol block by block along its triangular structure.
 
-    The profile scan of `reconstruct` runs in its stages (`_scan_stages`):
-    block 1 finds lam1 on the settings that drive it alone (rho00, rho11
-    and the 0-1 pair), then block 2 finds lam2 on its own (rho22 and the
-    0-2 pair).  Their minima are not refined jointly.  The state is then one
-    linear least-squares solve over all settings at those strengths and at
-    each of their reflections, and the member is picked by the rule of
-    `reconstruct` (`_settle_twins`).  V is square, so at the blocks'
-    strengths this solve reproduces the blocks' state and fits the
-    excited-excited coherence (block 3, the settings that drive both
-    couplings) exactly.  No stage runs the joint refine or the polish, so
-    on exact data the agreement with `reconstruct` checks those.  The fits
-    are least squares; `options.objective` sets the reported residual and
+    The staged scan of `reconstruct` (`_scan`): block 1 finds lam1 on the
+    settings that drive it alone (rho00, rho11 and the 0-1 pair), then
+    block 2 finds lam2 on its own (rho22 and the 0-2 pair) with block 1's
+    fit held.  The state is then one linear least-squares solve over all
+    settings at those strengths and at each of their reflections, and the
+    member is picked by the rule of `reconstruct` (`_settle_twins`).  V is
+    square, so at the blocks' strengths this solve reproduces the blocks'
+    state and fits the excited-excited coherence (block 3, the settings
+    that drive both couplings) exactly.  There is no polish, so on exact
+    data the agreement with `reconstruct` checks it.  The fits are least
+    squares; `options.objective` sets the reported residual and
     gradient, and `converged` reports whether that gradient meets GRAD_TOL.
     """
     options = options or SolverOptions()
@@ -957,13 +953,12 @@ def block_solve_v(counts, protocol: Protocol,
         raise InvalidRange("block solve is defined for the V-type protocol")
     y = _count_vector(counts, protocol)
     profile = _Profile(protocol, y)
-    x, _, n_members = _settle_twins(
-        profile, _scan(profile, _scan_stages(profile)))
+    x, _, n_members = _settle_twins(profile, _scan(profile))
     f, grad = objective_eval(x, y, protocol, options.objective)
     gnorm = float(np.abs(grad).max())
     converged = gnorm <= GRAD_TOL * max(1.0, float((y ** 2).sum()))
     return _package_result(protocol, x, f, gnorm, n_members, converged,
-                           options.objective, y=y)
+                           options.objective)
 
 
 # ---------------------------------------------------------------------------

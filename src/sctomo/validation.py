@@ -579,14 +579,15 @@ def conventions_report() -> str:
         " are exact ties; among them the physical member comes first, then",
         " the one with the fewest strengths above pi, then the order offered.",
         "",
-        "Sparse-coherence rule (a vanished coherence leaves a curve of exact",
-        " fits): when the Jacobian at the solution is near-singular, each",
-        " coherence pair in turn is refit without its coordinates, and that",
-        " zero-coherence member is adopted when its objective is at most",
-        f" f + max({invert.SPARSE_ATOL:g} * max(1, |y|^2), "
-        f"{invert.SPARSE_RTOL:g} * |f|), f the objective so",
-        " far; its phase is then undefined.  Among the exact fits left on the",
-        " curve, the order offered decides.",
+        "Flat-stage rule (a vanished coherence leaves a curve of exact fits):",
+        " the strengths are scanned in stages, each holding what the earlier",
+        " ones fitted.  A stage is flat when its least-squares objective is",
+        f" at most {invert.TIE_ATOL:g} * max(1, |y|^2) at more than half",
+        " of its grid points; it is then re-solved on its populations alone,",
+        " with its coherence at zero, and that phase is undefined.  Where the",
+        " populations still fit exactly at more than one strength (V with",
+        " rho02 = 0 and lam = (1.2, 1.7) fits at lam2 = 1.7 and 1.4224), the",
+        " branch rule above decides, by the order offered.",
         "",
     ]
     return "\n".join(lines)

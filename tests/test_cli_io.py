@@ -1,12 +1,14 @@
 """Tests for file schemas, fingerprints, and the command-line interface."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sctomo import cli, invert, io, validation
 from sctomo.errors import SchemaError
+from sctomo.forward import NoiseModel, simulate_counts
 from sctomo.protocol import scenario
 
 
@@ -250,9 +252,9 @@ def test_validate_command_plumbing(tmp_path, monkeypatch, capsys):
     assert "Branch rule for exact ties" in text
     assert (f"max({invert.TIE_RTOL:g} * lowest, "
             f"{invert.TIE_ATOL:g} * max(1, |y|^2))") in text
-    assert "Sparse-coherence rule" in text
-    assert (f"f + max({invert.SPARSE_ATOL:g} * max(1, |y|^2), "
-            f"{invert.SPARSE_RTOL:g} * |f|)") in text
+    assert "Flat-stage rule" in text
+    assert (f"at most {invert.TIE_ATOL:g} * max(1, |y|^2) at more than "
+            "half") in text
 
     def failing_suite(suite, seed):
         return [validation.CheckResult("1", "alpha", False, "broken")]
@@ -318,6 +320,28 @@ def test_malformed_counts_exit_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("sct: error: ")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("name, factor, seed", [("V", 1e151, 1),
+                                                ("B", 1e155, 3)])
+def test_reconstruct_counts_above_1e100_exit_2(tmp_path, capsys, name, factor,
+                                               seed):
+    # exact counts of a sample truth, scaled until their squares overflow:
+    # V's raised a LinAlgError traceback, B's gave a wrong converged result
+    proto = scenario(name)
+    state, unknowns = validation.sample_truth(name,
+                                              np.random.default_rng(seed))
+    records = simulate_counts(state, unknowns, proto, NoiseModel("exact"))
+    counts = tmp_path / "counts.json"
+    io.write_counts(counts, proto, [replace(r, value=r.value * factor)
+                                    for r in records])
+    capsys.readouterr()
+    code = cli.main(["reconstruct", "--counts", str(counts), "--protocol",
+                     name, "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("sct: error: ") and "at most 1e+100" in err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -176,6 +176,9 @@ def test_reconstruct_rejects_non_finite_counts():
     counts[2] = np.inf
     with pytest.raises(InvalidRange, match="finite"):
         reconstruct(counts, scenario("B"))
+    counts[2] = 2 * invert.COUNT_MAX
+    with pytest.raises(InvalidRange, match="at most"):
+        reconstruct(counts, scenario("B"))
 
 
 def test_reconstruct_refuses_structurally_singular_protocol():
@@ -260,11 +263,61 @@ def test_block_solve_zero_02_coherence():
     unknowns = vtype_unknowns(1.2, 1.7)
     counts = predicted_statistics(proto, state, unknowns)
     result = block_solve_v(counts, proto)
+    # with rho02 = 0 the counts fit exactly at lam2 = 1.7 and at 1.4224
+    # (rho22 0.291), both physical with every strength below pi, so the
+    # order the staged scan offers them in decides, not the data
     assert "gamma02" in result.phase_undefined
     assert result.state.populations == pytest.approx(state.populations,
                                                      abs=1e-6)
     assert result.state.coherences[0] == pytest.approx(0.12, abs=1e-6)
     assert result.state.coherences[2] == pytest.approx(0.08, abs=1e-6)
+
+
+# a vanished coherence leaves a whole curve of exact fits: (protocol, state,
+# strengths, the phases left undefined)
+VANISHED = {
+    "B": (scenario("B"), qubit_state(0.55, 0.45, 0.0, 0.0),
+          qubit_unknowns(lam_c=1.3), ("gamma",)),
+    "B~beta": (with_unknown_phase(scenario("B")),
+               qubit_state(0.55, 0.45, 0.0, 0.0), qubit_unknowns(lam_c=1.3),
+               ("beta",)),
+    "V rho01 = 0": (scenario("V"),
+                    vtype_state(0.42, 0.33, 0.25, 0.0, 0.1, 0.08, 0.0, 0.9,
+                                1.4),
+                    vtype_unknowns(1.2, 1.7), ("gamma01",)),
+    "V rho01 = rho02 = 0": (scenario("V"),
+                            vtype_state(0.42, 0.33, 0.25, 0.0, 0.0, 0.08,
+                                        0.0, 0.0, 1.4),
+                            vtype_unknowns(1.2, 1.7), ("gamma01", "gamma02")),
+}
+
+
+@pytest.mark.filterwarnings("ignore::sctomo.errors.SingularAtSolutionWarning")
+@pytest.mark.parametrize("label", sorted(VANISHED))
+def test_vanished_coherence_settled_in_one_scan(monkeypatch, label):
+    # the flat stage is re-solved inside the one staged scan, with no
+    # rescan per coherence pair
+    proto, state, unknowns, undefined = VANISHED[label]
+    counts = predicted_statistics(proto, state, unknowns)
+    expected = pack_values(proto.unknown_names, state, unknowns)
+    defined = [i for i, n in enumerate(proto.unknown_names)
+               if n not in undefined]
+    scans = []
+    original = invert._scan
+
+    def counted(*args):
+        scans.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(invert, "_scan", counted)
+    solvers = [reconstruct] + ([block_solve_v] if proto.dim == 3 else [])
+    for solve in solvers:
+        scans.clear()
+        result = solve(counts, proto)
+        assert len(scans) == 1, solve.__name__
+        assert result.phase_undefined == undefined, solve.__name__
+        assert np.abs(result.x[defined] - expected[defined]).max() <= 1e-8, \
+            solve.__name__
 
 
 def test_block_three_sensitive_to_strength_errors():
@@ -447,25 +500,39 @@ def test_profile_jacobian_matches_differences_of_residual():
         + 1e-2 * rng.standard_normal(proto.n_settings)
     profile = invert._Profile(proto, counts)
     (_, rows1, cols1), (_, rows2, cols2) = invert._scan_stages(profile)
+    # block 1's coordinates held at non-zero values, as the scan holds
+    # them in block 2, on all of block 2's coordinates and on its
+    # populations alone (a flat stage): there rho00's column, which moves
+    # with lam2, is no longer in the span of the block's columns
+    held = np.zeros(profile.layout.dim + 2 * profile.layout.npair)
+    held[cols1] = rng.uniform(0.1, 0.5, len(cols1))
+    lam2 = np.column_stack([np.full(6, 1.1), rng.uniform(0.3, 2.8, 6)])
+    pops2 = [c for c in cols2 if c < proto.dim]
     cases = [
         # V block 2: lam2 on its settings and coordinates, lam1 held
-        (np.column_stack([np.full(6, 1.1), rng.uniform(0.3, 2.8, 6)]),
-         [1], rows2, cols2),
+        (lam2, [1], rows2, cols2, None),
+        (lam2, [1], rows2, cols2, held),
+        (lam2, [1], rows2, pops2, held),
         # V block 1: lam1 on its settings and coordinates, lam2 held
         (np.column_stack([rng.uniform(0.3, 2.8, 6), np.full(6, 1.1)]),
-         [0], rows1, cols1),
-        (rng.uniform(0.3, 2.8, (6, 2)), [0, 1], [0, 5, 6, 7, 8, 9, 10], None),
-        (rng.uniform(0.3, 2.8, (6, 2)), [0, 1], None, None),
+         [0], rows1, cols1, None),
+        (rng.uniform(0.3, 2.8, (6, 2)), [0, 1], [0, 5, 6, 7, 8, 9, 10], None,
+         None),
+        (rng.uniform(0.3, 2.8, (6, 2)), [0, 1], None, None, None),
     ]
-    for lam, free, rows, cols in cases:
-        coords, resid, jac = profile.fit(lam, rows, cols, free)
+    for lam, free, rows, cols, hold in cases:
+        coords, resid, jac = profile.fit(lam, rows, cols, free, hold)
         assert (resid ** 2).sum(axis=1).min() > 1e-8
         fd, _ = central_differences(
-            lambda p: profile.fit(p, rows, cols)[1], lam, free)
+            lambda p: profile.fit(p, rows, cols, held=hold)[1], lam, free)
         assert jac.shape == fd.shape
         assert np.abs(jac - fd).max() <= 1e-6
-        c2, r2 = profile.fit(lam, rows, cols)
+        c2, r2 = profile.fit(lam, rows, cols, held=hold)
         assert np.array_equal(c2, coords) and np.array_equal(r2, resid)
+    # on the populations alone the held coordinates move the Jacobian
+    unheld = profile.fit(lam2, rows2, pops2, [1])[2]
+    assert np.abs(profile.fit(lam2, rows2, pops2, [1], held)[2]
+                  - unheld).max() > 1e-2
 
 
 @pytest.mark.parametrize("name", ["A", "B", "B~beta", "C-alt", "C-alt~beta",
@@ -553,7 +620,7 @@ def test_stall_stop_keeps_the_best_minimum(monkeypatch, name):
         runs = []
         for ftol in (0.0, invert.REFINE_FTOL):
             monkeypatch.setattr(invert, "REFINE_FTOL", ftol)
-            cand = invert._search(profile)
+            cand = invert._scan(profile)
             f = profile.objective(cand)
             best = invert._best_minimum(cand, f, profile.scale)
             runs.append((cand[best], f[best], reconstruct(counts, proto).x))
