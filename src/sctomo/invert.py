@@ -19,7 +19,8 @@ solves them by back-substitution (`_scan`).  On the V-type protocol they are
 its triangular blocks: lam1 on the settings and coordinates of
 ground-excited pair 1, then lam2 on those of pair 2 with pair 1's fit held.
 A stage that fits the data exactly along a whole curve of strengths (a
-vanished coherence) is re-solved with that coherence at zero.
+vanished coherence), or that a later stage holds at a near-singular fit (a
+degenerate strength), is re-solved with its coherence at zero.
 `reconstruct` polishes the scan's solution jointly and `block_solve_v`
 does not; the two must agree on exact data.
 
@@ -605,17 +606,20 @@ class _Profile:
                 out[k] = next(lam_values)
         return out
 
-    def refine(self, lam, free, rows, cols, held):
+    def refine(self, pts, f, free, rows, cols, held) -> tuple:
         """`_damped_gauss_newton` on the projected residual of `fit` on
         `rows` and `cols`, with `held` held, over the strengths `free` from
-        each row of lam (the other strengths are the same in every row);
-        returns the end points and their objectives.  A start also stops
-        on an accepted step that gains at most REFINE_FTOL of its
-        objective: one that creeps towards a degenerate strength (lam -> 0,
-        2*pi, or pi where sin(lam) silences settings) gains that little per
-        step, one that converges to a root orders of magnitude more.
+        the N_REFINE lowest minima of the grid objective f at the strength
+        rows `pts` (the other strengths are the same in every row); returns
+        the end points and the best of them (`_best_minimum`).  A start
+        also stops on an accepted step that gains at most REFINE_FTOL of
+        its objective: one that creeps towards a degenerate strength
+        (lam -> 0, 2*pi, or pi where sin(lam) silences settings) gains that
+        little per step, one that converges to a root orders of magnitude
+        more.
         """
-        lam = np.array(lam, dtype=float)
+        g = SCAN_POINTS[len(free)]
+        lam = pts[_grid_minima(f.reshape((g,) * len(free)), N_REFINE)]
 
         def residual(z):
             at = np.tile(lam[0], (len(z), 1))
@@ -625,7 +629,7 @@ class _Profile:
         lam[:, free], f, _, _ = _damped_gauss_newton(
             residual, lam[:, free], LAM_FLOOR, TWO_PI, 0.0, "least_squares",
             self.scale, REFINE_ITER, REFINE_FTOL)
-        return lam, f
+        return lam, lam[_best_minimum(lam, f, self.scale)]
 
 
 def _scan_stages(profile: _Profile) -> list:
@@ -687,38 +691,56 @@ def _best_minimum(cand: np.ndarray, f: np.ndarray, scale: float) -> int:
                key=lambda i: (int((cand[i] > math.pi + 1e-12).sum()), i))
 
 
+def _near_singular(profile: _Profile, lam, free, rows, cols, held) -> bool:
+    """Whether a stage's Jacobian at its fit at the strengths lam, in its
+    coordinates `cols` and strengths `free` on its settings `rows`, is
+    near-singular by the rule of `singular_at_solution`."""
+    c_full = held.copy()
+    c_full[cols] = profile.fit(lam, rows, cols, held=held)[0][0]
+    _, jac = profile.model(np.concatenate([c_full[profile.cols], lam]), True)
+    n = len(profile.cols)
+    jac = jac[0][rows][:, [profile.cols.index(c) for c in cols]
+                       + [n + k for k in free]]
+    smin = np.linalg.svd(jac, compute_uv=False)[-1]
+    return bool(identify.near_singular(jac, smin))
+
+
 def _scan(profile: _Profile) -> np.ndarray:
     """Refined profile minima of the last stage of `_scan_stages`, one row
     of strengths each, by back-substitution: every later stage holds the
     strengths and the coordinates that an earlier one fitted at its best
     minimum, so on exact data each stage's profile vanishes at the true
-    strengths.
-
-    A stage whose grid objective ties with zero (TIE_ATOL times
-    max(1, |y|^2)) at more than half of its points is flat, and
-    `prefer_sparse_coherences` re-solves it with its coherence at zero."""
+    strengths.  `prefer_sparse_coherences` re-solves a flat stage, whose
+    grid objective ties with zero (TIE_ATOL times |y|^2) at more than half
+    of its points, and one that a later stage would hold at a near-singular
+    fit (`_near_singular`)."""
     lam = np.full(len(profile.lam_cols), math.pi / 2)  # not yet scanned
     cand = lam[None, :]
     held = np.zeros(profile.layout.dim + 2 * profile.layout.npair)
-    for free, rows, cols in _scan_stages(profile):
+    stages = _scan_stages(profile)
+    for k, (free, rows, cols) in enumerate(stages):
         g = SCAN_POINTS[len(free)]
         axis = TWO_PI * (np.arange(g) + 0.5) / g
         grid = np.stack(np.meshgrid(*[axis] * len(free), indexing="ij"), axis=-1)
         pts = np.tile(lam, (g ** len(free), 1))
         pts[:, free] = grid.reshape(-1, len(free))
         f = profile.objective(pts, rows, cols, held)
-        if np.count_nonzero(f <= TIE_ATOL * profile.scale) > f.size / 2:
+        flat = np.sum(f <= TIE_ATOL * (profile.y ** 2).sum()) > f.size / 2
+        if not flat:
+            cand, lam = profile.refine(pts, f, free, rows, cols, held)
+        last = k + 1 == len(stages)
+        if flat or not last and _near_singular(profile, lam, free, rows,
+                                               cols, held):
             cols, f = prefer_sparse_coherences(profile, pts, rows, cols, held)
-        starts = pts[_grid_minima(f.reshape((g,) * len(free)), N_REFINE)]
-        cand, f_cand = profile.refine(starts, free, rows, cols, held)
-        lam = cand[_best_minimum(cand, f_cand, profile.scale)]
-        held[cols] = profile.fit(lam, rows, cols, held=held)[0][0]
+            cand, lam = profile.refine(pts, f, free, rows, cols, held)
+        if not last:
+            held[cols] = profile.fit(lam, rows, cols, held=held)[0][0]
     return cand
 
 
 def prefer_sparse_coherences(profile: _Profile, pts: np.ndarray, rows, cols,
                              held) -> tuple:
-    """A flat stage of `_scan` re-solved on its populations alone, with its
+    """A stage of `_scan` re-solved on its populations alone, with its
     coherence at zero: the stage's coordinates left and its objective at
     the strength rows `pts`.  (`sctbench/tracer.py` hooks this name.)
 
@@ -727,10 +749,13 @@ def prefer_sparse_coherences(profile: _Profile, pts: np.ndarray, rows, cols,
     and the stage fits the data exactly along a whole curve of strengths,
     each with a coherence of its own.  A stage profile that is not
     identically zero is a ratio of trigonometric polynomials of low degree
-    and cannot vanish on half of the grid.  Without the coherence the
+    and cannot vanish on half of the grid.  At a degenerate strength
+    (lam -> 0, where the coherence's columns vanish) noisy counts are fit
+    by coordinates that grow without bound.  Without the coherence the
     populations single the strength out up to its reflection, or leave a
-    few exact roots between which the order offered decides; the phase is
-    then reported undefined."""
+    few exact roots between which the order offered decides.  The state
+    is then fitted on every coordinate (`resolve_twin_family`), and a
+    vanished coherence's phase is reported undefined."""
     cols = [c for c in cols if c < profile.layout.dim]
     return cols, profile.objective(pts, rows, cols, held)
 
@@ -886,8 +911,9 @@ def reconstruct(counts, protocol: Protocol,
        minima of each stage are refined by damped Gauss-Newton on the
        projected residual, with its closed-form Jacobian; a start whose
        steps stall stops early.  A flat stage, one that fits the data
-       exactly at most of its grid (a vanished coherence), is re-solved
-       with its coherence at zero (`_scan`).
+       exactly at most of its grid (a vanished coherence), and a stage
+       that a later one holds at a near-singular fit (a degenerate
+       strength) are re-solved with their coherence at zero (`_scan`).
     2. Branch rule.  The best minimum, its reflections lam_j -> 2*pi - lam_j
        and any other refined minimum are compared; among those tied with
        the lowest objective the member chosen is physical first, then has

@@ -582,12 +582,16 @@ def conventions_report() -> str:
         "Flat-stage rule (a vanished coherence leaves a curve of exact fits):",
         " the strengths are scanned in stages, each holding what the earlier",
         " ones fitted.  A stage is flat when its least-squares objective is",
-        f" at most {invert.TIE_ATOL:g} * max(1, |y|^2) at more than half",
-        " of its grid points; it is then re-solved on its populations alone,",
-        " with its coherence at zero, and that phase is undefined.  Where the",
+        f" at most {invert.TIE_ATOL:g} * |y|^2 at more than half of its grid",
+        " points; it is then re-solved on its populations alone, with its",
+        " coherence at zero, and that phase is undefined.  Where the",
         " populations still fit exactly at more than one strength (V with",
         " rho02 = 0 and lam = (1.2, 1.7) fits at lam2 = 1.7 and 1.4224), the",
-        " branch rule above decides, by the order offered.",
+        " branch rule above decides, by the order offered.  A stage that a",
+        " later one holds is also re-solved on its populations when its",
+        " Jacobian at its best minimum is near-singular (the rule of",
+        " singular_at_solution), a degenerate strength; the state is then",
+        " fitted on every coordinate at the strengths found.",
         "",
     ]
     return "\n".join(lines)

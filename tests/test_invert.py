@@ -320,6 +320,61 @@ def test_vanished_coherence_settled_in_one_scan(monkeypatch, label):
             solve.__name__
 
 
+# noisy V draws whose block-1 profile falls towards the degenerate
+# lam1 -> 0, where the stage fit has coordinates of 1e7 and more that block
+# 2 would hold: (sample_truth seed, draw, Poisson seed), 1e4 shots
+DEGENERATE_V = {"default_rng(77) #28": (77, 28, 1028),
+                "default_rng(123) #29": (123, 29, 529)}
+
+
+@pytest.mark.filterwarnings("ignore::sctomo.errors.SingularAtSolutionWarning")
+@pytest.mark.parametrize("label", sorted(DEGENERATE_V))
+def test_near_singular_stage_is_resolved_without_its_coherence(monkeypatch,
+                                                               label):
+    seed, draw, noise_seed = DEGENERATE_V[label]
+    rng = np.random.default_rng(seed)
+    for _ in range(draw + 1):
+        state, unknowns = sample_truth("V", rng)
+    proto = scenario("V")
+    counts = simulate_counts(state, unknowns, proto,
+                             NoiseModel("poisson", shots=10 ** 4,
+                                        seed=noise_seed))
+    rows = []
+    original = invert.prefer_sparse_coherences
+
+    def counted(profile, pts, stage_rows, cols, held):
+        rows.append(list(stage_rows))
+        return original(profile, pts, stage_rows, cols, held)
+
+    monkeypatch.setattr(invert, "prefer_sparse_coherences", counted)
+    result = reconstruct(counts, proto)
+    assert rows == [[0, 1, 2, 3, 4]]
+    truth = pack_values(proto.unknown_names, state, unknowns)
+    assert result.residual <= 1.01 * polish(counts, proto, truth).f
+    assert block_solve_v(counts, proto).residual <= 1e-3
+
+
+@pytest.mark.filterwarnings("ignore::sctomo.errors.SingularAtSolutionWarning")
+def test_tiny_counts_keep_their_coherence(monkeypatch):
+    # the flat test is relative to |y|^2: counts scaled by 1e-10 put every
+    # grid objective below 1e-18, yet no stage is flat (the Jacobian report
+    # still reads near-singular: its floor is max(1, |J|))
+    proto = scenario("B")
+    counts = 1e-10 * exact_counts("B", qubit_state(0.55, 0.45, 0.2, 0.7),
+                                  qubit_unknowns(lam_c=1.3))
+    calls = []
+    original = invert.prefer_sparse_coherences
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(invert, "prefer_sparse_coherences", counted)
+    result = reconstruct(counts, proto)
+    assert calls == []
+    assert result.state.coherences[0] == pytest.approx(0.2e-10, rel=1e-2)
+
+
 def test_block_three_sensitive_to_strength_errors():
     # forward sensitivity probe: with the estimated state held, a 0.1 error
     # in either strength leaves a strictly positive block-3 residual
