@@ -6,10 +6,11 @@ Three routes are provided and cross-checked against each other:
   statistics are linear in the Cartesian state coordinates);
 * `reconstruct`, a variable-projection search: for fixed strengths the
   statistics are linear in the Cartesian state coordinates, so the state is
-  solved by linear least squares at every point of a scan over the 0, 1 or
-  2 strengths; the exact-tie reflection family of the best minimum is
-  enumerated and ranked by a stated rule, and the chosen member is polished
-  on the least-squares or the Poisson-deviance objective;
+  solved by linear least squares and what is left is a profile over the 0,
+  1 or 2 strengths; its minima are found stage by stage, the exact-tie
+  reflection family of the chosen one is enumerated and ranked by a stated
+  rule, and the chosen member is polished on the least-squares or the
+  Poisson-deviance objective;
 * `grid_oracle`, a brute-force zooming grid over the strengths on the
   same profile objective, which checks that the scan of `reconstruct`
   reaches the global minimum.
@@ -18,9 +19,18 @@ The scan runs in stages derived from the protocol (`_scan_stages`) and
 solves them by back-substitution (`_scan`).  On the V-type protocol they are
 its triangular blocks: lam1 on the settings and coordinates of
 ground-excited pair 1, then lam2 on those of pair 2 with pair 1's fit held.
-A stage that fits the data exactly along a whole curve of strengths (a
-vanished coherence), or that a later stage holds at a near-singular fit (a
-degenerate strength), is re-solved with its coherence at zero.
+A stage with one strength whose design is a trigonometric polynomial of it
+(B and both V blocks) has the profile N/D, a ratio of two Gram determinants
+that are trigonometric polynomials of a degree fixed by the setting
+multipliers, so its stationary points are the roots of one polynomial,
+found by `np.roots` from the determinants at 2K+1 strengths
+(`_stage_starts`); no strength grid is evaluated.  Other stages (C-alt's
+joint one) are scanned on a grid.  Either way the candidates that tie with
+the lowest are refined by damped Gauss-Newton, and exact ties are ordered
+by a stated rule (`_stage_minima`).  A stage that fits the data exactly
+along a whole curve of strengths (a vanished coherence: N is identically
+zero), or that a later stage holds at a near-singular fit (a degenerate
+strength), is re-solved with its coherence at zero.
 `reconstruct` polishes the scan's solution jointly and `block_solve_v`
 does not; the two must agree on exact data.
 
@@ -55,7 +65,7 @@ from .errors import (DimensionMismatch, InvalidRange, RankDeficient,
 from .forward import ProtocolLayout, observed_values
 from .model import (COHERENCE_PAIRS, DensityParams, PHASE_NAMES, TWO_PI,
                     state_matrix, state_params_from_matrix, wrap_phase)
-from .protocol import NAMES, Protocol, UnknownParams, split_values
+from .protocol import NAMES, STRENGTHS, Protocol, UnknownParams, split_values
 
 OBJECTIVES = ("least_squares", "poisson_mle")
 LAM_FLOOR = 1e-9
@@ -363,18 +373,29 @@ def _lm_multistart(profile: _Profile, y: np.ndarray, start: np.ndarray,
 # minimized over the state exactly, by a QR factorization per point, and
 # what remains is a function of the 0, 1 or 2 strengths alone (Golub &
 # Pereyra, SIAM J. Numer. Anal. 10, 1973).
-# That profile is scanned on a grid, its lowest grid minima are refined by
-# `_damped_gauss_newton` on the projected residual, and the best one heads
-# the exact-tie family that `resolve_twin_family` ranks.  `grid_oracle`
-# searches the same profile by a zooming grid instead.
+# On a stage with one strength whose design is a trigonometric polynomial
+# of it (B, both V blocks) the profile is N/D, a ratio of two Gram
+# determinants that are trigonometric polynomials too, and its stationary
+# points come from the roots of one polynomial (`_stage_starts`).  Other
+# stages (C-alt's joint one) are scanned on a grid.  The candidates that
+# can tie with the lowest are refined by `_damped_gauss_newton` on the
+# projected residual, and the chosen one heads the exact-tie family that
+# `resolve_twin_family` ranks.  `grid_oracle` searches the same profile by
+# a zooming grid instead.
 
+# grid stages only (a joint or a non-polynomial stage):
 SCAN_POINTS = {1: 256, 2: 64}  # grid points per strength axis, by scan dimension
-N_REFINE = 6                   # lowest grid minima refined per scan stage
+N_REFINE = 6                   # lowest grid minima refined per grid stage
+# every stage:
 REFINE_ITER = 60
 REFINE_FTOL = 1e-8             # least relative gain of an accepted refine step
 SCAN_CHUNK = 1024              # profile points per design evaluation
 TIE_RTOL = 1e-9
-TIE_ATOL = 1e-18               # times max(1, |y|^2)
+TIE_ATOL = 1e-18               # times max(1, |y|^2), or |y|^2 where stated
+# stages with a degree (`_stage_degree`):
+ROOT_RTOL = 1e-8               # |D| where rank is lost, times sum |d_k|
+ROOT_EPS = 4 * np.finfo(float).eps  # round-off of N/D per sample
+SMIN_RTOL = 1e-6               # relative gap of equal smallest singular values
 RANK_RTOL = 1e-10              # least singular value of the inner solve, times the largest
 
 
@@ -606,20 +627,18 @@ class _Profile:
                 out[k] = next(lam_values)
         return out
 
-    def refine(self, pts, f, free, rows, cols, held) -> tuple:
+    def refine(self, lam, free, rows, cols, held) -> tuple:
         """`_damped_gauss_newton` on the projected residual of `fit` on
         `rows` and `cols`, with `held` held, over the strengths `free` from
-        the N_REFINE lowest minima of the grid objective f at the strength
-        rows `pts` (the other strengths are the same in every row); returns
-        the end points and the best of them (`_best_minimum`).  A start
+        each row of strengths `lam` (the other strengths are the same in
+        every row); returns the end rows and their objectives.  A start
         also stops on an accepted step that gains at most REFINE_FTOL of
         its objective: one that creeps towards a degenerate strength
         (lam -> 0, 2*pi, or pi where sin(lam) silences settings) gains that
         little per step, one that converges to a root orders of magnitude
         more.
         """
-        g = SCAN_POINTS[len(free)]
-        lam = pts[_grid_minima(f.reshape((g,) * len(free)), N_REFINE)]
+        lam = np.array(lam, dtype=float)
 
         def residual(z):
             at = np.tile(lam[0], (len(z), 1))
@@ -629,7 +648,7 @@ class _Profile:
         lam[:, free], f, _, _ = _damped_gauss_newton(
             residual, lam[:, free], LAM_FLOOR, TWO_PI, 0.0, "least_squares",
             self.scale, REFINE_ITER, REFINE_FTOL)
-        return lam, lam[_best_minimum(lam, f, self.scale)]
+        return lam, f
 
 
 def _scan_stages(profile: _Profile) -> list:
@@ -662,8 +681,135 @@ def _scan_stages(profile: _Profile) -> list:
     return stages
 
 
+def _stage_degree(profile: _Profile, free, rows):
+    """Degree K of a one-strength stage's Gram determinants as
+    trigonometric polynomials of its strength, or None when its design is
+    not a trigonometric polynomial of it (two strengths, a non-integer
+    multiplier, or a setting that also drives another generator).
+
+    A setting with multiplier m on the strength and no other generator
+    term rotates by m*lam (plus a fixed angle on the same generator), so
+    its design row is a trigonometric polynomial of degree |m|.  By
+    Cauchy-Binet det Gram(M) is a sum of squared minors of M, one row
+    each, so K = 2 * sum |m| over the rows bounds both determinants.
+    """
+    if len(free) != 1:
+        return None
+    protocol = profile.layout.protocol
+    name = protocol.process_unknown_names[free[0]]
+    degree = 0
+    for i in range(protocol.n_settings) if rows is None else rows:
+        s = protocol.settings[i]
+        terms = {n: (m, fixed) for n, m, fixed in zip(
+            STRENGTHS[protocol.dim], s.multipliers + (s.mz,),
+            s.fixed_couplings + (s.fixed_diag,))}
+        m = terms.pop(name)[0]
+        if m == 0.0:
+            continue
+        if m != round(m) or any(any(t) for t in terms.values()):
+            return None
+        degree += abs(int(m))
+    return 2 * degree
+
+
+def _stage_points(profile: _Profile, lam, free, rows) -> np.ndarray:
+    """The strength rows a stage is sampled at, `lam` in the other
+    strengths: the 2K+1 equispaced points that fix trigonometric
+    polynomials of degree K (`_stage_degree`), or else a grid of
+    SCAN_POINTS per strength."""
+    k = _stage_degree(profile, free, rows)
+    if k is None:
+        g = SCAN_POINTS[len(free)]
+        axis = TWO_PI * (np.arange(g) + 0.5) / g
+        grid = np.stack(np.meshgrid(*[axis] * len(free), indexing="ij"),
+                        axis=-1).reshape(-1, len(free))
+    else:
+        grid = (TWO_PI * np.arange(2 * k + 1) / (2 * k + 1))[:, None]
+    pts = np.tile(lam, (len(grid), 1))
+    pts[:, free] = grid
+    return pts
+
+
+def _gram_determinants(profile: _Profile, pts, rows, cols, held) -> tuple:
+    """N = det Gram([A b]) and D = det Gram(A) at each strength row of
+    pts, with A the design's columns `cols` on the settings `rows` and b
+    the counts there less design @ held, from the diagonal of the R factor
+    of [A b] (N/D is the stage's least-squares objective, its last pivot
+    squared).  Missing rows count as zero rows, which make N vanish."""
+    design = profile.layout.design(profile._at(pts))[:, rows]
+    m = np.concatenate([design[..., cols],
+                        (profile.y[rows] - design @ held)[..., None]], axis=2)
+    m = np.pad(m, ((0, 0), (0, max(0, len(cols) + 1 - m.shape[1])), (0, 0)))
+    r2 = np.abs(np.diagonal(np.linalg.qr(m, mode="r"), axis1=1, axis2=2)) ** 2
+    return r2.prod(axis=1), r2[:, :-1].prod(axis=1)
+
+
+def _stage_starts(profile: _Profile, pts, rows, cols, held) -> tuple:
+    """The strength rows a stage's refine starts from, and whether the
+    stage is flat (fits the counts exactly at every strength), from its
+    samples at `pts` (`_stage_points`; the free strengths are the ones
+    that vary there).
+
+    A stage with a degree (`_stage_degree`) is flat when N is zero
+    relative to TIE_ATOL * |y|^2 * D at every sample.  Otherwise the
+    stationary points of N/D are the roots of F = N'D - ND', a
+    trigonometric polynomial of degree 2K - 1, so e^{i(2K-1) lam} F is a
+    polynomial of degree 4K - 2 in e^{i lam} whose coefficients come from
+    the Fourier coefficients of N and D (Boyd, J. Eng. Math. 56, 203,
+    2006).  Every root is kept and mapped to an angle in [LAM_FLOOR,
+    2*pi]; roots off the unit circle only add candidates, and F vanishes
+    at D's multiple zeros, so the limits where the design loses rank
+    (lam -> 0, pi, 2*pi) are among them.  Each candidate is ranked by N/D
+    from the Fourier coefficients n_k and d_k, with the bound
+    ROOT_EPS * (2K+1) * (sum |n_k| + N/D sum |d_k|) / D on its round-off.
+    Where D is at most ROOT_RTOL * sum |d_k| (rank lost) that bound is
+    void: those candidates are ranked by `fit` instead, unless another
+    candidate already fits exactly.  The refine starts from every
+    candidate that can tie with the lowest, lowest first.
+
+    Any other stage is flat when its objective (`_Profile.objective`) is
+    at most TIE_ATOL * |y|^2 at more than half of its grid, and its refine
+    starts from the N_REFINE lowest grid minima (`_grid_minima`).
+    """
+    free = list(np.flatnonzero(pts.min(axis=0) < pts.max(axis=0)))
+    ysq = float((profile.y ** 2).sum())
+    if _stage_degree(profile, free, rows) is None:
+        g = SCAN_POINTS[len(free)]
+        f = profile.objective(pts, rows, cols, held)
+        flat = np.sum(f <= TIE_ATOL * ysq) > f.size / 2
+        return pts[_grid_minima(f.reshape((g,) * len(free)), N_REFINE)], flat
+    n, d = _gram_determinants(profile, pts, rows, cols, held)
+    if n.max() <= TIE_ATOL * ysq * d.max():
+        return pts, True
+    # len(pts) times the Fourier coefficients, frequencies -K..K
+    k = np.arange(len(pts)) - len(pts) // 2
+    dft = np.exp(-1j * np.outer(k, pts[:, free[0]]))
+    cn, cd = dft @ n, dft @ d
+    # F's coefficients at e^{+-2iK lam}, i(K - K) n_K d_K, vanish
+    roots = np.roots((np.convolve(1j * k * cn, cd)
+                      - np.convolve(cn, 1j * k * cd))[-2:0:-1])
+    theta = np.clip(np.mod(np.angle(roots), TWO_PI), LAM_FLOOR, TWO_PI)
+    waves = np.exp(1j * np.outer(theta, k))
+    num, den = (waves @ cn).real, (waves @ cd).real
+    lost = den <= ROOT_RTOL * np.abs(cd).sum()
+    value = num / np.where(lost, 1.0, den)
+    err = ROOT_EPS * len(pts) * (np.abs(cn).sum() + np.abs(value)
+                                 * np.abs(cd).sum()) / np.where(lost, 1.0, den)
+    starts = np.tile(pts[0], (len(theta), 1))
+    starts[:, free[0]] = theta
+    if lost.any() and not np.any((value - err)[~lost] <= 0.0):
+        value[lost] = profile.objective(starts[lost], rows, cols, held)
+        err[lost], lost[:] = 0.0, False
+    best = (value + err)[~lost].min()
+    tied = ~lost & (value - err <= best + max(TIE_RTOL * best,
+                                               TIE_ATOL * ysq))
+    order = np.flatnonzero(tied)
+    return starts[order[np.argsort(value[order], kind="stable")]], False
+
+
 def _grid_minima(f: np.ndarray, n: int) -> np.ndarray:
-    """Flat indices of the n lowest local minima of a 1-D or 2-D grid."""
+    """Flat indices of the n lowest local minima of a 1-D or 2-D grid (the
+    refine starts of a grid stage)."""
     pad = np.pad(f, 1, constant_values=np.inf)
     is_min = np.ones(f.shape, dtype=bool)
     for shift in itertools.product((-1, 0, 1), repeat=f.ndim):
@@ -691,48 +837,76 @@ def _best_minimum(cand: np.ndarray, f: np.ndarray, scale: float) -> int:
                key=lambda i: (int((cand[i] > math.pi + 1e-12).sum()), i))
 
 
-def _near_singular(profile: _Profile, lam, free, rows, cols, held) -> bool:
-    """Whether a stage's Jacobian at its fit at the strengths lam, in its
-    coordinates `cols` and strengths `free` on its settings `rows`, is
-    near-singular by the rule of `singular_at_solution`."""
-    c_full = held.copy()
-    c_full[cols] = profile.fit(lam, rows, cols, held=held)[0][0]
-    _, jac = profile.model(np.concatenate([c_full[profile.cols], lam]), True)
+def _stage_jacobian(profile: _Profile, lam, free, rows, cols, held):
+    """A stage's Jacobian at its fit at each row of strengths lam: the
+    derivative of the statistics on its settings `rows` in its coordinates
+    `cols` and strengths `free`, the other coordinates at `held`."""
+    c_full = np.tile(held, (len(lam), 1))
+    c_full[:, cols] = profile.fit(lam, rows, cols, held=held)[0]
+    _, jac = profile.model(
+        np.concatenate([c_full[:, profile.cols], lam], axis=1), True)
     n = len(profile.cols)
-    jac = jac[0][rows][:, [profile.cols.index(c) for c in cols]
-                       + [n + k for k in free]]
+    return jac[:, rows][..., [profile.cols.index(c) for c in cols]
+                        + [n + k for k in free]]
+
+
+def _near_singular(profile: _Profile, lam, free, rows, cols, held) -> bool:
+    """Whether a stage's Jacobian at its fit at the strengths lam is
+    near-singular by the rule of `singular_at_solution`."""
+    jac = _stage_jacobian(profile, lam[None, :], free, rows, cols, held)[0]
     smin = np.linalg.svd(jac, compute_uv=False)[-1]
     return bool(identify.near_singular(jac, smin))
 
 
+def _stage_minima(profile: _Profile, starts, free, rows, cols, held) -> tuple:
+    """A stage's refined minima from the strength rows `starts`, the one
+    to go on from first, and that one.
+
+    It is, among the end points whose objective ties with the lowest
+    relative to |y|^2 (`_ties`), the one with the fewest strengths above pi
+    (the canonical member of a reflection pair), then the one whose stage
+    Jacobian (`_stage_jacobian`) has the largest smallest singular value
+    (values within SMIN_RTOL of each other count as equal, so copies of
+    one root do not), then the first offered.  Distinct exact roots are
+    ordered by their conditioning, which round-off cannot flip."""
+    cand, f = profile.refine(starts, free, rows, cols, held)
+    ties = _ties(f, float((profile.y ** 2).sum()))
+    n_large = (cand[ties] > math.pi + 1e-12).sum(axis=1)
+    group = ties[n_large == n_large.min()]
+    best = group[0]
+    if len(group) > 1:
+        jac = _stage_jacobian(profile, cand[group], free, rows, cols, held)
+        smin = np.linalg.svd(jac, compute_uv=False)[:, -1]
+        best = group[np.flatnonzero(smin >= (1.0 - SMIN_RTOL) * smin.max())[0]]
+    order = [best] + [i for i in range(len(cand)) if i != best]
+    return cand[order], cand[best]
+
+
 def _scan(profile: _Profile) -> np.ndarray:
     """Refined profile minima of the last stage of `_scan_stages`, one row
-    of strengths each, by back-substitution: every later stage holds the
-    strengths and the coordinates that an earlier one fitted at its best
-    minimum, so on exact data each stage's profile vanishes at the true
-    strengths.  `prefer_sparse_coherences` re-solves a flat stage, whose
-    grid objective ties with zero (TIE_ATOL times |y|^2) at more than half
-    of its points, and one that a later stage would hold at a near-singular
-    fit (`_near_singular`)."""
+    of strengths each, the one to go on from first, by back-substitution:
+    every later stage holds the strengths and the coordinates that an
+    earlier one fitted at its chosen minimum, so on exact data each
+    stage's profile vanishes at the true strengths.  Each stage refines
+    the starts of `_stage_starts` and picks by the rule of
+    `_stage_minima`.  `prefer_sparse_coherences` re-solves a flat stage
+    and one that a later stage would hold at a near-singular fit
+    (`_near_singular`)."""
     lam = np.full(len(profile.lam_cols), math.pi / 2)  # not yet scanned
     cand = lam[None, :]
     held = np.zeros(profile.layout.dim + 2 * profile.layout.npair)
     stages = _scan_stages(profile)
     for k, (free, rows, cols) in enumerate(stages):
-        g = SCAN_POINTS[len(free)]
-        axis = TWO_PI * (np.arange(g) + 0.5) / g
-        grid = np.stack(np.meshgrid(*[axis] * len(free), indexing="ij"), axis=-1)
-        pts = np.tile(lam, (g ** len(free), 1))
-        pts[:, free] = grid.reshape(-1, len(free))
-        f = profile.objective(pts, rows, cols, held)
-        flat = np.sum(f <= TIE_ATOL * (profile.y ** 2).sum()) > f.size / 2
-        if not flat:
-            cand, lam = profile.refine(pts, f, free, rows, cols, held)
         last = k + 1 == len(stages)
+        pts = _stage_points(profile, lam, free, rows)
+        starts, flat = _stage_starts(profile, pts, rows, cols, held)
+        if not flat:
+            cand, lam = _stage_minima(profile, starts, free, rows, cols, held)
         if flat or not last and _near_singular(profile, lam, free, rows,
                                                cols, held):
-            cols, f = prefer_sparse_coherences(profile, pts, rows, cols, held)
-            cand, lam = profile.refine(pts, f, free, rows, cols, held)
+            cols, starts = prefer_sparse_coherences(profile, pts, rows, cols,
+                                                    held)
+            cand, lam = _stage_minima(profile, starts, free, rows, cols, held)
         if not last:
             held[cols] = profile.fit(lam, rows, cols, held=held)[0][0]
     return cand
@@ -741,23 +915,24 @@ def _scan(profile: _Profile) -> np.ndarray:
 def prefer_sparse_coherences(profile: _Profile, pts: np.ndarray, rows, cols,
                              held) -> tuple:
     """A stage of `_scan` re-solved on its populations alone, with its
-    coherence at zero: the stage's coordinates left and its objective at
-    the strength rows `pts`.  (`sctbench/tracer.py` hooks this name.)
+    coherence at zero: the stage's coordinates left and the strength rows
+    its refine starts from, from its samples at `pts` (`_stage_starts`).
+    (`sctbench/tracer.py` hooks this name.)
 
     When a coherence vanishes (the zero locus |J_A| = rho01 of B, and
     rho01 or rho02 on the V blocks), its phase drops out of the statistics
     and the stage fits the data exactly along a whole curve of strengths,
-    each with a coherence of its own.  A stage profile that is not
-    identically zero is a ratio of trigonometric polynomials of low degree
-    and cannot vanish on half of the grid.  At a degenerate strength
+    each with a coherence of its own: N vanishes identically.  A stage
+    profile that fits exactly at isolated strengths only has an N that is
+    a non-zero trigonometric polynomial.  At a degenerate strength
     (lam -> 0, where the coherence's columns vanish) noisy counts are fit
     by coordinates that grow without bound.  Without the coherence the
     populations single the strength out up to its reflection, or leave a
-    few exact roots between which the order offered decides.  The state
+    few exact roots, which the rule of `_stage_minima` orders.  The state
     is then fitted on every coordinate (`resolve_twin_family`), and a
     vanished coherence's phase is reported undefined."""
     cols = [c for c in cols if c < profile.layout.dim]
-    return cols, profile.objective(pts, rows, cols, held)
+    return cols, _stage_starts(profile, pts, rows, cols, held)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -802,13 +977,14 @@ def resolve_twin_family(profile: _Profile, cand: np.ndarray) -> tuple:
     """Pick the member of the exact-tie family of the best profile minimum.
 
     The family is every row of strengths in `cand` (in the order offered:
-    for a scan, lowest grid objective first) plus each reflection
+    for a scan, its chosen minimum first) plus each reflection
     lam_j -> 2*pi - lam_j (one or more strengths at once) of the best one
     (`_best_minimum`), with the Cartesian state re-solved linearly at each.
     The members whose least-squares objective ties with the lowest are
     ranked by `_branch_key` on their Cartesian coordinates, so distinct
     exact roots that are both physical with every lam <= pi (a vanished
-    coherence can leave two) go by the order offered.  Returns the chosen
+    coherence can leave two) go by the order offered, which for a scan is
+    the rule of `_stage_minima`.  Returns the chosen
     member's z (see `_Profile`) and the number of members compared.
     """
     best = cand[_best_minimum(cand, profile.objective(cand), profile.scale)]
@@ -902,18 +1078,23 @@ def reconstruct(counts, protocol: Protocol,
 
     1. Scan.  At fixed strengths the state is solved by linear least squares
        in its Cartesian coordinates, which leaves a profile objective over
-       the 0, 1 or 2 strengths.  It is evaluated on a grid over (0, 2*pi]
-       per strength (SCAN_POINTS per axis) in the stages of `_scan_stages`,
-       each on its own settings and coordinates: V scans lam1 on block 1
-       and then lam2 on block 2 with block 1's fit held, C-alt scans
-       (lam_c, lam_z) jointly on every setting, and a protocol without
-       strengths (A) is a single linear solve.  The N_REFINE lowest grid
-       minima of each stage are refined by damped Gauss-Newton on the
-       projected residual, with its closed-form Jacobian; a start whose
-       steps stall stops early.  A flat stage, one that fits the data
-       exactly at most of its grid (a vanished coherence), and a stage
-       that a later one holds at a near-singular fit (a degenerate
-       strength) are re-solved with their coherence at zero (`_scan`).
+       the 0, 1 or 2 strengths, searched in the stages of `_scan_stages`,
+       each on its own settings and coordinates: B scans lam_c, V scans
+       lam1 on block 1 and then lam2 on block 2 with block 1's fit held,
+       C-alt scans (lam_c, lam_z) jointly on every setting, and a protocol
+       without strengths (A) is a single linear solve.  A one-strength
+       stage whose design is a trigonometric polynomial of its strength
+       (B, both V blocks) takes its candidates from the roots of
+       N'D - ND', N and D the Gram determinants whose ratio is its profile
+       (`_stage_starts`); another stage takes the N_REFINE lowest minima of
+       a grid of SCAN_POINTS per strength.  The candidates that can tie
+       with the lowest are refined by damped Gauss-Newton on the projected
+       residual, with its closed-form Jacobian, and a start whose steps
+       stall stops early; exact ties at distinct strengths go by the rule
+       of `_stage_minima`.  A flat stage, one that fits the data exactly at
+       every strength (a vanished coherence), and a stage that a later one
+       holds at a near-singular fit (a degenerate strength) are re-solved
+       with their coherence at zero (`_scan`).
     2. Branch rule.  The best minimum, its reflections lam_j -> 2*pi - lam_j
        and any other refined minimum are compared; among those tied with
        the lowest objective the member chosen is physical first, then has
@@ -1013,7 +1194,7 @@ def grid_oracle(counts, protocol: Protocol, grid: int = 15,
     incumbent changes only on a strictly lower objective, with the points
     in `itertools.product` order, so the search is deterministic.  It
     shares the inner linear solve with `reconstruct` but none of its
-    outer search (scan stages, grid minima, refine).
+    outer search (scan stages, roots, grid minima, refine).
 
     The incumbent goes to the reflection rule of `reconstruct`
     (`_settle_twins`); `values` is the chosen member and `objective` its

@@ -580,18 +580,34 @@ def conventions_report() -> str:
         " the one with the fewest strengths above pi, then the order offered.",
         "",
         "Flat-stage rule (a vanished coherence leaves a curve of exact fits):",
-        " the strengths are scanned in stages, each holding what the earlier",
-        " ones fitted.  A stage is flat when its least-squares objective is",
+        " the strengths are solved in stages, each holding what the earlier",
+        " ones fitted.  A stage with one strength whose design is a",
+        " trigonometric polynomial of it (B, both V blocks) has the profile",
+        " N/D, N and D the Gram determinants of its design with and without",
+        " the counts; both have a degree K fixed by the setting multipliers,",
+        " and the stage's minima come from the roots of N'D - ND'.  That",
+        " stage is flat when N is identically zero: at most",
+        f" {invert.TIE_ATOL:g} * |y|^2 * max D at each of its 2K+1 samples.  A",
+        " grid stage (C-alt's joint one) is flat when its objective is",
         f" at most {invert.TIE_ATOL:g} * |y|^2 at more than half of its grid",
-        " points; it is then re-solved on its populations alone, with its",
-        " coherence at zero, and that phase is undefined.  Where the",
-        " populations still fit exactly at more than one strength (V with",
-        " rho02 = 0 and lam = (1.2, 1.7) fits at lam2 = 1.7 and 1.4224), the",
-        " branch rule above decides, by the order offered.  A stage that a",
+        " points.  A flat stage is re-solved on its populations alone, with",
+        " its coherence at zero, and that phase is undefined.  A stage that a",
         " later one holds is also re-solved on its populations when its",
-        " Jacobian at its best minimum is near-singular (the rule of",
+        " Jacobian at its chosen minimum is near-singular (the rule of",
         " singular_at_solution), a degenerate strength; the state is then",
         " fitted on every coordinate at the strengths found.",
+        "",
+        "Stage rule for exact ties at distinct strengths:",
+        " each stage refines every candidate that can tie with its lowest.",
+        " Among the end points whose objective ties with the lowest",
+        f" (within max({invert.TIE_RTOL:g} * lowest, {invert.TIE_ATOL:g} * |y|^2))",
+        " it goes on from the one with the fewest strengths above pi, then",
+        " the one whose stage Jacobian has the largest smallest singular",
+        f" value (values within {invert.SMIN_RTOL:g} of each other, relative, are",
+        " equal), then the first offered.  V with rho02 = 0 and",
+        " lam = (1.2, 1.7) fits its populations-only block 2 exactly at",
+        " lam2 = 1.7 (smallest singular value 0.065) and 1.4224 (0.050), so",
+        " 1.7 is chosen; round-off cannot flip that order.",
         "",
     ]
     return "\n".join(lines)

@@ -255,6 +255,10 @@ def test_validate_command_plumbing(tmp_path, monkeypatch, capsys):
     assert "Flat-stage rule" in text
     assert (f"at most {invert.TIE_ATOL:g} * |y|^2 at more than half"
             ) in text
+    assert "flat when N is identically zero" in text
+    assert f"{invert.TIE_ATOL:g} * |y|^2 * max D at each of its 2K+1" in text
+    assert "Stage rule for exact ties at distinct strengths" in text
+    assert f"values within {invert.SMIN_RTOL:g} of each other" in text
 
     def failing_suite(suite, seed):
         return [validation.CheckResult("1", "alpha", False, "broken")]

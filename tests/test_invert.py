@@ -265,7 +265,10 @@ def test_block_solve_zero_02_coherence():
     result = block_solve_v(counts, proto)
     # with rho02 = 0 the counts fit exactly at lam2 = 1.7 and at 1.4224
     # (rho22 0.291), both physical with every strength below pi, so the
-    # order the staged scan offers them in decides, not the data
+    # data cannot decide; the stage rule of `_stage_minima` does: the
+    # populations-only block-2 Jacobian is better conditioned at 1.7
+    # (smallest singular value 0.065 against 0.050), which round-off
+    # cannot flip
     assert "gamma02" in result.phase_undefined
     assert result.state.populations == pytest.approx(state.populations,
                                                      abs=1e-6)
@@ -937,3 +940,164 @@ def test_inner_solve_jacobian_matches_differences_of_residual():
 def test_solver_options_reject_bad_max_iter(max_iter):
     with pytest.raises(InvalidRange):
         SolverOptions(max_iter=max_iter)
+
+
+# ---------------------------------------------------------------------------
+# Exact one-strength stages
+# ---------------------------------------------------------------------------
+
+
+def _raised_v():
+    # scenario V with setting 3 (block 1, phase 0) at multiplier 3, not 2
+    from dataclasses import replace
+    v = scenario("V")
+    settings = list(v.settings)
+    settings[3] = replace(settings[3], multipliers=(3.0, 0.0))
+    return Protocol("V", 3, tuple(settings), v.unknown_names)
+
+
+# protocol and the degree K of each stage, from its multipliers
+DEGREE_CASES = {
+    "B": (scenario("B"), [12]),
+    "B~beta": (with_unknown_phase(scenario("B")), [12]),
+    "V": (scenario("V"), [12, 12]),
+    "V~beta": (with_unknown_phase(scenario("V")), [12, 12]),
+    "V multiplier 3": (_raised_v(), [14, 12]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DEGREE_CASES))
+def test_stage_determinants_stay_within_their_degree(label):
+    # N = det Gram([A b]) and D = det Gram(A) sampled for degree 2K: no
+    # Fourier content above K, on every stage (V block 2 held at block 1's
+    # fit) and on its populations alone, with noisy counts
+    proto, degrees = DEGREE_CASES[label]
+    base = label.split("~")[0].split()[0]
+    rng = np.random.default_rng(96)
+    for _ in range(3):
+        state, unknowns = sample_truth(base, rng)
+        counts = predicted_statistics(proto, state, unknowns) \
+            + 1e-2 * rng.standard_normal(proto.n_settings)
+        profile = invert._Profile(proto, counts)
+        lam = pack_values(proto.unknown_names, state,
+                          unknowns)[profile.lam_cols]
+        held = np.zeros(profile.layout.dim + 2 * profile.layout.npair)
+        stages = invert._scan_stages(profile)
+        assert [invert._stage_degree(profile, free, rows)
+                for free, rows, _ in stages] == degrees
+        for (free, rows, cols), k in zip(stages, degrees):
+            n_pts = 4 * k + 1
+            pts = np.tile(lam, (n_pts, 1))
+            pts[:, free[0]] = TWO_PI * np.arange(n_pts) / n_pts
+            freq = np.abs(np.fft.fftfreq(n_pts, 1.0 / n_pts))
+            for stage_cols in (cols, [c for c in cols if c < proto.dim]):
+                for det in invert._gram_determinants(profile, pts, rows,
+                                                     stage_cols, held):
+                    content = np.abs(np.fft.fft(det))
+                    assert content[freq > k].max() < 1e-12 * content.max()
+            held[cols] = profile.fit(lam, rows, cols, held=held)[0][0]
+
+
+def test_stage_degree_needs_integer_multipliers_on_one_generator():
+    # a non-integer multiplier, or a setting that also drives another
+    # generator, leaves the stage to the grid; a fixed angle on the same
+    # generator does not
+    from dataclasses import replace
+    b = scenario("B")
+    cases = {
+        "multiplier 2.5": (replace(b.settings[2], multipliers=(2.5,)), None),
+        "diagonal offset": (replace(b.settings[2], fixed_diag=0.3), None),
+        "coupling offset": (replace(b.settings[2], fixed_couplings=(0.3,)),
+                            12),
+    }
+    for label, (setting, degree) in cases.items():
+        settings = list(b.settings)
+        settings[2] = setting
+        proto = Protocol("B", 2, tuple(settings), b.unknown_names)
+        profile = invert._Profile(proto, np.zeros(proto.n_settings))
+        [(free, rows, _)] = invert._scan_stages(profile)
+        assert invert._stage_degree(profile, free, rows) == degree, label
+        pts = invert._stage_points(profile, np.array([1.0]), free, rows)
+        assert len(pts) == (invert.SCAN_POINTS[1] if degree is None
+                            else 2 * degree + 1), label
+
+
+def test_grid_stage_keeps_one_strength_without_a_degree():
+    # B with a diagonal offset on setting 2: the stage is scanned on the
+    # grid and still round-trips
+    from dataclasses import replace
+    b = scenario("B")
+    settings = list(b.settings)
+    settings[2] = replace(settings[2], fixed_diag=0.3)
+    proto = Protocol("B", 2, tuple(settings), b.unknown_names)
+    rng = np.random.default_rng(97)
+    for _ in range(3):
+        state, unknowns = sample_truth("B", rng)
+        counts = predicted_statistics(proto, state, unknowns)
+        expected = pack_values(proto.unknown_names, state, unknowns)
+        assert max_param_error(proto.unknown_names,
+                               reconstruct(counts, proto).x, expected) < 1e-8
+
+
+@pytest.mark.filterwarnings("ignore::sctomo.errors.SingularAtSolutionWarning")
+@pytest.mark.parametrize("name", ["B", "V"])
+def test_stage_candidates_reach_a_fine_scan(monkeypatch, name):
+    # every stage the scan solves (held stages at the fit they are held
+    # at, re-solved ones on their populations) chooses a minimum that ties
+    # with the lowest of a 4096-point scan of the same stage profile
+    proto = scenario(name)
+    rng = np.random.default_rng(98)
+    stages = []
+    original = invert._stage_minima
+
+    def recorded(profile, starts, free, rows, cols, held):
+        out = original(profile, starts, free, rows, cols, held)
+        stages.append((profile, out[1], free, rows, list(cols), held.copy()))
+        return out
+
+    monkeypatch.setattr(invert, "_stage_minima", recorded)
+    axis = TWO_PI * (np.arange(4096) + 0.5) / 4096
+    for i in range(20):
+        state, unknowns = sample_truth(name, rng)
+        exact = predicted_statistics(proto, state, unknowns)
+        noisy = simulate_counts(state, unknowns, proto,
+                                NoiseModel("poisson", shots=10 ** 4,
+                                           seed=2000 + i))
+        for counts in (exact, noisy):
+            stages.clear()
+            invert._scan(invert._Profile(proto, _count_values(counts)))
+            assert stages
+            for profile, lam, free, rows, cols, held in stages:
+                pts = np.tile(lam, (len(axis), 1))
+                pts[:, free[0]] = axis
+                scan = profile.objective(pts, rows, cols, held).min()
+                chosen = profile.objective(lam[None, :], rows, cols, held)[0]
+                assert 1 in invert._ties(np.array([scan, chosen]),
+                                         float((profile.y ** 2).sum())), \
+                    (i, free, chosen, scan)
+
+
+def _count_values(counts):
+    return counts if isinstance(counts, np.ndarray) else \
+        np.array([r.value for r in counts])
+
+
+def test_one_strength_stages_evaluate_no_grid(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a strength grid on a one-strength stage")
+
+    monkeypatch.setattr(invert, "_grid_minima", forbidden)
+    rng = np.random.default_rng(99)
+    for name in ("B", "B~beta", "V", "V~beta"):
+        base = name.split("~")[0]
+        proto = scenario(base)
+        if name.endswith("~beta"):
+            proto = with_unknown_phase(proto)
+        state, unknowns = sample_truth(base, rng)
+        counts = predicted_statistics(proto, state, unknowns)
+        expected = pack_values(proto.unknown_names, state, unknowns)
+        solvers = [reconstruct] + ([block_solve_v] if base == "V" else [])
+        for solve in solvers:
+            assert max_param_error(proto.unknown_names,
+                                   solve(counts, proto).x, expected) < 1e-8, \
+                (name, solve.__name__)
