@@ -20,17 +20,17 @@ solves them by back-substitution (`_scan`).  On the V-type protocol they are
 its triangular blocks: lam1 on the settings and coordinates of
 ground-excited pair 1, then lam2 on those of pair 2 with pair 1's fit held.
 A stage with one strength whose design is a trigonometric polynomial of it
-(B and both V blocks) has the profile N/D, a ratio of two Gram determinants
-that are trigonometric polynomials of a degree fixed by the setting
-multipliers, so its stationary points are the roots of one polynomial,
-found by `np.roots` from the determinants at 2K+1 strengths
-(`_stage_starts`); no strength grid is evaluated.  Other stages (C-alt's
-joint one) are scanned on a grid.  Either way the candidates that tie with
-the lowest are refined by damped Gauss-Newton, and exact ties are ordered
-by a stated rule (`_stage_minima`).  A stage that fits the data exactly
-along a whole curve of strengths (a vanished coherence: N is identically
-zero), or that a later stage holds at a near-singular fit (a degenerate
-strength), is re-solved with its coherence at zero.
+and even in it (B and both V blocks, `_stage_degree`) has the profile N/D, a
+ratio of two Gram determinants that are cosine series of a degree fixed by
+the setting multipliers, so its stationary points come from the roots of one
+real polynomial in cos(lam), the eigenvalues of a colleague matrix built
+from the determinants at 2K+1 strengths (`_stage_starts`).  Other stages
+(C-alt's joint one) are scanned on a grid.  Either way the candidates that
+tie with the lowest are refined by damped Gauss-Newton, and exact ties are
+ordered by a stated rule (`_stage_minima`).  A stage that fits the data
+exactly along a whole curve of strengths (a vanished coherence: N is
+identically zero), or that a later stage holds at a near-singular fit (a
+degenerate strength), is re-solved with its coherence at zero.
 `reconstruct` polishes the scan's solution jointly and `block_solve_v`
 does not; the two must agree on exact data.
 
@@ -159,11 +159,13 @@ class LinearInversionResult:
 
 
 def _count_vector(counts, protocol: Protocol) -> np.ndarray:
-    """Observed statistics as an array: one per setting, all finite and at
-    most COUNT_MAX in size, so that the objectives stay finite."""
+    """Observed statistics as a 1-D real array: one per setting, all finite
+    and at most COUNT_MAX in size, so that the objectives stay finite."""
     y = counts if isinstance(counts, np.ndarray) else observed_values(counts)
-    if len(y) != protocol.n_settings:
-        raise DimensionMismatch("count vector length differs from settings")
+    if y.ndim != 1 or len(y) != protocol.n_settings:
+        raise DimensionMismatch(f"need one count per setting, not {y.shape}")
+    if y.dtype.kind not in "iuf":
+        raise InvalidRange(f"counts must be real numbers, not {y.dtype}")
     if not np.all(np.isfinite(y)):
         raise InvalidRange("counts must be finite")
     if np.abs(y).max(initial=0.0) > COUNT_MAX:
@@ -372,16 +374,8 @@ def _lm_multistart(profile: _Profile, y: np.ndarray, start: np.ndarray,
 # coordinates (`ProtocolLayout.design`), so the least-squares objective is
 # minimized over the state exactly, by a QR factorization per point, and
 # what remains is a function of the 0, 1 or 2 strengths alone (Golub &
-# Pereyra, SIAM J. Numer. Anal. 10, 1973).
-# On a stage with one strength whose design is a trigonometric polynomial
-# of it (B, both V blocks) the profile is N/D, a ratio of two Gram
-# determinants that are trigonometric polynomials too, and its stationary
-# points come from the roots of one polynomial (`_stage_starts`).  Other
-# stages (C-alt's joint one) are scanned on a grid.  The candidates that
-# can tie with the lowest are refined by `_damped_gauss_newton` on the
-# projected residual, and the chosen one heads the exact-tie family that
-# `resolve_twin_family` ranks.  `grid_oracle` searches the same profile by
-# a zooming grid instead.
+# Pereyra, SIAM J. Numer. Anal. 10, 1973), searched as the module
+# docstring describes.
 
 # grid stages only (a joint or a non-polynomial stage):
 SCAN_POINTS = {1: 256, 2: 64}  # grid points per strength axis, by scan dimension
@@ -546,10 +540,7 @@ class _Profile:
         form of Golub & Pereyra (Inverse Problems 19, R1, 2003):
         P⊥ (∂D/∂lam) c_full - (A⁺)ᵀ (∂A/∂lam)ᵀ r, where D is the design,
         A its columns `cols`, c_full the held coordinates with the fitted
-        ones on `cols`, and P⊥ = I - A A⁺, all on `rows`.  The least
-        squares is `_lstsq`, a batched Householder QR with the
-        pseudo-inverse, which gives the minimum-norm coordinates, for rows
-        that fail its rank test.
+        ones on `cols`, and P⊥ = I - A A⁺, all on `rows`, by `_lstsq`.
         """
         x = self._at(np.atleast_2d(lam))
         rows = slice(None) if rows is None else rows
@@ -682,16 +673,24 @@ def _scan_stages(profile: _Profile) -> list:
 
 
 def _stage_degree(profile: _Profile, free, rows):
-    """Degree K of a one-strength stage's Gram determinants as
-    trigonometric polynomials of its strength, or None when its design is
-    not a trigonometric polynomial of it (two strengths, a non-integer
-    multiplier, or a setting that also drives another generator).
+    """Degree K of a one-strength stage's Gram determinants as cosine
+    series of its strength, or None when they are not: two strengths, a
+    non-integer multiplier, a setting that also drives another generator,
+    or a fixed angle on the stage's own generator in any of its settings.
 
     A setting with multiplier m on the strength and no other generator
-    term rotates by m*lam (plus a fixed angle on the same generator), so
-    its design row is a trigonometric polynomial of degree |m|.  By
-    Cauchy-Binet det Gram(M) is a sum of squared minors of M, one row
-    each, so K = 2 * sum |m| over the rows bounds both determinants.
+    term rotates by m*lam, so its design row is a trigonometric polynomial
+    of degree |m|.  By Cauchy-Binet det Gram(M) is a sum of squared minors
+    of M, one row each, so K = 2 * sum |m| over the rows bounds both.
+    Both are even in lam.  Let Σ flip the sign of the excited level of the
+    stage's coupling: Σ negates that coupling's generator, so
+    U(-lam) = Σ U(lam) Σ, and commutes with the measured projectors and
+    every other generator term.  The statistics at -lam are those at lam
+    of Σ rho Σ, so the design at -lam is the one at lam with the columns of
+    that level's coherences negated (none of which an earlier stage holds),
+    and no Gram determinant changes.  A fixed angle a on the own generator
+    breaks this (m*lam + a does not go to its negative, even at m = 0), so
+    evenness comes from the protocol, never from a trial on the data.
     """
     if len(free) != 1:
         return None
@@ -703,7 +702,9 @@ def _stage_degree(profile: _Profile, free, rows):
         terms = {n: (m, fixed) for n, m, fixed in zip(
             STRENGTHS[protocol.dim], s.multipliers + (s.mz,),
             s.fixed_couplings + (s.fixed_diag,))}
-        m = terms.pop(name)[0]
+        m, offset = terms.pop(name)
+        if offset:
+            return None
         if m == 0.0:
             continue
         if m != round(m) or any(any(t) for t in terms.values()):
@@ -751,20 +752,22 @@ def _stage_starts(profile: _Profile, pts, rows, cols, held) -> tuple:
     that vary there).
 
     A stage with a degree (`_stage_degree`) is flat when N is zero
-    relative to TIE_ATOL * |y|^2 * D at every sample.  Otherwise the
-    stationary points of N/D are the roots of F = N'D - ND', a
-    trigonometric polynomial of degree 2K - 1, so e^{i(2K-1) lam} F is a
-    polynomial of degree 4K - 2 in e^{i lam} whose coefficients come from
-    the Fourier coefficients of N and D (Boyd, J. Eng. Math. 56, 203,
-    2006).  Every root is kept and mapped to an angle in [LAM_FLOOR,
-    2*pi]; roots off the unit circle only add candidates, and F vanishes
-    at D's multiple zeros, so the limits where the design loses rank
-    (lam -> 0, pi, 2*pi) are among them.  Each candidate is ranked by N/D
-    from the Fourier coefficients n_k and d_k, with the bound
-    ROOT_EPS * (2K+1) * (sum |n_k| + N/D sum |d_k|) / D on its round-off.
-    Where D is at most ROOT_RTOL * sum |d_k| (rank lost) that bound is
-    void: those candidates are ranked by `fit` instead, unless another
-    candidate already fits exactly.  The refine starts from every
+    relative to TIE_ATOL * |y|^2 * D at every sample.  Otherwise N and D
+    are cosine series with coefficients n_k and d_k from the samples, and
+    the stationary points of N/D are the roots of
+    F = N'D - ND' = -sin(lam) G(cos lam).  G's coefficient on U_j, the
+    Chebyshev polynomial of the second kind, is F's on sin((j+1) lam); the
+    top ones up to their round-off ROOT_EPS (2K+1) sum |n_k| sum |d_k| are
+    dropped (the Cauchy-Binet degree is a bound), and the roots x are the
+    eigenvalues of G's real colleague matrix (Good, Q. J. Math. 12, 61,
+    1961; Boyd, J. Eng. Math. 56, 203, 2006).  The candidates are
+    arccos(Re x), x clipped to [-1, 1], and 0 and pi (the zeros of sin,
+    where the design loses rank), each with its reflection 2*pi - lam, in
+    [LAM_FLOOR, 2*pi].  Each is ranked by N/D from the cosine sums, with
+    the bound ROOT_EPS * (2K+1) * (sum |n_k| + N/D sum |d_k|) / D on its
+    round-off.  Where D is at most ROOT_RTOL * sum |d_k| (rank lost) that
+    bound is void: those candidates are ranked by `fit` instead, unless
+    another candidate already fits exactly.  The refine starts from every
     candidate that can tie with the lowest, lowest first.
 
     Any other stage is flat when its objective (`_Profile.objective`) is
@@ -781,16 +784,23 @@ def _stage_starts(profile: _Profile, pts, rows, cols, held) -> tuple:
     n, d = _gram_determinants(profile, pts, rows, cols, held)
     if n.max() <= TIE_ATOL * ysq * d.max():
         return pts, True
-    # len(pts) times the Fourier coefficients, frequencies -K..K
+    # len(pts) times the cosine coefficients, frequencies -K..K (even in k)
     k = np.arange(len(pts)) - len(pts) // 2
-    dft = np.exp(-1j * np.outer(k, pts[:, free[0]]))
-    cn, cd = dft @ n, dft @ d
-    # F's coefficients at e^{+-2iK lam}, i(K - K) n_K d_K, vanish
-    roots = np.roots((np.convolve(1j * k * cn, cd)
-                      - np.convolve(cn, 1j * k * cd))[-2:0:-1])
-    theta = np.clip(np.mod(np.angle(roots), TWO_PI), LAM_FLOOR, TWO_PI)
-    waves = np.exp(1j * np.outer(theta, k))
-    num, den = (waves @ cn).real, (waves @ cd).real
+    cosines = np.cos(np.outer(k, pts[:, free[0]]))
+    cn, cd = cosines @ n, cosines @ d
+    # F = -2 sum_m psi_m sin(m lam) / len(pts)^2 with psi odd in m, and
+    # sin(m lam) = sin(lam) U_{m-1}(cos lam); psi at m = 2K vanishes
+    psi = np.convolve(k * cn, cd) - np.convolve(cn, k * cd)
+    g = psi[len(pts):-1]  # G on U_0..U_{2K-2}
+    m = np.flatnonzero(np.abs(g) > ROOT_EPS * len(pts) * np.abs(cn).sum()
+                       * np.abs(cd).sum()).max(initial=0)
+    colleague = 0.5 * (np.eye(m, k=1) + np.eye(m, k=-1))
+    colleague[-1:] -= g[:m] / (2.0 * g[m])
+    x = np.clip(np.linalg.eigvals(colleague).real, -1.0, 1.0)
+    theta = np.concatenate([np.arccos(x), [0.0, math.pi]])
+    waves = np.cos(np.outer(theta, k))
+    num, den = np.tile(waves @ cn, 2), np.tile(waves @ cd, 2)
+    theta = np.clip(np.concatenate([theta, TWO_PI - theta]), LAM_FLOOR, TWO_PI)
     lost = den <= ROOT_RTOL * np.abs(cd).sum()
     value = num / np.where(lost, 1.0, den)
     err = ROOT_EPS * len(pts) * (np.abs(cn).sum() + np.abs(value)
@@ -922,15 +932,14 @@ def prefer_sparse_coherences(profile: _Profile, pts: np.ndarray, rows, cols,
     When a coherence vanishes (the zero locus |J_A| = rho01 of B, and
     rho01 or rho02 on the V blocks), its phase drops out of the statistics
     and the stage fits the data exactly along a whole curve of strengths,
-    each with a coherence of its own: N vanishes identically.  A stage
-    profile that fits exactly at isolated strengths only has an N that is
-    a non-zero trigonometric polynomial.  At a degenerate strength
-    (lam -> 0, where the coherence's columns vanish) noisy counts are fit
-    by coordinates that grow without bound.  Without the coherence the
-    populations single the strength out up to its reflection, or leave a
-    few exact roots, which the rule of `_stage_minima` orders.  The state
-    is then fitted on every coordinate (`resolve_twin_family`), and a
-    vanished coherence's phase is reported undefined."""
+    each with a coherence of its own: N vanishes identically.  At a
+    degenerate strength (lam -> 0, where the coherence's columns vanish)
+    noisy counts are fit by coordinates that grow without bound.  Without
+    the coherence the populations single the strength out up to its
+    reflection, or leave a few exact roots, which the rule of
+    `_stage_minima` orders.  The state is then fitted on every coordinate
+    (`resolve_twin_family`), and a vanished coherence's phase is reported
+    undefined."""
     cols = [c for c in cols if c < profile.layout.dim]
     return cols, _stage_starts(profile, pts, rows, cols, held)[0]
 
@@ -939,21 +948,16 @@ def prefer_sparse_coherences(profile: _Profile, pts: np.ndarray, rows, cols,
 # Discrete twin degeneracy
 # ---------------------------------------------------------------------------
 #
-# The five-setting single-coupling protocols (scenario B and each single-pair
-# block of V) are exactly invariant under the reflection
-#     lam -> 2*pi - lam,  the pair's coherence coordinates (x, y) -> -(x, y):
-# the m=1 settings flip cos(lam/2), the m=2 settings flip sin(lam), and the
-# negated coherence (its phase shifted by pi) restores every cross term, so
-# the twins cannot be told apart by any data taken with those settings
+# The single-coupling protocols (scenario B and each single-pair block of
+# V) are exactly invariant under lam -> 2*pi - lam with the pair's
+# coherence coordinates (x, y) -> -(x, y) (the argument of `_stage_degree`),
+# so the twins cannot be told apart by any data taken with those settings
 # alone.  In V the two dual-coupling settings re-fit the excited-excited
 # coherence exactly after either reflection, so all four members tie; the
 # C-alt settings that drive the diagonal break the reflection of lam_c.
-# `resolve_twin_family` is the only code that forms reflections: it reflects
-# the strengths alone and re-solves the Cartesian state linearly, which
-# finds the negated coherence.  Every solver settles the tie through it:
-# `reconstruct` and `block_solve_v` on the minima of their staged scan and
-# `grid_oracle` on its grid's incumbent (`_settle_twins`).  Among exact ties
-# the rule of `_branch_key` decides; otherwise the data do.
+# Every solver settles the tie through `resolve_twin_family` (see the
+# module docstring): `reconstruct` and `block_solve_v` on the minima of
+# their staged scan and `grid_oracle` on its incumbent (`_settle_twins`).
 
 
 def _branch_key(dim: int, coords: np.ndarray, lam: np.ndarray,
@@ -1078,23 +1082,19 @@ def reconstruct(counts, protocol: Protocol,
 
     1. Scan.  At fixed strengths the state is solved by linear least squares
        in its Cartesian coordinates, which leaves a profile objective over
-       the 0, 1 or 2 strengths, searched in the stages of `_scan_stages`,
-       each on its own settings and coordinates: B scans lam_c, V scans
-       lam1 on block 1 and then lam2 on block 2 with block 1's fit held,
-       C-alt scans (lam_c, lam_z) jointly on every setting, and a protocol
-       without strengths (A) is a single linear solve.  A one-strength
-       stage whose design is a trigonometric polynomial of its strength
-       (B, both V blocks) takes its candidates from the roots of
-       N'D - ND', N and D the Gram determinants whose ratio is its profile
-       (`_stage_starts`); another stage takes the N_REFINE lowest minima of
-       a grid of SCAN_POINTS per strength.  The candidates that can tie
-       with the lowest are refined by damped Gauss-Newton on the projected
-       residual, with its closed-form Jacobian, and a start whose steps
-       stall stops early; exact ties at distinct strengths go by the rule
-       of `_stage_minima`.  A flat stage, one that fits the data exactly at
-       every strength (a vanished coherence), and a stage that a later one
+       the 0, 1 or 2 strengths, searched in the stages of `_scan_stages`:
+       B scans lam_c, V scans lam1 on block 1 and then lam2 on block 2 with
+       block 1's fit held, C-alt scans (lam_c, lam_z) jointly on every
+       setting, and a protocol without strengths (A) is a single linear
+       solve.  B and the V blocks take their candidates from one real
+       eigenproblem in cos(lam) (`_stage_starts`), C-alt from the N_REFINE
+       lowest minima of a grid of SCAN_POINTS per strength.  The candidates
+       that can tie with the lowest are refined by damped Gauss-Newton on
+       the projected residual, and a start whose steps stall stops early;
+       exact ties at distinct strengths go by the rule of `_stage_minima`.
+       A flat stage (a vanished coherence) and a stage that a later one
        holds at a near-singular fit (a degenerate strength) are re-solved
-       with their coherence at zero (`_scan`).
+       with their coherence at zero.
     2. Branch rule.  The best minimum, its reflections lam_j -> 2*pi - lam_j
        and any other refined minimum are compared; among those tied with
        the lowest objective the member chosen is physical first, then has

@@ -584,9 +584,14 @@ def conventions_report() -> str:
         " ones fitted.  A stage with one strength whose design is a",
         " trigonometric polynomial of it (B, both V blocks) has the profile",
         " N/D, N and D the Gram determinants of its design with and without",
-        " the counts; both have a degree K fixed by the setting multipliers,",
-        " and the stage's minima come from the roots of N'D - ND'.  That",
-        " stage is flat when N is identically zero: at most",
+        " the counts.  Both are cosine series of a degree K fixed by the",
+        " setting multipliers, since lam -> -lam with the stage's coherence",
+        " negated leaves every statistic as it is, and the stage's minima",
+        " come from the roots of N'D - ND' = -sin(lam) G(cos lam), those of G",
+        " the eigenvalues of a real colleague matrix.  A fixed angle on the",
+        " stage's own generator, in any of its settings, breaks the symmetry,",
+        " and that stage is scanned on a grid.  A stage with a degree is",
+        " flat when N is identically zero: at most",
         f" {invert.TIE_ATOL:g} * |y|^2 * max D at each of its 2K+1 samples.  A",
         " grid stage (C-alt's joint one) is flat when its objective is",
         f" at most {invert.TIE_ATOL:g} * |y|^2 at more than half of its grid",

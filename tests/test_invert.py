@@ -107,6 +107,10 @@ def test_objective_checks_its_counts():
     counts[2] = np.nan
     with pytest.raises(InvalidRange):
         objective_eval(x, counts, proto)
+    with pytest.raises(DimensionMismatch):
+        objective_eval(x, np.full((5, 1), 0.3), proto)
+    with pytest.raises(InvalidRange, match="real"):
+        objective_eval(x, np.full(5, 0.3 + 0.1j), proto)
 
 
 def test_poisson_objective_infinite_for_nonpositive_model():
@@ -179,6 +183,12 @@ def test_reconstruct_rejects_non_finite_counts():
     counts[2] = 2 * invert.COUNT_MAX
     with pytest.raises(InvalidRange, match="at most"):
         reconstruct(counts, scenario("B"))
+    # one count per setting, as a real vector: a column or complex counts
+    # are refused, not broadcast or cast
+    with pytest.raises(DimensionMismatch, match="one count per setting"):
+        reconstruct(np.full((5, 1), 0.2), scenario("B"))
+    with pytest.raises(InvalidRange, match="real"):
+        reconstruct(np.full(5, 0.2 + 0j), scenario("B"))
 
 
 def test_reconstruct_refuses_structurally_singular_protocol():
@@ -969,8 +979,9 @@ DEGREE_CASES = {
 @pytest.mark.parametrize("label", sorted(DEGREE_CASES))
 def test_stage_determinants_stay_within_their_degree(label):
     # N = det Gram([A b]) and D = det Gram(A) sampled for degree 2K: no
-    # Fourier content above K, on every stage (V block 2 held at block 1's
-    # fit) and on its populations alone, with noisy counts
+    # Fourier content above K and no sine content (both are even in the
+    # strength), on every stage (V block 2 held at block 1's fit) and on
+    # its populations alone, with noisy counts
     proto, degrees = DEGREE_CASES[label]
     base = label.split("~")[0].split()[0]
     rng = np.random.default_rng(96)
@@ -993,26 +1004,34 @@ def test_stage_determinants_stay_within_their_degree(label):
             for stage_cols in (cols, [c for c in cols if c < proto.dim]):
                 for det in invert._gram_determinants(profile, pts, rows,
                                                      stage_cols, held):
-                    content = np.abs(np.fft.fft(det))
+                    spectrum = np.fft.fft(det)
+                    content = np.abs(spectrum)
                     assert content[freq > k].max() < 1e-12 * content.max()
+                    assert np.abs(spectrum.imag).max() < 1e-12 * content.max()
             held[cols] = profile.fit(lam, rows, cols, held=held)[0][0]
 
 
 def test_stage_degree_needs_integer_multipliers_on_one_generator():
-    # a non-integer multiplier, or a setting that also drives another
-    # generator, leaves the stage to the grid; a fixed angle on the same
-    # generator does not
+    # a non-integer multiplier, a setting that also drives another
+    # generator, or a fixed angle on the stage's own generator (which breaks
+    # the reflection symmetry that makes N and D even), even on the bare
+    # setting with multiplier 0, leaves the stage to the grid
     from dataclasses import replace
     b = scenario("B")
     cases = {
-        "multiplier 2.5": (replace(b.settings[2], multipliers=(2.5,)), None),
-        "diagonal offset": (replace(b.settings[2], fixed_diag=0.3), None),
-        "coupling offset": (replace(b.settings[2], fixed_couplings=(0.3,)),
-                            12),
+        "multiplier 2.5": (2, replace(b.settings[2], multipliers=(2.5,)),
+                           None),
+        "diagonal offset": (2, replace(b.settings[2], fixed_diag=0.3), None),
+        "coupling offset": (2, replace(b.settings[2],
+                                       fixed_couplings=(0.3,)), None),
+        "bare coupling offset": (0, replace(b.settings[0],
+                                            fixed_couplings=(0.3,)), None),
+        "bare diagonal offset": (0, replace(b.settings[0], fixed_diag=0.3),
+                                 12),
     }
-    for label, (setting, degree) in cases.items():
+    for label, (index, setting, degree) in cases.items():
         settings = list(b.settings)
-        settings[2] = setting
+        settings[index] = setting
         proto = Protocol("B", 2, tuple(settings), b.unknown_names)
         profile = invert._Profile(proto, np.zeros(proto.n_settings))
         [(free, rows, _)] = invert._scan_stages(profile)
@@ -1023,20 +1042,32 @@ def test_stage_degree_needs_integer_multipliers_on_one_generator():
 
 
 def test_grid_stage_keeps_one_strength_without_a_degree():
-    # B with a diagonal offset on setting 2: the stage is scanned on the
-    # grid and still round-trips
+    # B with a diagonal or a coupling offset on setting 2: the stage is
+    # scanned on the grid and every draw reaches an exact fit (rooting the
+    # coupling-offset stage as a cosine series leaves draws 16 and 21
+    # unfit).  The diagonal offset also round-trips; the coupling offset
+    # breaks the reflection symmetry and leaves exact roots outside its
+    # family (draws 5, 6, 10 and 23), so only the fit is asserted there
     from dataclasses import replace
     b = scenario("B")
-    settings = list(b.settings)
-    settings[2] = replace(settings[2], fixed_diag=0.3)
-    proto = Protocol("B", 2, tuple(settings), b.unknown_names)
-    rng = np.random.default_rng(97)
-    for _ in range(3):
-        state, unknowns = sample_truth("B", rng)
-        counts = predicted_statistics(proto, state, unknowns)
-        expected = pack_values(proto.unknown_names, state, unknowns)
-        assert max_param_error(proto.unknown_names,
-                               reconstruct(counts, proto).x, expected) < 1e-8
+    offsets = {"diagonal": {"fixed_diag": 0.3},
+               "coupling": {"fixed_couplings": (0.3,)}}
+    for label, offset in offsets.items():
+        settings = list(b.settings)
+        settings[2] = replace(settings[2], **offset)
+        proto = Protocol("B", 2, tuple(settings), b.unknown_names)
+        rng = np.random.default_rng(97)
+        for i in range(24):
+            state, unknowns = sample_truth("B", rng)
+            counts = predicted_statistics(proto, state, unknowns)
+            result = reconstruct(counts, proto)
+            assert result.converged, (label, i)
+            assert result.residual < 1e-20 * max(1.0, (counts ** 2).sum()), \
+                (label, i, result.residual)
+            if label == "diagonal":
+                expected = pack_values(proto.unknown_names, state, unknowns)
+                assert max_param_error(proto.unknown_names, result.x,
+                                       expected) < 1e-8, (label, i)
 
 
 @pytest.mark.filterwarnings("ignore::sctomo.errors.SingularAtSolutionWarning")
