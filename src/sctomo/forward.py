@@ -9,7 +9,8 @@ U = exp(-iG).  Two paths compute it:
 * `ProtocolLayout`, the batched path every solver uses, takes the label row
   of U from a closed form in the rotation angle, and the derivative of the
   statistics in the strengths and the state in closed form too.  The tests
-  hold it to the scalar path and to central differences.
+  hold it to the scalar path and to central differences.  `layout_of` keeps
+  one layout per protocol, shared by every caller.
 
 The closed-form coefficient functions are transcriptions of the paper whose
 residual sign ambiguity (the statistics are odd in the phase differences
@@ -24,6 +25,8 @@ evaluation order.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +40,7 @@ from .model import (COHERENCE_PAIRS, DensityParams, GeneratorParams,
 from .protocol import NAMES, STRENGTHS, Protocol, UnknownParams, resolve
 
 NOISE_KINDS = ("exact", "poisson", "gaussian")
+LAYOUT_CACHE = 64  # protocols whose layouts `layout_of` keeps
 
 
 @dataclass(frozen=True)
@@ -257,10 +261,15 @@ class ProtocolLayout:
     setting, G = base + sum_l lam_l * unit_l, so ∂G/∂lam_l = unit_l and
     ∂Ω/∂lam_l = 2 tr(G unit_l)/Ω, which gives the strength derivative of the
     design in closed form too.  Only the label row of U is formed.
+
+    A layout covers the settings `rows` of its protocol (None: all of them;
+    see `restrict`).  Layouts are shared (`layout_of`, the solver's plan),
+    so they must not be mutated: their arrays are read-only.
     """
 
     def __init__(self, protocol: Protocol):
         self.protocol = protocol
+        self.rows = None
         self.dim = d = protocol.dim
         self.npair = len(COHERENCE_PAIRS[d])
         self._slots = [NAMES[d][n] for n in protocol.unknown_names]
@@ -273,7 +282,7 @@ class ProtocolLayout:
         n_lam = len(STRENGTHS[d])
         start = {"pop": 0, "mag": d, "phase": d + self.npair,
                  "lam": d + 2 * self.npair}
-        self._split = np.cumsum([d, self.npair, self.npair])
+        self._split = (d, d + self.npair, d + 2 * self.npair)
         self._select = np.zeros((len(self._slots), self._split[-1] + n_lam))
         for k, (kind, idx, sign) in enumerate(self._slots):
             self._select[k, start[kind] + idx] = sign
@@ -298,6 +307,17 @@ class ProtocolLayout:
         self._unit_rows = self._unit[np.arange(n_set), :, self.labels]  # (S, L, d)
         self._eye_rows = np.eye(d)[self.labels]                          # (S, d)
         self._pair_levels = np.array(COHERENCE_PAIRS[d]).T
+        read_only(self)
+
+    def restrict(self, rows) -> ProtocolLayout:
+        """This layout (of all settings) on the settings `rows` alone: its
+        statistics and designs have one row per entry of `rows`."""
+        out = copy.copy(self)
+        out.rows = list(rows)
+        for name in _SETTING_ARRAYS:
+            setattr(out, name, getattr(self, name)[out.rows])
+        read_only(out)
+        return out
 
     def _decode(self, x: np.ndarray):
         """Populations, magnitudes, signed state phases and strengths per row."""
@@ -305,7 +325,9 @@ class ProtocolLayout:
         if x.shape[1] != len(self._slots):
             raise DimensionMismatch(
                 f"vector length {x.shape[1]} != {len(self._slots)} parameters")
-        return np.split(x @ self._select, self._split, axis=1)
+        v = x @ self._select
+        a, b, c = self._split
+        return v[:, :a], v[:, a:b], v[:, b:c], v[:, c:]
 
     def _label_rows(self, lam: np.ndarray, derivative: bool = False):
         """Row `label` of U = exp(-iG) for every point and setting, (P, S, d),
@@ -421,6 +443,25 @@ class ProtocolLayout:
                 jac[..., k] = (design[..., d + 2 * idx] * dx
                                + design[..., d + 2 * idx + 1] * dy)
         return jac
+
+
+def read_only(obj) -> None:
+    """Make every array attribute of obj read-only: obj is shared."""
+    for arr in vars(obj).values():
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+
+
+# the arrays of a layout with one entry per setting
+_SETTING_ARRAYS = ("labels", "_base", "_unit", "_unit_rows", "_eye_rows")
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE)
+def layout_of(protocol: Protocol) -> ProtocolLayout:
+    """The `ProtocolLayout` of a protocol, built on first use and kept in
+    a bounded cache keyed on the protocol's value, so that equal protocols
+    share one.  It must not be mutated."""
+    return ProtocolLayout(protocol)
 
 
 def predicted_statistics(protocol: Protocol, state: DensityParams,

@@ -4,11 +4,11 @@ singularity scans.
 
 Every Jacobian reported here (`jacobian_from_vector`, `numeric_jacobian`,
 `singularity_scan`, `structural_zero_columns`) is the closed-form
-`ProtocolLayout.jacobian` that the solver uses too.  `central_differences`
-is kept only as the oracle the tests hold that Jacobian to.  The
-closed-form determinant expressions for the shipped scenarios are
-transcriptions kept as cross-checks; two of them carry documented defects
-(see `closed_form_jacobian`), so the computed Jacobian always wins.
+`ProtocolLayout.jacobian` that the solver uses too, on the protocol's
+shared layout (`forward.layout_of`).  The closed-form determinant
+expressions for the shipped scenarios are transcriptions kept as
+cross-checks; two of them carry documented defects (see
+`closed_form_jacobian`), so the computed Jacobian always wins.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, EmptyRegion, MissingSymbol)
-from .forward import ProtocolLayout
+from .forward import layout_of
 from .protocol import NAMES, Protocol, UnknownParams, pack_values
 from .model import DensityParams
 
-FD_SCALE = 1e-6
 NEAR_ZERO_FLAG_RTOL = 1e-8
 PATTERN_ABS_TOL = 1e-10
 SINGULAR_RTOL = 1e-9
@@ -65,27 +64,6 @@ class JacobianReport:
         return np.abs(self.matrix) < tol
 
 
-def central_differences(fn, x: np.ndarray, cols=None):
-    """Central-difference Jacobians of fn at each row of x (a test oracle).
-
-    fn maps rows of parameters (N, K) to rows of values (N, S).  Only the
-    columns `cols` (default all) are differenced, each with the step
-    FD_SCALE * max(1, |x|).  Returns the Jacobians (P, S, len(cols)) and
-    the steps (P, len(cols)).
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    cols = list(range(x.shape[1])) if cols is None else list(cols)
-    p, k = x.shape[0], len(cols)
-    steps = FD_SCALE * np.maximum(1.0, np.abs(x[:, cols]))
-    probes = np.repeat(x[:, None, :], 2 * k, axis=1)
-    for c, col in enumerate(cols):
-        probes[:, 2 * c, col] += steps[:, c]
-        probes[:, 2 * c + 1, col] -= steps[:, c]
-    values = fn(probes.reshape(p * 2 * k, -1)).reshape(p, 2 * k, -1)
-    jac = (values[:, 0::2] - values[:, 1::2]) / (2 * steps)[:, :, None]
-    return jac.transpose(0, 2, 1), steps
-
-
 def jacobian_from_vector(protocol: Protocol, x0) -> JacobianReport:
     """Jacobian report for an explicit Γ-ordered value vector."""
     names = protocol.unknown_names
@@ -93,7 +71,7 @@ def jacobian_from_vector(protocol: Protocol, x0) -> JacobianReport:
     if x0.shape != (len(names),):
         raise DimensionMismatch(
             f"point has {x0.size} values for {len(names)} parameters")
-    jac = ProtocolLayout(protocol).jacobian(x0)[0]
+    jac = layout_of(protocol).jacobian(x0)[0]
     det = float(np.linalg.det(jac)) if jac.shape[0] == jac.shape[1] else None
     svals = np.linalg.svd(jac, compute_uv=False)
     smin = float(svals[-1])
@@ -234,7 +212,7 @@ def singularity_scan(protocol: Protocol, state: DensityParams,
     x = np.tile(pack_values(protocol.unknown_names, state, unknowns),
                 (len(combos), 1))
     x[:, [names.index(axis) for axis in axis_names]] = combos
-    layout = ProtocolLayout(protocol)
+    layout = layout_of(protocol)
     rows = np.empty((len(x), len(axis_names) + 2))
     rows[:, :-2] = combos
     singular = np.empty(len(x), dtype=bool)
@@ -253,7 +231,6 @@ def singularity_scan(protocol: Protocol, state: DensityParams,
 # Structural singularity check
 # ---------------------------------------------------------------------------
 
-_STRUCTURAL_CACHE: dict = {}
 N_PROBE = 4
 PROBE_SEED = 90125
 
@@ -274,15 +251,11 @@ def structural_zero_columns(protocol: Protocol) -> tuple:
 
     A column that is zero at N_PROBE generic interior points (drawn from
     PROBE_SEED) is structurally dead: the protocol's statistics carry no
-    information about it anywhere.
+    information about it anywhere.  The solver takes this verdict once per
+    protocol, in its plan (`invert._plan`).
     """
-    key = repr(protocol.to_dict())
-    if key in _STRUCTURAL_CACHE:
-        return _STRUCTURAL_CACHE[key]
-    jac = ProtocolLayout(protocol).jacobian(_probe_vectors(protocol))
+    jac = layout_of(protocol).jacobian(_probe_vectors(protocol))
     col_max = np.abs(jac).max(axis=(0, 1))
     scale = max(col_max.max(), 1.0)
-    dead = tuple(name for name, cm in zip(protocol.unknown_names, col_max)
+    return tuple(name for name, cm in zip(protocol.unknown_names, col_max)
                  if cm < 1e-9 * scale)
-    _STRUCTURAL_CACHE[key] = dead
-    return dead

@@ -34,6 +34,16 @@ degenerate strength), is re-solved with its coherence at zero.
 `reconstruct` polishes the scan's solution jointly and `block_solve_v`
 does not; the two must agree on exact data.
 
+What depends on the protocol alone is compiled once per protocol into a
+plan (`_plan`, a bounded cache keyed on the protocol's value, so a protocol
+loaded anew for each solve hits it too): the layout, shared with
+`identify`; the free coordinates; the structural verdict; the stages, each
+with its layout on its own settings, its degree and sample strengths; and
+for a stage with a degree its design at those samples, with the Q factor
+and Gram determinant of its columns.  A solve pays only for what depends on
+its counts: the stage determinants N from the plan's factors, the roots,
+the refines, the twin family, the polish and the report.
+
 The reflections lam_j -> 2*pi - lam_j are exact ties of the data, and every
 solver settles them by one rule, in one place: `resolve_twin_family`
 reflects the strengths, re-solves the Cartesian state at each member, and
@@ -52,6 +62,7 @@ Magnitude and phase appear only at the boundary: `_Profile.start` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -62,7 +73,7 @@ import numpy as np
 from . import identify
 from .errors import (DimensionMismatch, InvalidRange, RankDeficient,
                      SingularAtSolutionWarning, StructuralSingularity)
-from .forward import ProtocolLayout, observed_values
+from .forward import ProtocolLayout, layout_of, observed_values, read_only
 from .model import (COHERENCE_PAIRS, DensityParams, PHASE_NAMES, TWO_PI,
                     state_matrix, state_params_from_matrix, wrap_phase)
 from .protocol import NAMES, STRENGTHS, Protocol, UnknownParams, split_values
@@ -266,7 +277,7 @@ def objective_eval(params, counts, protocol: Protocol,
     if kind not in OBJECTIVES:
         raise InvalidRange(f"objective {kind!r} not in {OBJECTIVES}")
     y = _count_vector(counts, protocol)
-    layout = ProtocolLayout(protocol)
+    layout = layout_of(protocol)
     x = np.asarray(params, dtype=float)
     n_model = layout.statistics(x[None, :])
     f = float(_objective_values(n_model, y, kind)[0])
@@ -384,6 +395,7 @@ N_REFINE = 6                   # lowest grid minima refined per grid stage
 REFINE_ITER = 60
 REFINE_FTOL = 1e-8             # least relative gain of an accepted refine step
 SCAN_CHUNK = 1024              # profile points per design evaluation
+PLAN_CACHE = 64                # protocols whose plans `_plan` keeps
 TIE_RTOL = 1e-9
 TIE_ATOL = 1e-18               # times max(1, |y|^2), or |y|^2 where stated
 # stages with a degree (`_stage_degree`):
@@ -500,26 +512,25 @@ def _free_coordinates(protocol: Protocol) -> list:
 
 
 class _Profile:
-    """One protocol and count vector as a function of z = [Cartesian state
-    coordinates `cols` (all that the declared unknowns move), strengths in
-    name order]; the other coordinates are 0.  `fit` solves the
-    coordinates at fixed strengths (the scan and the refine), `model` gives
-    the statistics of a whole z (the polish), `bounds` is the box of z, and
-    `start` and `point` convert from and to the parameter vector in name
-    order."""
+    """One count vector on its protocol's plan (`_plan`) as a function of
+    z = [Cartesian state coordinates `cols` (all that the declared unknowns
+    move), strengths in name order]; the other coordinates are 0.  `fit`
+    solves the coordinates at fixed strengths (the scan and the refine),
+    `model` gives the statistics of a whole z (the polish), `bounds` is the
+    box of z, and `start` and `point` convert from and to the parameter
+    vector in name order."""
 
     def __init__(self, protocol: Protocol, y: np.ndarray):
-        self.layout = ProtocolLayout(protocol)
+        self.plan = _plan(protocol)
+        self.layout = self.plan.layout
         self.y = y
         self.lam_cols = self.layout.lam_cols
-        self.cols = _free_coordinates(protocol)
+        self.cols = self.plan.cols
         self.scale = max(1.0, float((y ** 2).sum()))
 
     def _at(self, lam) -> np.ndarray:
         """Parameter rows in name order carrying only the strengths lam."""
-        x = np.zeros((len(lam), len(self.layout.protocol.unknown_names)))
-        x[:, self.lam_cols] = lam
-        return x
+        return self.plan.at(lam)
 
     def _full(self, coords) -> np.ndarray:
         """All coordinates: `coords` on `cols`, 0 elsewhere."""
@@ -528,30 +539,36 @@ class _Profile:
         c_full[:, self.cols] = coords
         return c_full
 
-    def fit(self, lam, rows=None, cols=None, free=None, held=None):
+    def counts(self, layout) -> np.ndarray:
+        """The counts on the settings of `layout` (`ProtocolLayout.rows`)."""
+        return self.y if layout.rows is None else self.y[layout.rows]
+
+    def fit(self, lam, layout=None, cols=None, free=None, held=None):
         """Coordinates (P, len(cols)) and residual vectors (P, S) at each
-        row of lam, fit on the settings `rows` (default all) with the
-        coordinates `cols` (default the profile's `cols`).  The other
-        coordinates are held at `held` (all coordinates, 0 on `cols`;
-        default 0): the fit is to the counts less D @ held on `rows`.
+        row of lam, fit on the settings of `layout` (default the protocol's,
+        all settings; a stage's covers its rows) with the coordinates `cols`
+        (default the profile's `cols`).  The other coordinates are held at
+        `held` (all coordinates, 0 on `cols`; default 0): the fit is to the
+        counts less D @ held on those settings.
 
         With `free` (strength indices) also the Jacobian of the residuals in
         those strengths, (P, S, len(free)), in the full variable-projection
         form of Golub & Pereyra (Inverse Problems 19, R1, 2003):
         P⊥ (∂D/∂lam) c_full - (A⁺)ᵀ (∂A/∂lam)ᵀ r, where D is the design,
         A its columns `cols`, c_full the held coordinates with the fitted
-        ones on `cols`, and P⊥ = I - A A⁺, all on `rows`, by `_lstsq`.
+        ones on `cols`, and P⊥ = I - A A⁺, all on those settings, by
+        `_lstsq`.
         """
         x = self._at(np.atleast_2d(lam))
-        rows = slice(None) if rows is None else rows
+        layout = self.layout if layout is None else layout
         cols = self.cols if cols is None else cols
         if free is None:
-            design = self.layout.design(x)[:, rows]
+            design = layout.design(x)
         else:
-            design, d_design = self.layout.design_and_derivative(x)
-            design, d_design = design[:, rows], d_design[:, rows][..., free]
+            design, d_design = layout.design_and_derivative(x)
+            d_design = d_design[..., free]
         a = design[:, :, cols]
-        y = np.broadcast_to(self.y[rows], a.shape[:2])
+        y = np.broadcast_to(self.counts(layout), a.shape[:2])
         if held is not None:
             y = y - design @ held
         if free is None:
@@ -559,10 +576,10 @@ class _Profile:
         v0 = None if held is None else np.einsum("psck,c->psk", d_design, held)
         return _lstsq(a, y, d_design[:, :, cols], v0)
 
-    def objective(self, lam, rows=None, cols=None, held=None) -> np.ndarray:
+    def objective(self, lam, layout=None, cols=None, held=None) -> np.ndarray:
         """Profile least-squares objective at each row of lam (see `fit`)."""
         return np.concatenate([
-            (self.fit(lam[i:i + SCAN_CHUNK], rows, cols, held=held)[1] ** 2
+            (self.fit(lam[i:i + SCAN_CHUNK], layout, cols, held=held)[1] ** 2
              ).sum(axis=1)
             for i in range(0, len(lam), SCAN_CHUNK)])
 
@@ -618,23 +635,23 @@ class _Profile:
                 out[k] = next(lam_values)
         return out
 
-    def refine(self, lam, free, rows, cols, held) -> tuple:
-        """`_damped_gauss_newton` on the projected residual of `fit` on
-        `rows` and `cols`, with `held` held, over the strengths `free` from
-        each row of strengths `lam` (the other strengths are the same in
-        every row); returns the end rows and their objectives.  A start
-        also stops on an accepted step that gains at most REFINE_FTOL of
-        its objective: one that creeps towards a degenerate strength
-        (lam -> 0, 2*pi, or pi where sin(lam) silences settings) gains that
-        little per step, one that converges to a root orders of magnitude
-        more.
+    def refine(self, lam, free, layout, cols, held) -> tuple:
+        """`_damped_gauss_newton` on the projected residual of `fit` on the
+        settings of `layout` and the coordinates `cols`, with `held` held,
+        over the strengths `free` from each row of strengths `lam` (the
+        other strengths are the same in every row); returns the end rows
+        and their objectives.  A start also stops on an accepted step that
+        gains at most REFINE_FTOL of its objective: one that creeps towards
+        a degenerate strength (lam -> 0, 2*pi, or pi where sin(lam) silences
+        settings) gains that little per step, one that converges to a root
+        orders of magnitude more.
         """
         lam = np.array(lam, dtype=float)
 
         def residual(z):
             at = np.tile(lam[0], (len(z), 1))
             at[:, free] = z
-            return self.fit(at, rows, cols, free, held)[1:]
+            return self.fit(at, layout, cols, free, held)[1:]
 
         lam[:, free], f, _, _ = _damped_gauss_newton(
             residual, lam[:, free], LAM_FLOOR, TWO_PI, 0.0, "least_squares",
@@ -642,9 +659,15 @@ class _Profile:
         return lam, f
 
 
-def _scan_stages(profile: _Profile) -> list:
-    """The blocks the profile is scanned on in turn, derived from its
-    protocol: [(strength indices, setting rows, coordinates)].
+# ---------------------------------------------------------------------------
+# The solve plan: the work that depends on the protocol alone, done once
+# ---------------------------------------------------------------------------
+
+
+def _scan_stages(layout: ProtocolLayout, cols) -> list:
+    """The blocks a protocol's profile is scanned on in turn, derived from
+    the protocol of `layout` and its free coordinates `cols`
+    (`_free_coordinates`): [(strength indices, setting rows, coordinates)].
 
     When every strength has settings that drive it alone, each strength is
     a stage on those settings (the first also on the settings that drive
@@ -656,23 +679,23 @@ def _scan_stages(profile: _Profile) -> list:
     block 1's fit (`_scan`).  Otherwise the strengths are one joint stage on
     every setting and coordinate (C-alt).
     """
-    protocol = profile.layout.protocol
+    protocol = layout.protocol
     lams = protocol.process_unknown_names
     deps = [s.driven_strengths() & set(lams) for s in protocol.settings]
     if not all(any(d == {n} for d in deps) for n in lams):
-        return [(list(range(len(lams))), None, profile.cols)]
-    moves = profile.layout.design(identify._probe_vectors(protocol)).any(axis=0)
+        return [(list(range(len(lams))), None, cols)]
+    moves = layout.design(identify._probe_vectors(protocol)).any(axis=0)
     stages, moved = [], set()
     for k, name in enumerate(lams):
         rows = [i for i, d in enumerate(deps) if d == {name} or not (k or d)]
-        cols = [c for c in profile.cols
-                if c not in moved and moves[rows, c].any()]
-        moved.update(cols)
-        stages.append(([k], rows, cols))
+        stage_cols = [c for c in cols
+                      if c not in moved and moves[rows, c].any()]
+        moved.update(stage_cols)
+        stages.append(([k], rows, stage_cols))
     return stages
 
 
-def _stage_degree(profile: _Profile, free, rows):
+def _stage_degree(protocol: Protocol, free, rows):
     """Degree K of a one-strength stage's Gram determinants as cosine
     series of its strength, or None when they are not: two strengths, a
     non-integer multiplier, a setting that also drives another generator,
@@ -694,7 +717,6 @@ def _stage_degree(profile: _Profile, free, rows):
     """
     if len(free) != 1:
         return None
-    protocol = profile.layout.protocol
     name = protocol.process_unknown_names[free[0]]
     degree = 0
     for i in range(protocol.n_settings) if rows is None else rows:
@@ -713,43 +735,133 @@ def _stage_degree(profile: _Profile, free, rows):
     return 2 * degree
 
 
-def _stage_points(profile: _Profile, lam, free, rows) -> np.ndarray:
-    """The strength rows a stage is sampled at, `lam` in the other
-    strengths: the 2K+1 equispaced points that fix trigonometric
-    polynomials of degree K (`_stage_degree`), or else a grid of
-    SCAN_POINTS per strength."""
-    k = _stage_degree(profile, free, rows)
-    if k is None:
-        g = SCAN_POINTS[len(free)]
+def _stage_samples(degree, n_free: int) -> np.ndarray:
+    """The values of a stage's free strengths it is sampled at, one row
+    each: the 2K+1 equispaced points that fix trigonometric polynomials of
+    degree K (`_stage_degree`), or else a grid of SCAN_POINTS per
+    strength."""
+    if degree is None:
+        g = SCAN_POINTS[n_free]
         axis = TWO_PI * (np.arange(g) + 0.5) / g
-        grid = np.stack(np.meshgrid(*[axis] * len(free), indexing="ij"),
-                        axis=-1).reshape(-1, len(free))
-    else:
-        grid = (TWO_PI * np.arange(2 * k + 1) / (2 * k + 1))[:, None]
-    pts = np.tile(lam, (len(grid), 1))
-    pts[:, free] = grid
+        return np.stack(np.meshgrid(*[axis] * n_free, indexing="ij"),
+                        axis=-1).reshape(-1, n_free)
+    return (TWO_PI * np.arange(2 * degree + 1) / (2 * degree + 1))[:, None]
+
+
+class _Stage:
+    """One stage of the scan (`_scan_stages`), compiled: its strength
+    indices `free`, setting rows `rows` (None: all) and coordinates `cols`;
+    `layout`, the protocol's layout on those settings alone; its `degree`
+    (`_stage_degree`) and `samples`, the values of its free strengths it is
+    sampled at (`_stage_samples`).
+
+    A stage with a degree also holds `design`, the design at its samples,
+    and with A its columns `cols` padded with zero rows to len(cols) + 1
+    (missing rows count as zero rows), A's Q factor `q` and d = det Gram(A)
+    from the diagonal of R (`_gram_determinants`), and the frequencies
+    `freqs` and `cosines` its determinants are expanded in
+    (`_stage_starts`).  Its settings drive its own strength alone, so none
+    of these depends on the strengths that the scan holds.  `sparse` is the
+    stage on its populations alone (`prefer_sparse_coherences`)."""
+
+    def __init__(self, free, rows, cols, layout, degree, samples,
+                 design=None):
+        self.free, self.rows, self.cols = free, rows, cols
+        self.layout, self.degree, self.samples = layout, degree, samples
+        self.design = design
+        self.q = self.d = self.freqs = self.cosines = None
+        if design is not None:
+            a = design[..., cols]
+            a = np.pad(a, ((0, 0), (0, max(0, len(cols) + 1 - a.shape[1])),
+                           (0, 0)))
+            self.q, r = np.linalg.qr(a)
+            self.d = (np.abs(np.diagonal(r, axis1=1, axis2=2)) ** 2).prod(
+                axis=1)
+            self.freqs = np.arange(len(samples)) - len(samples) // 2
+            self.cosines = np.cos(np.outer(self.freqs, samples[:, 0]))
+        self.sparse = self
+        read_only(self)
+
+
+class _Plan:
+    """Everything a solve needs that depends on the protocol alone: its
+    `layout` (`forward.layout_of`, which `identify` shares), the free
+    coordinates `cols` (`_free_coordinates`), the parameters the protocol
+    carries no information about (`dead`,
+    `identify.structural_zero_columns`), and the `stages` of the scan
+    (`_Stage`).  Built once per protocol (`_plan`); it holds no tolerance,
+    and its arrays are read-only."""
+
+    def __init__(self, protocol: Protocol):
+        self.layout = layout_of(protocol)
+        self.cols = _free_coordinates(protocol)
+        self.dead = identify.structural_zero_columns(protocol)
+        self.stages = [self._stage(*stage)
+                       for stage in _scan_stages(self.layout, self.cols)]
+
+    def at(self, lam) -> np.ndarray:
+        """Parameter rows in name order carrying only the strengths lam."""
+        x = np.zeros((len(lam), len(self.layout.protocol.unknown_names)))
+        x[:, self.layout.lam_cols] = lam
+        return x
+
+    def _stage(self, free, rows, cols) -> _Stage:
+        """A stage of `_scan_stages` compiled, with its `sparse` one."""
+        protocol = self.layout.protocol
+        layout = self.layout if rows is None else self.layout.restrict(rows)
+        degree = _stage_degree(protocol, free, rows)
+        samples = _stage_samples(degree, len(free))
+        design = None
+        if degree is not None:
+            at = np.full((len(samples), len(self.layout.lam_cols)), math.pi)
+            at[:, free] = samples
+            design = layout.design(self.at(at))
+        stage = _Stage(free, rows, cols, layout, degree, samples, design)
+        pops = [c for c in cols if c < protocol.dim]
+        stage.sparse = _Stage(free, rows, pops, layout, degree, samples,
+                              design)
+        return stage
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _plan(protocol: Protocol) -> _Plan:
+    """The plan of a protocol, built on its first solve and kept in a
+    bounded cache keyed on the protocol's value, so that equal protocols
+    (one loaded from a file for each solve) share it."""
+    return _Plan(protocol)
+
+
+# ---------------------------------------------------------------------------
+# The staged scan
+# ---------------------------------------------------------------------------
+
+
+def _stage_points(stage: _Stage, lam) -> np.ndarray:
+    """The strength rows a stage is sampled at: its `samples` in its free
+    strengths, `lam` in the others."""
+    pts = np.tile(lam, (len(stage.samples), 1))
+    pts[:, stage.free] = stage.samples
     return pts
 
 
-def _gram_determinants(profile: _Profile, pts, rows, cols, held) -> tuple:
-    """N = det Gram([A b]) and D = det Gram(A) at each strength row of
-    pts, with A the design's columns `cols` on the settings `rows` and b
-    the counts there less design @ held, from the diagonal of the R factor
-    of [A b] (N/D is the stage's least-squares objective, its last pivot
-    squared).  Missing rows count as zero rows, which make N vanish."""
-    design = profile.layout.design(profile._at(pts))[:, rows]
-    m = np.concatenate([design[..., cols],
-                        (profile.y[rows] - design @ held)[..., None]], axis=2)
-    m = np.pad(m, ((0, 0), (0, max(0, len(cols) + 1 - m.shape[1])), (0, 0)))
-    r2 = np.abs(np.diagonal(np.linalg.qr(m, mode="r"), axis1=1, axis2=2)) ** 2
-    return r2.prod(axis=1), r2[:, :-1].prod(axis=1)
+def _gram_determinants(profile: _Profile, stage: _Stage, held) -> tuple:
+    """N = det Gram([A b]) and D = det Gram(A) at each of a stage's samples
+    (`_Stage`), with A the design's columns `cols` on the stage's settings
+    and b the counts there less design @ held; N/D is the stage's
+    least-squares objective.  D and the Q factor of A come from the plan,
+    so N = D |b - QQᵀb|² takes a few products per solve.  Missing rows
+    count as zero rows, which make N vanish."""
+    b = profile.counts(stage.layout) - stage.design @ held
+    b = np.pad(b, ((0, 0), (0, stage.q.shape[1] - b.shape[1])))
+    q = stage.q
+    resid = b - np.einsum("psc,pc->ps", q, np.einsum("psc,ps->pc", q, b))
+    return stage.d * (resid ** 2).sum(axis=1), stage.d
 
 
-def _stage_starts(profile: _Profile, pts, rows, cols, held) -> tuple:
+def _stage_starts(profile: _Profile, stage: _Stage, pts, held) -> tuple:
     """The strength rows a stage's refine starts from, and whether the
     stage is flat (fits the counts exactly at every strength), from its
-    samples at `pts` (`_stage_points`; the free strengths are the ones
-    that vary there).
+    samples at `pts` (`_stage_points`).
 
     A stage with a degree (`_stage_degree`) is flat when N is zero
     relative to TIE_ATOL * |y|^2 * D at every sample.  Otherwise N and D
@@ -774,20 +886,19 @@ def _stage_starts(profile: _Profile, pts, rows, cols, held) -> tuple:
     at most TIE_ATOL * |y|^2 at more than half of its grid, and its refine
     starts from the N_REFINE lowest grid minima (`_grid_minima`).
     """
-    free = list(np.flatnonzero(pts.min(axis=0) < pts.max(axis=0)))
+    free, layout, cols = stage.free, stage.layout, stage.cols
     ysq = float((profile.y ** 2).sum())
-    if _stage_degree(profile, free, rows) is None:
+    if stage.degree is None:
         g = SCAN_POINTS[len(free)]
-        f = profile.objective(pts, rows, cols, held)
+        f = profile.objective(pts, layout, cols, held)
         flat = np.sum(f <= TIE_ATOL * ysq) > f.size / 2
         return pts[_grid_minima(f.reshape((g,) * len(free)), N_REFINE)], flat
-    n, d = _gram_determinants(profile, pts, rows, cols, held)
+    n, d = _gram_determinants(profile, stage, held)
     if n.max() <= TIE_ATOL * ysq * d.max():
         return pts, True
     # len(pts) times the cosine coefficients, frequencies -K..K (even in k)
-    k = np.arange(len(pts)) - len(pts) // 2
-    cosines = np.cos(np.outer(k, pts[:, free[0]]))
-    cn, cd = cosines @ n, cosines @ d
+    k = stage.freqs
+    cn, cd = stage.cosines @ n, stage.cosines @ d
     # F = -2 sum_m psi_m sin(m lam) / len(pts)^2 with psi odd in m, and
     # sin(m lam) = sin(lam) U_{m-1}(cos lam); psi at m = 2K vanishes
     psi = np.convolve(k * cn, cd) - np.convolve(cn, k * cd)
@@ -808,7 +919,7 @@ def _stage_starts(profile: _Profile, pts, rows, cols, held) -> tuple:
     starts = np.tile(pts[0], (len(theta), 1))
     starts[:, free[0]] = theta
     if lost.any() and not np.any((value - err)[~lost] <= 0.0):
-        value[lost] = profile.objective(starts[lost], rows, cols, held)
+        value[lost] = profile.objective(starts[lost], layout, cols, held)
         err[lost], lost[:] = 0.0, False
     best = (value + err)[~lost].min()
     tied = ~lost & (value - err <= best + max(TIE_RTOL * best,
@@ -847,28 +958,29 @@ def _best_minimum(cand: np.ndarray, f: np.ndarray, scale: float) -> int:
                key=lambda i: (int((cand[i] > math.pi + 1e-12).sum()), i))
 
 
-def _stage_jacobian(profile: _Profile, lam, free, rows, cols, held):
+def _stage_jacobian(profile: _Profile, stage: _Stage, lam, held):
     """A stage's Jacobian at its fit at each row of strengths lam: the
-    derivative of the statistics on its settings `rows` in its coordinates
-    `cols` and strengths `free`, the other coordinates at `held`."""
+    derivative of the statistics on its settings in its coordinates `cols`
+    and strengths `free`, the other coordinates at `held`."""
     c_full = np.tile(held, (len(lam), 1))
-    c_full[:, cols] = profile.fit(lam, rows, cols, held=held)[0]
-    _, jac = profile.model(
-        np.concatenate([c_full[:, profile.cols], lam], axis=1), True)
-    n = len(profile.cols)
-    return jac[:, rows][..., [profile.cols.index(c) for c in cols]
-                        + [n + k for k in free]]
+    c_full[:, stage.cols] = profile.fit(lam, stage.layout, stage.cols,
+                                        held=held)[0]
+    design, d_design = stage.layout.design_and_derivative(profile._at(lam))
+    return np.concatenate(
+        [design[..., stage.cols],
+         np.einsum("psck,pc->psk", d_design[..., stage.free], c_full)],
+        axis=2)
 
 
-def _near_singular(profile: _Profile, lam, free, rows, cols, held) -> bool:
+def _near_singular(profile: _Profile, stage: _Stage, lam, held) -> bool:
     """Whether a stage's Jacobian at its fit at the strengths lam is
     near-singular by the rule of `singular_at_solution`."""
-    jac = _stage_jacobian(profile, lam[None, :], free, rows, cols, held)[0]
+    jac = _stage_jacobian(profile, stage, lam[None, :], held)[0]
     smin = np.linalg.svd(jac, compute_uv=False)[-1]
     return bool(identify.near_singular(jac, smin))
 
 
-def _stage_minima(profile: _Profile, starts, free, rows, cols, held) -> tuple:
+def _stage_minima(profile: _Profile, stage: _Stage, starts, held) -> tuple:
     """A stage's refined minima from the strength rows `starts`, the one
     to go on from first, and that one.
 
@@ -879,13 +991,14 @@ def _stage_minima(profile: _Profile, starts, free, rows, cols, held) -> tuple:
     (values within SMIN_RTOL of each other count as equal, so copies of
     one root do not), then the first offered.  Distinct exact roots are
     ordered by their conditioning, which round-off cannot flip."""
-    cand, f = profile.refine(starts, free, rows, cols, held)
+    cand, f = profile.refine(starts, stage.free, stage.layout, stage.cols,
+                             held)
     ties = _ties(f, float((profile.y ** 2).sum()))
     n_large = (cand[ties] > math.pi + 1e-12).sum(axis=1)
     group = ties[n_large == n_large.min()]
     best = group[0]
     if len(group) > 1:
-        jac = _stage_jacobian(profile, cand[group], free, rows, cols, held)
+        jac = _stage_jacobian(profile, stage, cand[group], held)
         smin = np.linalg.svd(jac, compute_uv=False)[:, -1]
         best = group[np.flatnonzero(smin >= (1.0 - SMIN_RTOL) * smin.max())[0]]
     order = [best] + [i for i in range(len(cand)) if i != best]
@@ -893,8 +1006,8 @@ def _stage_minima(profile: _Profile, starts, free, rows, cols, held) -> tuple:
 
 
 def _scan(profile: _Profile) -> np.ndarray:
-    """Refined profile minima of the last stage of `_scan_stages`, one row
-    of strengths each, the one to go on from first, by back-substitution:
+    """Refined profile minima of the last stage of the plan, one row of
+    strengths each, the one to go on from first, by back-substitution:
     every later stage holds the strengths and the coordinates that an
     earlier one fitted at its chosen minimum, so on exact data each
     stage's profile vanishes at the true strengths.  Each stage refines
@@ -905,27 +1018,27 @@ def _scan(profile: _Profile) -> np.ndarray:
     lam = np.full(len(profile.lam_cols), math.pi / 2)  # not yet scanned
     cand = lam[None, :]
     held = np.zeros(profile.layout.dim + 2 * profile.layout.npair)
-    stages = _scan_stages(profile)
-    for k, (free, rows, cols) in enumerate(stages):
+    stages = profile.plan.stages
+    for k, stage in enumerate(stages):
         last = k + 1 == len(stages)
-        pts = _stage_points(profile, lam, free, rows)
-        starts, flat = _stage_starts(profile, pts, rows, cols, held)
+        pts = _stage_points(stage, lam)
+        starts, flat = _stage_starts(profile, stage, pts, held)
         if not flat:
-            cand, lam = _stage_minima(profile, starts, free, rows, cols, held)
-        if flat or not last and _near_singular(profile, lam, free, rows,
-                                               cols, held):
-            cols, starts = prefer_sparse_coherences(profile, pts, rows, cols,
-                                                    held)
-            cand, lam = _stage_minima(profile, starts, free, rows, cols, held)
+            cand, lam = _stage_minima(profile, stage, starts, held)
+        if flat or not last and _near_singular(profile, stage, lam, held):
+            stage, starts = prefer_sparse_coherences(profile, stage, pts,
+                                                     held)
+            cand, lam = _stage_minima(profile, stage, starts, held)
         if not last:
-            held[cols] = profile.fit(lam, rows, cols, held=held)[0][0]
+            held[stage.cols] = profile.fit(lam, stage.layout, stage.cols,
+                                           held=held)[0][0]
     return cand
 
 
-def prefer_sparse_coherences(profile: _Profile, pts: np.ndarray, rows, cols,
-                             held) -> tuple:
+def prefer_sparse_coherences(profile: _Profile, stage: _Stage,
+                             pts: np.ndarray, held) -> tuple:
     """A stage of `_scan` re-solved on its populations alone, with its
-    coherence at zero: the stage's coordinates left and the strength rows
+    coherence at zero: that stage (`_Stage.sparse`) and the strength rows
     its refine starts from, from its samples at `pts` (`_stage_starts`).
     (`sctbench/tracer.py` hooks this name.)
 
@@ -940,8 +1053,7 @@ def prefer_sparse_coherences(profile: _Profile, pts: np.ndarray, rows, cols,
     `_stage_minima` orders.  The state is then fitted on every coordinate
     (`resolve_twin_family`), and a vanished coherence's phase is reported
     undefined."""
-    cols = [c for c in cols if c < profile.layout.dim]
-    return cols, _stage_starts(profile, pts, rows, cols, held)[0]
+    return stage.sparse, _stage_starts(profile, stage.sparse, pts, held)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1065,8 +1177,10 @@ def _package_result(protocol: Protocol, x: np.ndarray, outcome_f: float,
         singular_at_solution=report.near_singular, gauge=gauge)
 
 
-def _check_structure(protocol: Protocol) -> None:
-    dead = identify.structural_zero_columns(protocol)
+def _check_structure(plan: _Plan) -> None:
+    """Refuse a protocol whose statistics carry no information about some
+    parameter (the plan's structural verdict)."""
+    protocol, dead = plan.layout.protocol, plan.dead
     if dead:
         hint = (" Use scenario 'C-alt' (two settings drive the coupling and "
                 "the diagonal together) for an invertible variant."
@@ -1111,11 +1225,18 @@ def reconstruct(counts, protocol: Protocol,
     gauge-fixed and PSD-clipped, with Jacobian diagnostics at the
     solution.  A structurally singular protocol (scenario C as shipped)
     is refused, and so are non-finite counts.
+
+    The first solve on a protocol compiles its plan (`_plan`): the layout,
+    the structural check, the stages with their layouts, degrees and
+    sample strengths, and each exact stage's design at its samples with
+    the Q factor and Gram determinant of its columns.  Every solve on an
+    equal protocol reuses it, so per count vector only the steps above
+    run, on the stages' own settings.
     """
     options = options or SolverOptions()
     y = _count_vector(counts, protocol)
-    _check_structure(protocol)
     profile = _Profile(protocol, y)
+    _check_structure(profile.plan)
     z0, n_members = resolve_twin_family(profile, _scan(profile))
     outcome = _lm_multistart(profile, y, z0, options.objective, options)
     return _package_result(protocol, outcome.x, outcome.f, outcome.gradient_norm,

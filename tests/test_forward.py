@@ -260,7 +260,7 @@ def test_closed_form_rows_match_eigh(name):
 
 @pytest.mark.parametrize("name", KERNEL_PROTOCOLS)
 def test_design_derivative_matches_central_differences(name):
-    from sctomo.identify import central_differences
+    from differences import central_differences
     proto = kernel_protocol(name)
     layout = ProtocolLayout(proto)
     x = kernel_points(proto, np.random.default_rng(82))
@@ -274,6 +274,30 @@ def test_design_derivative_matches_central_differences(name):
     fd, _ = central_differences(
         lambda p: layout.design(p).reshape(len(p), -1), x, layout.lam_cols)
     assert np.abs(fd.reshape(d_design.shape) - d_design).max() <= 1e-7
+
+
+@pytest.mark.parametrize("name", KERNEL_PROTOCOLS)
+def test_restricted_layout_is_rows_of_the_full_layout(name):
+    # a layout on some settings gives those rows of the full layout, and
+    # both stay read-only; equal protocols share one layout
+    from sctomo.protocol import Protocol
+    proto = kernel_protocol(name)
+    layout = forward.layout_of(proto)
+    assert forward.layout_of(Protocol.from_dict(proto.to_dict())) is layout
+    rows = list(range(proto.n_settings))[::-2]
+    part = layout.restrict(rows)
+    assert layout.rows is None and part.rows == rows
+    x = kernel_points(proto, np.random.default_rng(83))
+    for method in ("statistics", "design", "jacobian"):
+        whole = getattr(layout, method)(x)
+        assert np.array_equal(getattr(part, method)(x), whole[:, rows]), method
+    design, d_design = part.design_and_derivative(x)
+    full, d_full = layout.design_and_derivative(x)
+    assert np.array_equal(design, full[:, rows])
+    assert np.array_equal(d_design, d_full[:, rows])
+    for obj in (layout, part):
+        arrays = [a for a in vars(obj).values() if isinstance(a, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def test_simulate_exact_and_deterministic():

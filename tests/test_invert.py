@@ -250,8 +250,8 @@ def test_scan_stages_follow_the_protocol():
             for free, rows, cols in v_blocks]),
     }
     for label, (proto, stages) in cases.items():
-        profile = invert._Profile(proto, np.zeros(proto.n_settings))
-        assert invert._scan_stages(profile) == stages, label
+        assert [(stage.free, stage.rows, stage.cols)
+                for stage in invert._plan(proto).stages] == stages, label
 
 
 def test_block_solve_follows_reordered_settings():
@@ -355,9 +355,9 @@ def test_near_singular_stage_is_resolved_without_its_coherence(monkeypatch,
     rows = []
     original = invert.prefer_sparse_coherences
 
-    def counted(profile, pts, stage_rows, cols, held):
-        rows.append(list(stage_rows))
-        return original(profile, pts, stage_rows, cols, held)
+    def counted(profile, stage, pts, held):
+        rows.append(list(stage.rows))
+        return original(profile, stage, pts, held)
 
     monkeypatch.setattr(invert, "prefer_sparse_coherences", counted)
     result = reconstruct(counts, proto)
@@ -559,7 +559,7 @@ def test_noisy_reconstruction_is_physical():
 
 
 def test_profile_jacobian_matches_differences_of_residual():
-    from sctomo.identify import central_differences
+    from differences import central_differences
     rng = np.random.default_rng(91)
     proto = scenario("V")
     state, unknowns = sample_truth("V", rng)
@@ -567,7 +567,9 @@ def test_profile_jacobian_matches_differences_of_residual():
     counts = predicted_statistics(proto, state, unknowns) \
         + 1e-2 * rng.standard_normal(proto.n_settings)
     profile = invert._Profile(proto, counts)
-    (_, rows1, cols1), (_, rows2, cols2) = invert._scan_stages(profile)
+    (_, rows1, cols1), (_, rows2, cols2) = [
+        (stage.free, stage.layout, stage.cols)
+        for stage in profile.plan.stages]
     # block 1's coordinates held at non-zero values, as the scan holds
     # them in block 2, on all of block 2's coordinates and on its
     # populations alone (a flat stage): there rho00's column, which moves
@@ -584,8 +586,8 @@ def test_profile_jacobian_matches_differences_of_residual():
         # V block 1: lam1 on its settings and coordinates, lam2 held
         (np.column_stack([rng.uniform(0.3, 2.8, 6), np.full(6, 1.1)]),
          [0], rows1, cols1, None),
-        (rng.uniform(0.3, 2.8, (6, 2)), [0, 1], [0, 5, 6, 7, 8, 9, 10], None,
-         None),
+        (rng.uniform(0.3, 2.8, (6, 2)), [0, 1],
+         profile.layout.restrict([0, 5, 6, 7, 8, 9, 10]), None, None),
         (rng.uniform(0.3, 2.8, (6, 2)), [0, 1], None, None, None),
     ]
     for lam, free, rows, cols, hold in cases:
@@ -607,7 +609,7 @@ def test_profile_jacobian_matches_differences_of_residual():
                                   "V", "V~beta"])
 def test_polish_jacobian_matches_numeric_jacobian(name):
     from sctomo.forward import ProtocolLayout
-    from sctomo.identify import central_differences
+    from differences import central_differences
     base = name.split("~")[0]
     proto = scenario(base)
     if name.endswith("~beta"):
@@ -623,7 +625,7 @@ def test_polish_jacobian_matches_numeric_jacobian(name):
 
 
 def test_solve_path_uses_no_eigh_kernel_or_differences(monkeypatch):
-    from sctomo import identify, smallmat
+    from sctomo import forward, identify, smallmat
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called on the solve path")
@@ -635,8 +637,10 @@ def test_solve_path_uses_no_eigh_kernel_or_differences(monkeypatch):
     expected = pack_values(proto.unknown_names, state, unknowns)
     for name in ("expi_neg", "expi_neg_batch"):
         monkeypatch.setattr(smallmat, name, forbidden)
-    monkeypatch.setattr(identify, "central_differences", forbidden)
-    monkeypatch.setattr(identify, "_STRUCTURAL_CACHE", {})
+    assert not hasattr(identify, "central_differences")
+    # the plan (and its structural check) is built on this solve path
+    invert._plan.cache_clear()
+    forward.layout_of.cache_clear()
     assert max_param_error(proto.unknown_names, reconstruct(counts, proto).x,
                            expected) < 1e-8
     assert max_param_error(proto.unknown_names, block_solve_v(counts, proto).x,
@@ -649,10 +653,7 @@ def test_solve_path_uses_no_eigh_kernel_or_differences(monkeypatch):
 def test_jacobian_reports_use_no_differences(monkeypatch, tmp_path):
     from sctomo import cli, identify, io
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("finite differences on a production path")
-
-    monkeypatch.setattr(identify, "central_differences", forbidden)
+    assert not hasattr(identify, "central_differences")
     rng = np.random.default_rng(95)
     for name in ("B", "C-alt", "V"):
         sample_truth(name, rng)
@@ -809,12 +810,13 @@ def test_poisson_polish_takes_a_zero_count_at_a_zero_statistic():
 
 
 def _inner_solve_cases():
-    """(label, profile, free strengths, setting rows, coordinates, strength
-    rows) for the whole profile of A, B, C-alt and V and each stage of the
-    V scan, on noisy counts (so that no residual is zero), with strength
-    rows from default_rng(8): 32 random ones at least 0.3 from 0, pi and
-    2*pi, then degenerate ones, every strength or one at a time at
-    LAM_FLOOR, pi and 2*pi.  A frees no strength and gets one empty row."""
+    """(label, profile, free strengths, layout of the setting rows (None:
+    all), coordinates, strength rows) for the whole profile of A, B, C-alt
+    and V and each stage of the V scan, on noisy counts (so that no
+    residual is zero), with strength rows from default_rng(8): 32 random
+    ones at least 0.3 from 0, pi and 2*pi, then degenerate ones, every
+    strength or one at a time at LAM_FLOOR, pi and 2*pi.  A frees no
+    strength and gets one empty row."""
     rng = np.random.default_rng(8)
 
     def noisy(name):
@@ -828,13 +830,14 @@ def _inner_solve_cases():
         profile = noisy(name)
         cases.append((name, profile, list(range(len(profile.lam_cols))),
                       None, None))
-    for k, stage in enumerate(invert._scan_stages(profile)):
-        cases.append((f"V stage {k + 1}", profile) + stage)
+    for k, stage in enumerate(profile.plan.stages):
+        cases.append((f"V stage {k + 1}", profile, stage.free, stage.layout,
+                      stage.cols))
     out = []
-    for label, profile, free, rows, cols in cases:
+    for label, profile, free, layout, cols in cases:
         n = len(profile.lam_cols)
         if not free:  # A: one linear solve
-            out.append((label, profile, free, rows, cols, np.zeros((1, 0))))
+            out.append((label, profile, free, layout, cols, np.zeros((1, 0))))
             continue
         lam = (rng.uniform(0.3, math.pi - 0.3, (32, n))
                + math.pi * rng.integers(0, 2, (32, n)))
@@ -845,18 +848,19 @@ def _inner_solve_cases():
                 row = np.full(n, 1.1)
                 row[j] = value
                 degenerate.append(row)
-        out.append((label, profile, free, rows, cols,
+        out.append((label, profile, free, layout, cols,
                     np.vstack([lam, degenerate])))
     return out
 
 
-def _pinv_fit(profile, lam, rows, cols, free):
+def _pinv_fit(profile, lam, layout, cols, free):
     """The variable-projection fit by the pseudo-inverse (cutoff 1e-10) with
-    the Golub-Pereyra Jacobian, and per row the singular-value ratio
+    the Golub-Pereyra Jacobian on the settings of `layout` (None: all), from
+    the design of all settings, and per row the singular-value ratio
     sigma_min/sigma_max of A.  Both are formed from the SVD A = U S Vᵀ,
     and P⊥ = I - U Uᵀ on the kept singular vectors: I - A A⁺ would lose
     digits in proportion to the size of the coordinates."""
-    rows = slice(None) if rows is None else rows
+    rows = slice(None) if layout is None else layout.rows
     cols = profile.cols if cols is None else cols
     design, d_design = profile.layout.design_and_derivative(profile._at(lam))
     design, d_design = design[:, rows], d_design[:, rows][..., free]
@@ -889,10 +893,10 @@ def test_inner_solve_matches_pinv_reference():
     # The Jacobian is checked to its own size on the well-conditioned rows
     # (ratio > 1e-6): on the rest it is dominated by round-off of the
     # coordinates, in the reference as much as in `fit`.
-    for label, profile, free, rows, cols, lam in _inner_solve_cases():
-        coords, resid, jac = (profile.fit(lam, rows, cols, free) if free
-                              else profile.fit(lam, rows, cols) + (None,))
-        ref_c, ref_r, ref_j, ratio, y_size = _pinv_fit(profile, lam, rows,
+    for label, profile, free, layout, cols, lam in _inner_solve_cases():
+        coords, resid, jac = (profile.fit(lam, layout, cols, free) if free
+                              else profile.fit(lam, layout, cols) + (None,))
+        ref_c, ref_r, ref_j, ratio, y_size = _pinv_fit(profile, lam, layout,
                                                        cols, free)
         c_scale = np.maximum(1.0, np.abs(ref_c).max(axis=1))
         assert (np.abs(coords - ref_c).max(axis=1) <= 1e-10 * c_scale).all(), label
@@ -900,7 +904,7 @@ def test_inner_solve_matches_pinv_reference():
         truncated = ratio <= invert.RANK_RTOL
         if truncated.any():
             a = profile.layout.design(profile._at(lam[truncated]))
-            a = a[:, slice(None) if rows is None else rows]
+            a = a[:, slice(None) if layout is None else layout.rows]
             a = a[:, :, profile.cols if cols is None else cols]
             if a.shape[1] >= a.shape[2]:
                 assert not invert._full_rank(np.linalg.qr(a)[1])[0].any(), label
@@ -935,14 +939,14 @@ def test_inner_solve_rank_test_uses_singular_values_not_pivots():
 
 
 def test_inner_solve_jacobian_matches_differences_of_residual():
-    from sctomo.identify import central_differences
-    for label, profile, free, rows, cols, lam in _inner_solve_cases():
+    from differences import central_differences
+    for label, profile, free, layout, cols, lam in _inner_solve_cases():
         if not free:
             continue
         lam = lam[:32]  # the rows away from the degenerate strengths
-        jac = profile.fit(lam, rows, cols, free)[2]
+        jac = profile.fit(lam, layout, cols, free)[2]
         fd, _ = central_differences(
-            lambda p: profile.fit(p, rows, cols)[1], lam, free)
+            lambda p: profile.fit(p, layout, cols)[1], lam, free)
         assert np.abs(jac - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max()), label
 
 
@@ -976,12 +980,26 @@ DEGREE_CASES = {
 }
 
 
+def _gram_by_qr(profile, stage, held):
+    """det Gram([A b]) and det Gram(A) of a stage at its samples, from the
+    diagonal of the R factor of [A b] with zero rows up to len(cols) + 1."""
+    design = stage.design
+    m = np.concatenate(
+        [design[..., stage.cols],
+         (profile.counts(stage.layout) - design @ held)[..., None]], axis=2)
+    m = np.pad(m, ((0, 0), (0, max(0, len(stage.cols) + 1 - m.shape[1])),
+                   (0, 0)))
+    r2 = np.abs(np.diagonal(np.linalg.qr(m, mode="r"), axis1=1, axis2=2)) ** 2
+    return r2.prod(axis=1), r2[:, :-1].prod(axis=1)
+
+
 @pytest.mark.parametrize("label", sorted(DEGREE_CASES))
 def test_stage_determinants_stay_within_their_degree(label):
     # N = det Gram([A b]) and D = det Gram(A) sampled for degree 2K: no
     # Fourier content above K and no sine content (both are even in the
     # strength), on every stage (V block 2 held at block 1's fit) and on
-    # its populations alone, with noisy counts
+    # its populations alone, with noisy counts.  At the plan's own samples
+    # N = D |b - QQᵀb|², from the plan's Q and D, is det Gram([A b])
     proto, degrees = DEGREE_CASES[label]
     base = label.split("~")[0].split()[0]
     rng = np.random.default_rng(96)
@@ -993,22 +1011,29 @@ def test_stage_determinants_stay_within_their_degree(label):
         lam = pack_values(proto.unknown_names, state,
                           unknowns)[profile.lam_cols]
         held = np.zeros(profile.layout.dim + 2 * profile.layout.npair)
-        stages = invert._scan_stages(profile)
-        assert [invert._stage_degree(profile, free, rows)
-                for free, rows, _ in stages] == degrees
-        for (free, rows, cols), k in zip(stages, degrees):
+        stages = profile.plan.stages
+        assert [stage.degree for stage in stages] == degrees
+        for stage, k in zip(stages, degrees):
             n_pts = 4 * k + 1
+            samples = (TWO_PI * np.arange(n_pts) / n_pts)[:, None]
             pts = np.tile(lam, (n_pts, 1))
-            pts[:, free[0]] = TWO_PI * np.arange(n_pts) / n_pts
+            pts[:, stage.free] = samples
+            design = stage.layout.design(profile._at(pts))
             freq = np.abs(np.fft.fftfreq(n_pts, 1.0 / n_pts))
-            for stage_cols in (cols, [c for c in cols if c < proto.dim]):
-                for det in invert._gram_determinants(profile, pts, rows,
-                                                     stage_cols, held):
+            for on in (stage, stage.sparse):
+                dense = invert._Stage(on.free, on.rows, on.cols, on.layout,
+                                      on.degree, samples, design)
+                for det in invert._gram_determinants(profile, dense, held):
                     spectrum = np.fft.fft(det)
                     content = np.abs(spectrum)
                     assert content[freq > k].max() < 1e-12 * content.max()
                     assert np.abs(spectrum.imag).max() < 1e-12 * content.max()
-            held[cols] = profile.fit(lam, rows, cols, held=held)[0][0]
+                for det, ref in zip(invert._gram_determinants(profile, on,
+                                                              held),
+                                    _gram_by_qr(profile, on, held)):
+                    assert np.abs(det - ref).max() <= 1e-12 * ref.max()
+            held[stage.cols] = profile.fit(lam, stage.layout, stage.cols,
+                                           held=held)[0][0]
 
 
 def test_stage_degree_needs_integer_multipliers_on_one_generator():
@@ -1033,12 +1058,10 @@ def test_stage_degree_needs_integer_multipliers_on_one_generator():
         settings = list(b.settings)
         settings[index] = setting
         proto = Protocol("B", 2, tuple(settings), b.unknown_names)
-        profile = invert._Profile(proto, np.zeros(proto.n_settings))
-        [(free, rows, _)] = invert._scan_stages(profile)
-        assert invert._stage_degree(profile, free, rows) == degree, label
-        pts = invert._stage_points(profile, np.array([1.0]), free, rows)
-        assert len(pts) == (invert.SCAN_POINTS[1] if degree is None
-                            else 2 * degree + 1), label
+        [stage] = invert._plan(proto).stages
+        assert stage.degree == degree, label
+        assert len(stage.samples) == (invert.SCAN_POINTS[1] if degree is None
+                                      else 2 * degree + 1), label
 
 
 def test_grid_stage_keeps_one_strength_without_a_degree():
@@ -1081,9 +1104,9 @@ def test_stage_candidates_reach_a_fine_scan(monkeypatch, name):
     stages = []
     original = invert._stage_minima
 
-    def recorded(profile, starts, free, rows, cols, held):
-        out = original(profile, starts, free, rows, cols, held)
-        stages.append((profile, out[1], free, rows, list(cols), held.copy()))
+    def recorded(profile, stage, starts, held):
+        out = original(profile, stage, starts, held)
+        stages.append((profile, out[1], stage, held.copy()))
         return out
 
     monkeypatch.setattr(invert, "_stage_minima", recorded)
@@ -1098,14 +1121,15 @@ def test_stage_candidates_reach_a_fine_scan(monkeypatch, name):
             stages.clear()
             invert._scan(invert._Profile(proto, _count_values(counts)))
             assert stages
-            for profile, lam, free, rows, cols, held in stages:
+            for profile, lam, stage, held in stages:
                 pts = np.tile(lam, (len(axis), 1))
-                pts[:, free[0]] = axis
-                scan = profile.objective(pts, rows, cols, held).min()
-                chosen = profile.objective(lam[None, :], rows, cols, held)[0]
+                pts[:, stage.free[0]] = axis
+                on = (stage.layout, stage.cols, held)
+                scan = profile.objective(pts, *on).min()
+                chosen = profile.objective(lam[None, :], *on)[0]
                 assert 1 in invert._ties(np.array([scan, chosen]),
                                          float((profile.y ** 2).sum())), \
-                    (i, free, chosen, scan)
+                    (i, stage.free, chosen, scan)
 
 
 def _count_values(counts):
@@ -1132,3 +1156,125 @@ def test_one_strength_stages_evaluate_no_grid(monkeypatch):
             assert max_param_error(proto.unknown_names,
                                    solve(counts, proto).x, expected) < 1e-8, \
                 (name, solve.__name__)
+
+
+# ---------------------------------------------------------------------------
+# The solve plan: compiled once per protocol
+# ---------------------------------------------------------------------------
+
+
+def _clear_plans():
+    from sctomo import forward
+    invert._plan.cache_clear()
+    forward.layout_of.cache_clear()
+
+
+def _arrays(obj, seen):
+    """Every numpy array reachable from obj through the attributes of
+    sctomo objects and through lists, tuples and dicts."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item, seen)
+    elif type(obj).__module__.startswith("sctomo"):
+        for item in vars(obj).values():
+            yield from _arrays(item, seen)
+
+
+def test_equal_protocols_share_one_plan(monkeypatch):
+    # a protocol loaded from its dict (the CLI's path) is equal to the
+    # scenario but another object: both solve on one plan and one layout,
+    # built by the first solve, and a cold and a warm solve agree bit for
+    # bit
+    from sctomo.forward import ProtocolLayout
+    proto = scenario("V")
+    loaded = Protocol.from_dict(proto.to_dict())
+    assert loaded == proto and loaded is not proto
+    state, unknowns = sample_truth("V", np.random.default_rng(100))
+    counts = predicted_statistics(proto, state, unknowns)
+    builds = []
+    original = ProtocolLayout.__init__
+
+    def counted(self, protocol):
+        builds.append(protocol)
+        original(self, protocol)
+
+    monkeypatch.setattr(ProtocolLayout, "__init__", counted)
+    _clear_plans()
+    cold = reconstruct(counts, proto)
+    warm = reconstruct(counts, loaded)
+    assert len(builds) == 1
+    assert invert._plan(loaded) is invert._plan(proto)
+    assert np.array_equal(cold.x, warm.x)
+    assert cold.to_dict() == warm.to_dict()
+
+
+def test_stage_refine_evaluates_only_its_settings(monkeypatch):
+    # the scan's fits, refines and stage Jacobians evaluate the design on
+    # the settings of their stage alone, not on all 11 of V
+    from sctomo.forward import ProtocolLayout
+    rng = np.random.default_rng(102)
+    proto = scenario("V")
+    state, unknowns = sample_truth("V", rng)
+    counts = predicted_statistics(proto, state, unknowns) \
+        + 1e-3 * rng.standard_normal(proto.n_settings)
+    profile = invert._Profile(proto, counts)
+    seen = []
+    for method in ("design", "design_and_derivative"):
+        original = getattr(ProtocolLayout, method)
+
+        def recorded(self, x, _original=original):
+            out = _original(self, x)
+            design = out[0] if isinstance(out, tuple) else out
+            seen.append((self.rows, design.shape[1]))
+            return out
+
+        monkeypatch.setattr(ProtocolLayout, method, recorded)
+    invert._scan(profile)
+    stage_rows = [stage.rows for stage in profile.plan.stages]
+    assert stage_rows == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
+    assert all(rows in stage_rows for rows, _ in seen)
+    assert all(n == len(rows) for rows, n in seen)
+    assert {tuple(rows) for rows, _ in seen} == set(map(tuple, stage_rows))
+
+
+def test_plans_do_not_leak_between_protocols():
+    # solves interleaved over five protocols, one of which shares B's name
+    # but not its settings, give what a solve on a cold cache gives, and
+    # every array a plan holds is read-only
+    from dataclasses import replace
+    b = scenario("B")
+    settings = list(b.settings)
+    settings[2] = replace(settings[2], fixed_couplings=(0.3,))
+    offset = Protocol("B", 2, tuple(settings), b.unknown_names)
+    protocols = [("V", scenario("V")), ("B", b), ("B", with_unknown_phase(b)),
+                 ("C-alt", scenario("C-alt")), ("B", offset)]
+    rng = np.random.default_rng(103)
+    inputs = []
+    for base, proto in protocols:
+        state, unknowns = sample_truth(base, rng)
+        inputs.append((proto, predicted_statistics(proto, state, unknowns)))
+    cold = []
+    for proto, counts in inputs:
+        _clear_plans()
+        cold.append(reconstruct(counts, proto))
+    _clear_plans()
+    for _ in range(2):
+        for (proto, counts), expected in zip(inputs, cold):
+            result = reconstruct(counts, proto)
+            assert np.array_equal(result.x, expected.x), proto.name
+            assert result.to_dict() == expected.to_dict(), proto.name
+    assert invert._plan(offset) is not invert._plan(b)
+    assert [stage.degree for stage in invert._plan(offset).stages] == [None]
+    assert [stage.degree for stage in invert._plan(b).stages] == [12]
+    for proto, _ in inputs:
+        arrays = list(_arrays(invert._plan(proto), set()))
+        assert len(arrays) >= 8, proto.name
+        assert not any(arr.flags.writeable for arr in arrays), proto.name
