@@ -5,11 +5,19 @@ Standard output is line-oriented and stable-ordered; diagnostics go to
 standard error.  Exit codes: 0 ok, 2 parse/schema error, 3 dimension
 mismatch, 4 no convergence (result file still written) or structural
 singularity, 5 fingerprint mismatch.
+
+`main` can run many commands in one process (a batch driver, the tests),
+and for the small solves the front end would otherwise cost as much as the
+solve.  So a process builds its argument parser once, a command computes
+the protocol fingerprint once, and `io` memoises protocol parses and
+fingerprints on their text, never on `Protocol` equality (see its module
+doc).  Every call still reads its files.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -73,7 +81,7 @@ def cmd_reconstruct(args) -> int:
     options = invert.SolverOptions(objective=args.objective,
                                    max_iter=args.max_iter)
     result = invert.reconstruct(records, protocol, options)
-    io.write_result(args.out, result, protocol)
+    io.write_result(args.out, result, protocol, expected)
     for name, value in zip(result.names, result.x):
         print(f"param {name} {io.format_float(float(value))}")
     print(f"residual {io.format_float(result.residual)}")
@@ -191,10 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves them all
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -4,12 +4,25 @@ All files are UTF-8 JSON, one object per file, with a mandatory
 schema_version and unknown fields rejected.  Floats are rendered with 17
 significant digits so every numeric field round-trips exactly, and emission
 is byte-deterministic (sorted keys), which also makes the FNV-1a protocol
-fingerprint stable.
+fingerprint stable.  A file that is not UTF-8, not JSON, nested too deeply
+to decode, or holds an integer too large for a float is a SchemaError.
+
+A process keeps two memos, so that a caller running many commands (a batch
+driver, the tests) parses each protocol text and hashes each serialization
+once.  Both are keyed on text, never on `Protocol` equality: equal protocols
+can serialize differently (an `mz` of -0.0 is written "-0", of 0.0 "0"), so
+a `Protocol` key could hand one protocol the other's fingerprint.
+
+- `load_protocol` still reads its file on every call, so an edited file is
+  seen; identical text returns the same frozen `Protocol`.
+- `protocol_fingerprint` still serializes its protocol on every call, and
+  memoises only the FNV-1a of that serialization.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -87,15 +100,26 @@ def write_json(path, obj) -> None:
     write_text(path, canonical_json(obj) + "\n")
 
 
-def read_json(path):
+def _read_text(path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8: {exc}") from exc
+
+
+def _decode_json(text: str, source):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{source}: invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # bad syntax, or an integer over the digit limit
+        raise SchemaError(f"{source}: invalid JSON: {exc}") from exc
+
+
+def read_json(path):
+    return _decode_json(_read_text(path), path)
 
 
 def fnv1a64(data: bytes) -> int:
@@ -108,7 +132,13 @@ def fnv1a64(data: bytes) -> int:
 
 def protocol_fingerprint(protocol: Protocol) -> str:
     """64-bit FNV-1a of the canonical protocol serialization, as hex."""
-    return format(fnv1a64(canonical_json(protocol.to_dict()).encode()), "016x")
+    return _fnv1a_hex(canonical_json(protocol.to_dict()))
+
+
+@functools.lru_cache(maxsize=64)
+def _fnv1a_hex(text: str) -> str:
+    # keyed on the serialization, never on the Protocol (see the module doc)
+    return format(fnv1a64(text.encode()), "016x")
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +204,17 @@ def _parse_noise(obj, seed: int) -> NoiseModel:
     if "shots" in obj:
         kwargs["shots"] = int(obj["shots"])
     if "sigma" in obj:
-        kwargs["sigma"] = float(obj["sigma"])
+        kwargs["sigma"] = _finite_number(obj["sigma"], "noise.sigma")
     return NoiseModel(**kwargs)
 
 
 def _finite_number(value, context: str) -> float:
     """A finite JSON number as a float."""
-    if not (_has_type(value, float) and math.isfinite(value)):
+    try:
+        finite = _has_type(value, float) and math.isfinite(value)
+    except OverflowError:
+        raise SchemaError(f"{context}: integer too large for a float") from None
+    if not finite:
         raise SchemaError(f"{context}: expected a finite number, got {value!r}")
     return float(value)
 
@@ -298,13 +332,25 @@ def parse_protocol_dict(obj: dict) -> Protocol:
 
 
 def load_protocol(name_or_path: str) -> Protocol:
+    """A catalog scenario by name, else the protocol file at that path; an
+    error in the file names the path."""
     if name_or_path in scenario_names():
         return scenario(name_or_path)
     if os.path.exists(name_or_path):
-        return parse_protocol_dict(read_json(name_or_path))
+        text = _read_text(name_or_path)
+        try:
+            return _parse_protocol_text(text)
+        except SchemaError as exc:
+            raise SchemaError(f"{name_or_path}: {exc}") from exc
     raise SchemaError(
         f"{name_or_path!r} is neither a scenario name {scenario_names()} "
         "nor a protocol file")
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_protocol_text(text: str) -> Protocol:
+    # keyed on the file's text (see the module doc); an error is not cached
+    return parse_protocol_dict(_decode_json(text, "protocol"))
 
 
 def write_protocol(path, protocol: Protocol) -> None:
@@ -343,10 +389,9 @@ def load_counts(path):
             raise SchemaError(
                 f"{context}.setting_index: {rec['setting_index']} breaks the "
                 f"strictly increasing run 0, 1, 2, ... (expected {k})")
-        value = float(rec["value"])
-        if not (math.isfinite(value) and value >= 0.0):
-            raise SchemaError(
-                f"{context}.value: must be finite and >= 0, got {value}")
+        value = _finite_number(rec["value"], f"{context}.value")
+        if value < 0.0:
+            raise SchemaError(f"{context}.value: must be >= 0, got {value}")
         if rec["noise_kind"] not in NOISE_KINDS:
             raise SchemaError(f"{context}.noise_kind: {rec['noise_kind']!r} "
                               f"not one of {NOISE_KINDS}")
@@ -376,9 +421,11 @@ def load_point(path, dim: int):
 # ---------------------------------------------------------------------------
 
 
-def write_result(path, result, protocol: Protocol) -> None:
+def write_result(path, result, protocol: Protocol, fingerprint: str) -> None:
+    """Write `result` for `protocol`, whose fingerprint the caller has
+    already computed to check the counts against it."""
     obj = result.to_dict()
     obj["schema_version"] = SCHEMA_VERSION
     obj["protocol"] = protocol.name
-    obj["protocol_fingerprint"] = protocol_fingerprint(protocol)
+    obj["protocol_fingerprint"] = fingerprint
     write_json(path, obj)

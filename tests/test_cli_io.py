@@ -1,7 +1,9 @@
 """Tests for file schemas, fingerprints, and the command-line interface."""
 
+import inspect
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from sctomo import cli, invert, io, validation
 from sctomo.errors import SchemaError
 from sctomo.forward import NoiseModel, simulate_counts
-from sctomo.protocol import scenario
+from sctomo.protocol import scenario, with_unknown_phase
 
 
 def write_config(path, **overrides):
@@ -512,3 +514,207 @@ def test_malformed_protocol_exit_2(tmp_path, capsys, case):
     assert err.startswith("sct: error: ")
     assert message in err
     assert not (tmp_path / "r.json").exists()
+
+
+def _valid_files(tmp_path):
+    """A B counts file and B protocol file (paths), from the default config."""
+    config = tmp_path / "config.json"
+    write_config(config)
+    counts = tmp_path / "counts.json"
+    assert cli.main(["simulate", "--config", str(config),
+                     "--out", str(counts)]) == 0
+    protocol = tmp_path / "protocol.json"
+    io.write_protocol(protocol, scenario("B"))
+    return counts, protocol
+
+
+def _huge_value(obj):
+    obj["records"][-1]["value"] = 10 ** 400
+
+
+def _huge_multiplier(obj):
+    obj["settings"][0]["multipliers"][0] = 10 ** 400
+
+
+NOT_UTF8 = b"\xff\xfe{"
+NESTED = ("[" * 100000 + "]" * 100000).encode()
+# case -> (file bytes, or an edit of the valid file's object, error text);
+# each exits 2 without a traceback, and a file that cannot be decoded is
+# named by its path
+UNDECODABLE_COUNTS = {
+    "not-utf8": (NOT_UTF8, "not UTF-8"),
+    "nested-too-deeply": (NESTED, "nested too deeply"),
+    "value-400-digits": (_huge_value,
+                         "records[4].value: integer too large for a float"),
+}
+UNDECODABLE_PROTOCOLS = {
+    "not-utf8": (NOT_UTF8, "not UTF-8"),
+    "nested-too-deeply": (NESTED, "nested too deeply"),
+    "multipliers-400-digits": (
+        _huge_multiplier,
+        "settings[0].multipliers[0]: integer too large for a float"),
+}
+
+
+def _spoil(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        obj = json.loads(path.read_text())
+        content(obj)
+        path.write_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("kind, case",
+                         [("counts", c) for c in sorted(UNDECODABLE_COUNTS)]
+                         + [("protocol", c)
+                            for c in sorted(UNDECODABLE_PROTOCOLS)])
+def test_undecodable_file_exit_2(tmp_path, capsys, kind, case):
+    counts, protocol = _valid_files(tmp_path)
+    cases = UNDECODABLE_COUNTS if kind == "counts" else UNDECODABLE_PROTOCOLS
+    content, message = cases[case]
+    bad = counts if kind == "counts" else protocol
+    _spoil(bad, content)
+    capsys.readouterr()
+    code = cli.main(["reconstruct", "--counts", str(counts), "--protocol",
+                     str(protocol), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("sct: error: ") and "Traceback" not in err
+    assert message in err
+    assert str(bad) in err or not isinstance(content, bytes)
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--config", "{path}", "--out", "{out}"], "config"),
+    (["jacobian", "--protocol", "B", "--point", "{path}"], "point"),
+])
+def test_non_utf8_config_or_point_exit_2(tmp_path, capsys, argv, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(NOT_UTF8)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    code = cli.main([a.format(path=path, out=out) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("sct: error: ") and f"{path}: not UTF-8" in err
+    assert not out.exists()
+
+
+def test_huge_integer_sigma_exit_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    cfg = write_config(config)
+    cfg["noise"] = {"kind": "gaussian", "sigma": 10 ** 400}
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    code = cli.main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "c.json")])
+    assert code == 2
+    assert "noise.sigma: integer too large" in capsys.readouterr().err
+
+
+def _clear_io_memos():
+    for fn in vars(io).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+@pytest.mark.parametrize("first", ["B", "twin"])
+def test_fingerprint_memo_tells_equal_protocols_apart(tmp_path, capsys,
+                                                      first):
+    # the twin differs from B only in the sign of a zero: the two compare
+    # and hash equal, yet serialize ("-0" vs "0") and fingerprint apart
+    b = scenario("B")
+    twin = replace(b, settings=(replace(b.settings[0], mz=-0.0),)
+                   + b.settings[1:])
+    assert twin == b and hash(twin) == hash(b)
+    protocols = {"B": b, "twin": twin}
+    fingerprints = {"B": "d1ea12c074319e61", "twin": "b31d7079ce9debe4"}
+    order = [first, "twin" if first == "B" else "B"]
+    state, unknowns = validation.sample_truth("B", np.random.default_rng(3))
+    records = simulate_counts(state, unknowns, b, NoiseModel("exact"))
+    for name, proto in protocols.items():
+        io.write_counts(tmp_path / f"counts_{name}.json", proto, records)
+        # json.dumps keeps -0.0 a float; canonical_json would write -0
+        (tmp_path / f"protocol_{name}.json").write_text(
+            json.dumps({**proto.to_dict(), "schema_version": 1}))
+    _clear_io_memos()
+    for name in order:
+        assert io.protocol_fingerprint(protocols[name]) == fingerprints[name]
+    for counts_of in order:
+        for protocol_of in order:
+            code = cli.main(["reconstruct",
+                             "--counts", str(tmp_path / f"counts_{counts_of}.json"),
+                             "--protocol",
+                             str(tmp_path / f"protocol_{protocol_of}.json"),
+                             "--out", str(tmp_path / "r.json")])
+            assert code == (0 if counts_of == protocol_of else 5)
+    for name in order:
+        assert io.protocol_fingerprint(protocols[name]) == fingerprints[name]
+
+
+def test_hooked_entry_points_stay_plain_functions():
+    # a profiler wraps the public functions of io and cli.main; a memo on
+    # one of them would hide its calls
+    for fn in (io.protocol_fingerprint, io.load_protocol, io.load_counts,
+               io.write_result, cli.main):
+        assert inspect.isfunction(fn)
+
+
+def test_repeated_reconstructs_in_one_process(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    b = scenario("B")
+    protocols = {"A": scenario("A"), "B": b, "B~beta": with_unknown_phase(b),
+                 "V": scenario("V")}
+    files = {}
+    for key, proto in protocols.items():
+        stem = key.replace("~", "_")
+        protocol, counts = tmp_path / f"p_{stem}.json", tmp_path / f"c_{stem}.json"
+        io.write_protocol(protocol, proto)
+        state, unknowns = validation.sample_truth(key.split("~")[0], rng)
+        io.write_counts(counts, proto, simulate_counts(
+            state, unknowns, proto, NoiseModel("exact")))
+        files[key] = (str(counts), str(protocol))
+
+    def reconstruct(key, out, protocol_of=None, extra=()):
+        counts, protocol = files[key]
+        if protocol_of is not None:
+            protocol = files[protocol_of][1]
+        capsys.readouterr()
+        code = cli.main(["reconstruct", "--counts", counts, "--protocol",
+                         protocol, "--out", str(out), *extra])
+        return code, capsys.readouterr().out
+
+    def one_pass(tag):
+        runs = {}
+        for key in protocols:
+            out = tmp_path / f"r_{tag}_{key.replace('~', '_')}.json"
+            code, stdout = reconstruct(key, out)
+            assert code == 0
+            runs[key] = (stdout, out.read_bytes())
+        return runs
+
+    first = one_pass("first")
+    assert one_pass("second") == first
+
+    # identical text, at any path, parses to the one frozen protocol
+    counts_b, protocol_b = files["B"]
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(Path(protocol_b).read_bytes())
+    assert io.load_protocol(protocol_b) is io.load_protocol(str(copy))
+
+    # a file rewritten in place is read again
+    io.write_protocol(protocol_b, protocols["B~beta"])
+    assert reconstruct("B", tmp_path / "r.json")[0] == 5
+    assert reconstruct("B~beta", tmp_path / "r.json", protocol_of="B")[0] == 0
+    io.write_protocol(protocol_b, b)
+
+    # the one parser still rejects bad arguments and answers --help
+    assert reconstruct("B", tmp_path / "r.json",
+                       extra=["--objective", "bogus"])[0] == 2
+    assert cli.main(["reconstruct", "--counts", counts_b]) == 2
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["reconstruct", "--help"]) == 0
+    capsys.readouterr()
+    assert one_pass("third") == first
