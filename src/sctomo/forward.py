@@ -41,13 +41,17 @@ from .protocol import NAMES, STRENGTHS, Protocol, UnknownParams, resolve
 
 NOISE_KINDS = ("exact", "poisson", "gaussian")
 LAYOUT_CACHE = 64  # protocols whose layouts `layout_of` keeps
+# most Poisson shots per record: below numpy's Poisson limit (about 9.2e18)
+# on shots * n / N, where n <= N
+SHOTS_MAX = 10 ** 18
 
 
 @dataclass(frozen=True)
 class NoiseModel:
     """Sampling model for observed statistics.
 
-    poisson: value = Poisson(shots * n / N) * N / shots  (N = truth trace)
+    poisson: value = Poisson(shots * n / N) * N / shots  (N = truth trace),
+             with 1 <= shots <= SHOTS_MAX
     gaussian: value = max(0, n + Normal(0, sigma * N))
     exact ignores shots and sigma.
     """
@@ -60,8 +64,12 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise InvalidRange(f"noise kind {self.kind!r} not one of {NOISE_KINDS}")
+        # an integer test before any float conversion, which 10**400 fails
         if self.kind == "poisson" and int(self.shots) <= 0:
             raise InvalidRange("poisson noise needs a positive shot count")
+        if self.kind == "poisson" and int(self.shots) > SHOTS_MAX:
+            raise InvalidRange(
+                f"poisson noise shots must be at most SHOTS_MAX = {SHOTS_MAX:.0e}")
         if self.kind == "gaussian" and self.sigma < 0:
             raise InvalidRange("gaussian noise needs sigma >= 0")
         object.__setattr__(self, "shots", int(self.shots))
@@ -418,13 +426,14 @@ class ProtocolLayout:
         coordinates(x) row by row."""
         return self._coordinates(*self._decode(x)[:3])
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
+    def jacobian(self, x: np.ndarray, evaluation=None) -> np.ndarray:
         """Derivative of the statistics in every declared parameter, for
         each row of x: (P, S, K).  Since s = design(lam) @ coordinates(state),
         a state column is design @ ∂coordinates and a strength column
-        ∂design @ coordinates."""
+        ∂design @ coordinates.  `evaluation`, if given, is
+        `design_and_derivative` at the strengths of x, made by the caller."""
         pops, mags, sph, _ = self._decode(x)
-        design, d_design = self.design_and_derivative(x)
+        design, d_design = evaluation or self.design_and_derivative(x)
         coords = self._coordinates(pops, mags, sph)
         jac = np.empty(design.shape[:2] + (len(self._slots),))
         jac[..., self.lam_cols] = np.einsum("psck,pc->psk", d_design, coords)

@@ -64,14 +64,16 @@ class JacobianReport:
         return np.abs(self.matrix) < tol
 
 
-def jacobian_from_vector(protocol: Protocol, x0) -> JacobianReport:
-    """Jacobian report for an explicit Γ-ordered value vector."""
+def jacobian_from_vector(protocol: Protocol, x0,
+                         evaluation=None) -> JacobianReport:
+    """Jacobian report for an explicit Γ-ordered value vector (`evaluation`
+    as in `ProtocolLayout.jacobian`)."""
     names = protocol.unknown_names
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (len(names),):
         raise DimensionMismatch(
             f"point has {x0.size} values for {len(names)} parameters")
-    jac = layout_of(protocol).jacobian(x0)[0]
+    jac = layout_of(protocol).jacobian(x0, evaluation)[0]
     det = float(np.linalg.det(jac)) if jac.shape[0] == jac.shape[1] else None
     svals = np.linalg.svd(jac, compute_uv=False)
     smin = float(svals[-1])

@@ -47,7 +47,7 @@ the refines, the twin family, the polish and the report.
 The reflections lam_j -> 2*pi - lam_j are exact ties of the data, and every
 solver settles them by one rule, in one place: `resolve_twin_family`
 reflects the strengths, re-solves the Cartesian state at each member, and
-ranks the tied members by `_branch_key` (physical first, then the fewest
+ranks the tied members by `_branch_keys` (physical first, then the fewest
 strengths above pi, then the order offered).
 
 The solvers work on z = [Cartesian state coordinates, strengths]
@@ -58,6 +58,15 @@ is one batched Householder QR per call; only points whose design fails a
 rank test (degenerate strengths) fall back to the pseudo-inverse.
 Magnitude and phase appear only at the boundary: `_Profile.start` and
 `_Profile.point`, and the result diagnostics (`ProtocolLayout.jacobian`).
+
+A solve hands each kernel evaluation (the design and its strength
+derivative) on instead of redoing it.  `_damped_gauss_newton` returns
+its last evaluation of the rows it ends on: the refine's gives
+`_stage_minima` the stage Jacobians, the near-singular verdict and the
+coordinates a later stage holds, the polish's gives `_package_result` its
+report.  `resolve_twin_family` fits the minima and all their reflections
+in one batch.  An exact solve whose refines start at their roots calls
+the kernel once per stage, once for the twin family and once to polish.
 """
 
 from __future__ import annotations
@@ -310,18 +319,19 @@ def _damped_gauss_newton(fun, z, lo, hi, y, kind, scale, max_iter, ftol=0.0):
     """Damped Gauss-Newton on the objective `kind` of fun(z) against y from
     every row of z at once, inside the box [lo, hi].
 
-    `fun` maps rows (P, K) to values (P, S) and their Jacobian (P, S, K), so
-    one call per iteration serves the trial and, once accepted, the next
-    step.  Accepted steps never raise a row's objective.  A row stops
-    converged at the floor objective (1e-30 * scale) or on a step that
-    moves it by at most STEP_TOL, and unconverged when a rejected step
-    leaves its damping at 1e12 or more; with `ftol` > 0 also on an accepted
-    step that gains at most `ftol` of its objective.  Returns the rows,
-    their objectives, whether each converged and the largest component of
-    each one's projected gradient.
+    `fun` maps rows (P, K) to values (P, S), their Jacobian (P, S, K) and
+    any further per-row arrays, so one call per iteration serves the trial
+    and, once accepted, the next step.  Accepted steps never raise a row's
+    objective.  A row stops converged at the floor objective (1e-30 *
+    scale) or on a step that moves it by at most STEP_TOL, and unconverged
+    when a rejected step leaves its damping at 1e12 or more; with `ftol` >
+    0 also on an accepted step that gains at most `ftol` of its objective.
+    Returns the rows, their objectives, whether each converged, the largest
+    component of each one's projected gradient, and the further arrays at
+    the rows returned.
     """
     z = np.clip(np.array(z, dtype=float), lo, hi)
-    n_model, jac = fun(z)
+    n_model, jac, *extra = fun(z)
     f = _objective_values(n_model, y, kind)
     mu = np.full(len(z), 1e-3)
     floor = 1e-30 * scale
@@ -337,7 +347,7 @@ def _damped_gauss_newton(fun, z, lo, hi, y, kind, scale, max_iter, ftol=0.0):
                                   lo, hi)
         step = np.linalg.solve(h + mu[act, None, None] * eye, -g[..., None])
         trial = np.clip(za + step[..., 0], lo, hi)
-        n_trial, j_trial = fun(trial)
+        n_trial, j_trial, *e_trial = fun(trial)
         f_trial = _objective_values(n_trial, y, kind)
         accept = f_trial <= f[act]
         acc, rej = act[accept], act[~accept]
@@ -345,6 +355,8 @@ def _damped_gauss_newton(fun, z, lo, hi, y, kind, scale, max_iter, ftol=0.0):
             done[acc[f[acc] - f_trial[accept] <= ftol * f[acc]]] = True
         z[acc], f[acc] = trial[accept], f_trial[accept]
         n_model[acc], jac[acc] = n_trial[accept], j_trial[accept]
+        for kept, new in zip(extra, e_trial):
+            kept[acc] = new[accept]
         mu[acc] = np.maximum(mu[acc] / 3.0, 1e-14)
         mu[rej] *= 7.0
         moved = np.abs(trial - za).max(axis=1)
@@ -353,7 +365,7 @@ def _damped_gauss_newton(fun, z, lo, hi, y, kind, scale, max_iter, ftol=0.0):
         done |= converged
         done[rej[mu[rej] >= 1e12]] = True
     g, _ = _projected_descent(z, n_model, jac, f, y, kind, lo, hi)
-    return z, f, converged, np.abs(g).max(axis=1, initial=0.0)
+    return z, f, converged, np.abs(g).max(axis=1, initial=0.0), extra
 
 
 @dataclass
@@ -362,6 +374,7 @@ class _FitOutcome:
     f: float
     converged: bool
     gradient_norm: float
+    evaluation: tuple  # design and its strength derivative at x, one row
 
 
 def _lm_multistart(profile: _Profile, y: np.ndarray, start: np.ndarray,
@@ -370,11 +383,11 @@ def _lm_multistart(profile: _Profile, y: np.ndarray, start: np.ndarray,
     `_Profile.model` from the z `start`, inside `_Profile.bounds`; the
     outcome's `x` is in name order.  (`sctbench/tracer.py` hooks this name.)
     """
-    z, f, converged, gnorm = _damped_gauss_newton(
+    z, f, converged, gnorm, evaluation = _damped_gauss_newton(
         lambda rows: profile.model(rows, jacobian=True), start[None, :],
         *profile.bounds(), y, kind, profile.scale, options.max_iter)
     return _FitOutcome(profile.point(z[0]), float(f[0]), bool(converged[0]),
-                       float(gnorm[0]))
+                       float(gnorm[0]), tuple(evaluation))
 
 
 # ---------------------------------------------------------------------------
@@ -561,17 +574,20 @@ class _Profile:
         """
         x = self._at(np.atleast_2d(lam))
         layout = self.layout if layout is None else layout
-        cols = self.cols if cols is None else cols
         if free is None:
-            design = layout.design(x)
-        else:
-            design, d_design = layout.design_and_derivative(x)
-            d_design = d_design[..., free]
+            return self.solve(layout, layout.design(x), cols, held=held)
+        design, d_design = layout.design_and_derivative(x)
+        return self.solve(layout, design, cols, d_design[..., free], held)
+
+    def solve(self, layout, design, cols=None, d_design=None, held=None):
+        """`fit` on a design (P, S, C) made on the settings of `layout`, and
+        for the Jacobian its derivative in the strengths `free` (P, S, C, F)."""
+        cols = self.cols if cols is None else cols
         a = design[:, :, cols]
         y = np.broadcast_to(self.counts(layout), a.shape[:2])
         if held is not None:
             y = y - design @ held
-        if free is None:
+        if d_design is None:
             return _lstsq(a, y)
         v0 = None if held is None else np.einsum("psck,c->psk", d_design, held)
         return _lstsq(a, y, d_design[:, :, cols], v0)
@@ -585,7 +601,8 @@ class _Profile:
 
     def model(self, z, jacobian=False):
         """Statistics design @ c_full (P, S) at each row of z; with `jacobian`
-        also their derivative [design[..., cols], ∂design/∂lam @ c_full]."""
+        also their derivative [design[..., cols], ∂design/∂lam @ c_full],
+        the design and ∂design/∂lam."""
         z = np.atleast_2d(z)
         n = len(self.cols)
         x, c_full = self._at(z[:, n:]), self._full(z[:, :n])
@@ -595,7 +612,7 @@ class _Profile:
         jac = np.concatenate(
             [design[..., self.cols], np.einsum("psck,pc->psk", d_design, c_full)],
             axis=2)
-        return np.einsum("psc,pc->ps", design, c_full), jac
+        return np.einsum("psc,pc->ps", design, c_full), jac, design, d_design
 
     def bounds(self) -> tuple:
         """The box of z: populations >= 0, coherence coordinates free,
@@ -639,24 +656,29 @@ class _Profile:
         """`_damped_gauss_newton` on the projected residual of `fit` on the
         settings of `layout` and the coordinates `cols`, with `held` held,
         over the strengths `free` from each row of strengths `lam` (the
-        other strengths are the same in every row); returns the end rows
-        and their objectives.  A start also stops on an accepted step that
-        gains at most REFINE_FTOL of its objective: one that creeps towards
-        a degenerate strength (lam -> 0, 2*pi, or pi where sin(lam) silences
-        settings) gains that little per step, one that converges to a root
-        orders of magnitude more.
+        other strengths are the same in every row); returns the end rows,
+        their objectives and (coordinates, design, ∂design/∂free) at them.
+        A start also stops on an accepted step that gains at most
+        REFINE_FTOL of its objective: one that creeps towards a degenerate
+        strength (lam -> 0, 2*pi, or pi where sin(lam) silences settings)
+        gains that little per step, one that converges to a root orders of
+        magnitude more.
         """
         lam = np.array(lam, dtype=float)
 
         def residual(z):
             at = np.tile(lam[0], (len(z), 1))
             at[:, free] = z
-            return self.fit(at, layout, cols, free, held)[1:]
+            design, d_design = layout.design_and_derivative(self._at(at))
+            d_design = d_design[..., free]
+            coords, resid, jac = self.solve(layout, design, cols, d_design,
+                                            held)
+            return resid, jac, coords, design, d_design
 
-        lam[:, free], f, _, _ = _damped_gauss_newton(
+        lam[:, free], f, _, _, evaluation = _damped_gauss_newton(
             residual, lam[:, free], LAM_FLOOR, TWO_PI, 0.0, "least_squares",
             self.scale, REFINE_ITER, REFINE_FTOL)
-        return lam, f
+        return lam, f, evaluation
 
 
 # ---------------------------------------------------------------------------
@@ -958,51 +980,35 @@ def _best_minimum(cand: np.ndarray, f: np.ndarray, scale: float) -> int:
                key=lambda i: (int((cand[i] > math.pi + 1e-12).sum()), i))
 
 
-def _stage_jacobian(profile: _Profile, stage: _Stage, lam, held):
-    """A stage's Jacobian at its fit at each row of strengths lam: the
-    derivative of the statistics on its settings in its coordinates `cols`
-    and strengths `free`, the other coordinates at `held`."""
-    c_full = np.tile(held, (len(lam), 1))
-    c_full[:, stage.cols] = profile.fit(lam, stage.layout, stage.cols,
-                                        held=held)[0]
-    design, d_design = stage.layout.design_and_derivative(profile._at(lam))
-    return np.concatenate(
-        [design[..., stage.cols],
-         np.einsum("psck,pc->psk", d_design[..., stage.free], c_full)],
-        axis=2)
-
-
-def _near_singular(profile: _Profile, stage: _Stage, lam, held) -> bool:
-    """Whether a stage's Jacobian at its fit at the strengths lam is
-    near-singular by the rule of `singular_at_solution`."""
-    jac = _stage_jacobian(profile, stage, lam[None, :], held)[0]
-    smin = np.linalg.svd(jac, compute_uv=False)[-1]
-    return bool(identify.near_singular(jac, smin))
-
-
 def _stage_minima(profile: _Profile, stage: _Stage, starts, held) -> tuple:
     """A stage's refined minima from the strength rows `starts`, the one
-    to go on from first, and that one.
+    to go on from first; that one and its fitted coordinates; and whether
+    its stage Jacobian (of the statistics on its settings in its `cols` and
+    `free`, the rest at `held`) is near-singular (`singular_at_solution`).
 
-    It is, among the end points whose objective ties with the lowest
-    relative to |y|^2 (`_ties`), the one with the fewest strengths above pi
-    (the canonical member of a reflection pair), then the one whose stage
-    Jacobian (`_stage_jacobian`) has the largest smallest singular value
+    The one to go on from is, among the end points whose objective ties
+    with the lowest relative to |y|^2 (`_ties`), the one with the fewest
+    strengths above pi (the canonical member of a reflection pair), then
+    the one whose stage Jacobian has the largest smallest singular value
     (values within SMIN_RTOL of each other count as equal, so copies of
     one root do not), then the first offered.  Distinct exact roots are
     ordered by their conditioning, which round-off cannot flip."""
-    cand, f = profile.refine(starts, stage.free, stage.layout, stage.cols,
-                             held)
+    cand, f, (coords, design, d_design) = profile.refine(
+        starts, stage.free, stage.layout, stage.cols, held)
     ties = _ties(f, float((profile.y ** 2).sum()))
     n_large = (cand[ties] > math.pi + 1e-12).sum(axis=1)
     group = ties[n_large == n_large.min()]
-    best = group[0]
-    if len(group) > 1:
-        jac = _stage_jacobian(profile, stage, cand[group], held)
-        smin = np.linalg.svd(jac, compute_uv=False)[:, -1]
-        best = group[np.flatnonzero(smin >= (1.0 - SMIN_RTOL) * smin.max())[0]]
+    c_full = np.tile(held, (len(group), 1))
+    c_full[:, stage.cols] = coords[group]
+    jac = np.concatenate(
+        [design[group][..., stage.cols],
+         np.einsum("psck,pc->psk", d_design[group], c_full)], axis=2)
+    smin = np.linalg.svd(jac, compute_uv=False)[:, -1]
+    pick = np.flatnonzero(smin >= (1.0 - SMIN_RTOL) * smin.max())[0]
+    best = group[pick]
     order = [best] + [i for i in range(len(cand)) if i != best]
-    return cand[order], cand[best]
+    singular = bool(identify.near_singular(jac[pick], smin[pick]))
+    return cand[order], cand[best], coords[best], singular
 
 
 def _scan(profile: _Profile) -> np.ndarray:
@@ -1013,8 +1019,7 @@ def _scan(profile: _Profile) -> np.ndarray:
     stage's profile vanishes at the true strengths.  Each stage refines
     the starts of `_stage_starts` and picks by the rule of
     `_stage_minima`.  `prefer_sparse_coherences` re-solves a flat stage
-    and one that a later stage would hold at a near-singular fit
-    (`_near_singular`)."""
+    and one that a later stage would hold at a near-singular fit."""
     lam = np.full(len(profile.lam_cols), math.pi / 2)  # not yet scanned
     cand = lam[None, :]
     held = np.zeros(profile.layout.dim + 2 * profile.layout.npair)
@@ -1024,14 +1029,14 @@ def _scan(profile: _Profile) -> np.ndarray:
         pts = _stage_points(stage, lam)
         starts, flat = _stage_starts(profile, stage, pts, held)
         if not flat:
-            cand, lam = _stage_minima(profile, stage, starts, held)
-        if flat or not last and _near_singular(profile, stage, lam, held):
+            cand, lam, coords, singular = _stage_minima(profile, stage,
+                                                        starts, held)
+        if flat or not last and singular:
             stage, starts = prefer_sparse_coherences(profile, stage, pts,
                                                      held)
-            cand, lam = _stage_minima(profile, stage, starts, held)
+            cand, lam, coords, _ = _stage_minima(profile, stage, starts, held)
         if not last:
-            held[stage.cols] = profile.fit(lam, stage.layout, stage.cols,
-                                           held=held)[0][0]
+            held[stage.cols] = coords
     return cand
 
 
@@ -1072,21 +1077,24 @@ def prefer_sparse_coherences(profile: _Profile, stage: _Stage,
 # their staged scan and `grid_oracle` on its incumbent (`_settle_twins`).
 
 
-def _branch_key(dim: int, coords: np.ndarray, lam: np.ndarray,
-                index: int) -> tuple:
-    """Rank of an exact-tie member with all Cartesian state coordinates
-    `coords` and strengths `lam`: physical first, then the fewest strengths
-    above pi (the lam <= pi member is canonical, mirroring the continuous
-    gauge fix), then the order offered.  The state has the populations on
-    its diagonal and entry (i, j) = (x - i*y)/2 per coherence pair."""
-    rho = np.diag(coords[:dim]).astype(complex)
-    for k, (i, j) in enumerate(COHERENCE_PAIRS[dim]):
-        rho[i, j] = 0.5 * complex(coords[dim + 2 * k], -coords[dim + 2 * k + 1])
-        rho[j, i] = rho[i, j].conjugate()
-    trace = float(coords[:dim].sum())
-    unphysical = trace <= 0 or np.linalg.eigvalsh(rho)[0] / trace < -1e-9
-    n_large = int((lam > math.pi + 1e-12).sum())
-    return (bool(unphysical), n_large, index)
+def _branch_keys(dim: int, coords: np.ndarray, lam: np.ndarray,
+                 index: np.ndarray) -> list:
+    """Rank of each exact-tie member, with all Cartesian state coordinates
+    `coords` (M, C), strengths `lam` (M, K) and place `index` in the order
+    offered: physical first, then the fewest strengths above pi (the
+    lam <= pi member is canonical, mirroring the continuous gauge fix),
+    then the order offered.  The state has the populations on its diagonal
+    and entry (i, j) = (x - i*y)/2 per coherence pair."""
+    rho = np.zeros((len(coords), dim, dim), dtype=complex)
+    rho[:, range(dim), range(dim)] = coords[:, :dim]
+    i, j = np.array(COHERENCE_PAIRS[dim]).T
+    rho[:, i, j] = 0.5 * (coords[:, dim::2] - 1j * coords[:, dim + 1::2])
+    rho[:, j, i] = rho[:, i, j].conj()
+    trace = coords[:, :dim].sum(axis=1)
+    low = np.linalg.eigvalsh(rho)[:, 0] / np.where(trace > 0, trace, 1.0)
+    unphysical = (trace <= 0) | (low < -1e-9)
+    n_large = (lam > math.pi + 1e-12).sum(axis=1)
+    return list(zip(unphysical.tolist(), n_large.tolist(), index.tolist()))
 
 
 def resolve_twin_family(profile: _Profile, cand: np.ndarray) -> tuple:
@@ -1095,28 +1103,29 @@ def resolve_twin_family(profile: _Profile, cand: np.ndarray) -> tuple:
     The family is every row of strengths in `cand` (in the order offered:
     for a scan, its chosen minimum first) plus each reflection
     lam_j -> 2*pi - lam_j (one or more strengths at once) of the best one
-    (`_best_minimum`), with the Cartesian state re-solved linearly at each.
-    The members whose least-squares objective ties with the lowest are
-    ranked by `_branch_key` on their Cartesian coordinates, so distinct
-    exact roots that are both physical with every lam <= pi (a vanished
-    coherence can leave two) go by the order offered, which for a scan is
-    the rule of `_stage_minima`.  Returns the chosen
-    member's z (see `_Profile`) and the number of members compared.
+    (`_best_minimum`), with the Cartesian state re-solved linearly at each
+    (one fit covers `cand` and the reflections of all its rows).  The
+    members whose least-squares objective ties with the lowest are ranked
+    by `_branch_keys` on their Cartesian coordinates, so distinct exact
+    roots that are both physical with every lam <= pi (a vanished coherence
+    can leave two) go by the order offered, which for a scan is the rule of
+    `_stage_minima`.  Returns the chosen member's z (see `_Profile`) and
+    the number of members compared.
     """
-    best = cand[_best_minimum(cand, profile.objective(cand), profile.scale)]
-    members = [cand]
-    for flips in itertools.product((False, True), repeat=best.size):
-        if any(flips):
-            image = best.copy()
-            mask = np.array(flips)
-            image[mask] = TWO_PI - image[mask]
-            members.append(image[None, :])
-    members = np.vstack(members)
-    coords, resid = profile.fit(members)
-    c_full = profile._full(coords)
-    chosen = min(_ties((resid ** 2).sum(axis=1), profile.scale),
-                 key=lambda i: _branch_key(profile.layout.dim, c_full[i],
-                                           members[i], i))
+    (n, k), m = cand.shape, 2 ** cand.shape[1] - 1
+    flips = np.array(list(itertools.product((False, True), repeat=k))[1:],
+                     dtype=bool).reshape(m, k)
+    images = np.where(flips, TWO_PI - cand[:, None, :], cand[:, None, :])
+    coords, resid = profile.fit(np.concatenate([cand,
+                                                images.reshape(n * m, k)]))
+    f = (resid ** 2).sum(axis=1)
+    best = _best_minimum(cand, f[:n], profile.scale)
+    rows = np.concatenate([np.arange(n), n + m * best + np.arange(m)])
+    members = np.concatenate([cand, images[best]])
+    coords, f = coords[rows], f[rows]
+    ties = _ties(f, profile.scale)
+    chosen = min(_branch_keys(profile.layout.dim, profile._full(coords[ties]),
+                              members[ties], ties))[2]
     return np.concatenate([coords[chosen], members[chosen]]), len(members)
 
 
@@ -1138,8 +1147,8 @@ def _settle_twins(profile: _Profile, cand: np.ndarray) -> tuple:
 
 def _package_result(protocol: Protocol, x: np.ndarray, outcome_f: float,
                     grad_norm: float, n_starts: int, converged: bool,
-                    objective: str) -> ReconstructionResult:
-    report = identify.jacobian_from_vector(protocol, x)
+                    objective: str, evaluation=None) -> ReconstructionResult:
+    report = identify.jacobian_from_vector(protocol, x, evaluation)
     if report.near_singular:
         warnings.warn("Jacobian is near-singular at the solution",
                       SingularAtSolutionWarning, stacklevel=3)
@@ -1224,7 +1233,10 @@ def reconstruct(counts, protocol: Protocol,
     Only the end point is converted to magnitude and phase.  The result is
     gauge-fixed and PSD-clipped, with Jacobian diagnostics at the
     solution.  A structurally singular protocol (scenario C as shipped)
-    is refused, and so are non-finite counts.
+    is refused, and so are non-finite counts.  Evaluations of the design
+    are handed on, not redone: the refine's last one gives the stage
+    choice, its near-singular test and the held coordinates, one fit
+    covers the twin family, and the polish's last one the diagnostics.
 
     The first solve on a protocol compiles its plan (`_plan`): the layout,
     the structural check, the stages with their layouts, degrees and
@@ -1240,7 +1252,8 @@ def reconstruct(counts, protocol: Protocol,
     z0, n_members = resolve_twin_family(profile, _scan(profile))
     outcome = _lm_multistart(profile, y, z0, options.objective, options)
     return _package_result(protocol, outcome.x, outcome.f, outcome.gradient_norm,
-                           n_members, outcome.converged, options.objective)
+                           n_members, outcome.converged, options.objective,
+                           outcome.evaluation)
 
 
 def polish(counts, protocol: Protocol, x0, options: SolverOptions = None

@@ -10,8 +10,8 @@ to decode, or holds an integer too large for a float is a SchemaError.
 A process keeps two memos, so that a caller running many commands (a batch
 driver, the tests) parses each protocol text and hashes each serialization
 once.  Both are keyed on text, never on `Protocol` equality: equal protocols
-can serialize differently (an `mz` of -0.0 is written "-0", of 0.0 "0"), so
-a `Protocol` key could hand one protocol the other's fingerprint.
+can serialize differently (an `mz` of -0.0 is written "-0.0", of 0.0 "0"),
+so a `Protocol` key could hand one protocol the other's fingerprint.
 
 - `load_protocol` still reads its file on every call, so an edited file is
   seen; identical text returns the same frozen `Protocol`.
@@ -39,8 +39,12 @@ SCHEMA_VERSION = 1
 
 
 def format_float(x: float) -> str:
+    """17 significant digits; -0.0 as "-0.0", since "-0" reads back as the
+    integer 0 and so loses the sign."""
     if math.isnan(x) or math.isinf(x):
         raise SchemaError(f"cannot serialize non-finite value {x}")
+    if x == 0.0 and math.copysign(1.0, x) < 0:
+        return "-0.0"
     return format(float(x), ".17g")
 
 

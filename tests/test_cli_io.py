@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from sctomo import cli, invert, io, validation
-from sctomo.errors import SchemaError
-from sctomo.forward import NoiseModel, simulate_counts
+from sctomo.errors import InvalidRange, SchemaError
+from sctomo.forward import SHOTS_MAX, NoiseModel, simulate_counts
 from sctomo.protocol import scenario, with_unknown_phase
 
 
@@ -37,6 +38,23 @@ def test_canonical_json_roundtrips_floats():
     text = io.canonical_json({"values": values})
     back = json.loads(text)["values"]
     assert back == [float(v) for v in values]
+
+
+def test_negative_zero_roundtrips_as_a_float(tmp_path):
+    # "-0" would read back as the integer 0 and lose the sign
+    assert io.format_float(-0.0) == "-0.0"
+    assert io.canonical_json([-0.0, 0.0, np.float64(-0.0)]) == \
+        "[\n  -0.0,\n  0,\n  -0.0\n]"
+    back = json.loads(io.canonical_json({"x": -0.0}))["x"]
+    assert isinstance(back, float) and math.copysign(1.0, back) == -1.0
+    b = scenario("B")
+    twin = replace(b, settings=(replace(b.settings[0], mz=-0.0),)
+                   + b.settings[1:])
+    io.write_protocol(tmp_path / "twin.json", twin)
+    loaded = io.load_protocol(str(tmp_path / "twin.json"))
+    assert math.copysign(1.0, loaded.settings[0].mz) == -1.0
+    assert io.protocol_fingerprint(loaded) == io.protocol_fingerprint(twin)
+    assert io.protocol_fingerprint(twin) != io.protocol_fingerprint(b)
 
 
 def test_canonical_json_is_sorted_and_stable():
@@ -614,6 +632,33 @@ def test_huge_integer_sigma_exit_2(tmp_path, capsys):
     assert "noise.sigma: integer too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shots", [10 ** 30, 10 ** 400, SHOTS_MAX + 1])
+def test_poisson_shots_above_the_bound_exit_2(tmp_path, capsys, shots):
+    # numpy's Poisson sampler refuses a mean above ~9.2e18 (1e30) and a
+    # float cannot hold 10**400: both are refused before any sampling
+    config = tmp_path / "config.json"
+    cfg = write_config(config)
+    cfg["noise"] = {"kind": "poisson", "shots": shots}
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("sct: error: ") and "shots" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_poisson_shots_at_the_bound_sample():
+    state, unknowns = validation.sample_truth("B", np.random.default_rng(4))
+    records = simulate_counts(state, unknowns, scenario("B"),
+                              NoiseModel("poisson", shots=SHOTS_MAX, seed=1))
+    assert all(r.shots == SHOTS_MAX and math.isfinite(r.value)
+               for r in records)
+    with pytest.raises(InvalidRange, match="shots"):
+        NoiseModel("poisson", shots=SHOTS_MAX + 1)
+
+
 def _clear_io_memos():
     for fn in vars(io).values():
         if hasattr(fn, "cache_clear"):
@@ -624,21 +669,19 @@ def _clear_io_memos():
 def test_fingerprint_memo_tells_equal_protocols_apart(tmp_path, capsys,
                                                       first):
     # the twin differs from B only in the sign of a zero: the two compare
-    # and hash equal, yet serialize ("-0" vs "0") and fingerprint apart
+    # and hash equal, yet serialize ("-0.0" vs "0") and fingerprint apart
     b = scenario("B")
     twin = replace(b, settings=(replace(b.settings[0], mz=-0.0),)
                    + b.settings[1:])
     assert twin == b and hash(twin) == hash(b)
     protocols = {"B": b, "twin": twin}
-    fingerprints = {"B": "d1ea12c074319e61", "twin": "b31d7079ce9debe4"}
+    fingerprints = {"B": "d1ea12c074319e61", "twin": "5e34fc6531358eae"}
     order = [first, "twin" if first == "B" else "B"]
     state, unknowns = validation.sample_truth("B", np.random.default_rng(3))
     records = simulate_counts(state, unknowns, b, NoiseModel("exact"))
     for name, proto in protocols.items():
         io.write_counts(tmp_path / f"counts_{name}.json", proto, records)
-        # json.dumps keeps -0.0 a float; canonical_json would write -0
-        (tmp_path / f"protocol_{name}.json").write_text(
-            json.dumps({**proto.to_dict(), "schema_version": 1}))
+        io.write_protocol(tmp_path / f"protocol_{name}.json", proto)
     _clear_io_memos()
     for name in order:
         assert io.protocol_fingerprint(protocols[name]) == fingerprints[name]

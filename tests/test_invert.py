@@ -1278,3 +1278,99 @@ def test_plans_do_not_leak_between_protocols():
         arrays = list(_arrays(invert._plan(proto), set()))
         assert len(arrays) >= 8, proto.name
         assert not any(arr.flags.writeable for arr in arrays), proto.name
+
+
+# ---------------------------------------------------------------------------
+# Each point evaluated once per solve
+# ---------------------------------------------------------------------------
+
+
+def _noisy_v_profile():
+    rng = np.random.default_rng(77)
+    state, unknowns = sample_truth("V", rng)
+    proto = scenario("V")
+    counts = simulate_counts(state, unknowns, proto,
+                             NoiseModel("poisson", shots=10 ** 4, seed=1000))
+    return invert._Profile(proto, np.array([r.value for r in counts]))
+
+
+def test_refine_hands_on_its_last_evaluation(monkeypatch):
+    # the refine's evaluation is kept row by row for the accepted steps:
+    # it equals, bit for bit, a fresh evaluation at the rows returned
+    from sctomo.forward import ProtocolLayout
+    profile = _noisy_v_profile()
+    stage = profile.plan.stages[0]
+    held = np.zeros(profile.layout.dim + 2 * profile.layout.npair)
+    starts = invert._stage_points(stage, np.full(2, math.pi / 2))[::4]
+    calls = []
+    original = ProtocolLayout.design_and_derivative
+
+    def counted(self, x):
+        calls.append(len(x))
+        return original(self, x)
+
+    monkeypatch.setattr(ProtocolLayout, "design_and_derivative", counted)
+    cand, f, (coords, design, d_design) = profile.refine(
+        starts, stage.free, stage.layout, stage.cols, held)
+    monkeypatch.undo()
+    assert len(calls) > 2 and len(set(calls)) > 1  # rows stop at other steps
+    assert (np.abs(cand - starts).max(axis=1) > 1e-3).sum() >= 2
+    fresh, d_fresh = stage.layout.design_and_derivative(profile._at(cand))
+    d_fresh = d_fresh[..., stage.free]
+    c_fresh, r_fresh, _ = profile.solve(stage.layout, fresh, stage.cols,
+                                        d_fresh, held)
+    assert np.array_equal(design, fresh)
+    assert np.array_equal(d_design, d_fresh)
+    assert np.array_equal(coords, c_fresh)
+    assert np.array_equal(f, (r_fresh ** 2).sum(axis=1))
+
+
+def test_polish_hands_on_its_end_point_evaluation():
+    # the polish's design and derivative at its end point serve the report:
+    # the same Jacobian as one evaluated afresh there (from a start off the
+    # profile solution, so that the polish takes steps)
+    from sctomo import identify
+    profile = _noisy_v_profile()
+    proto = profile.layout.protocol
+    z0, _ = invert.resolve_twin_family(profile, invert._scan(profile))
+    for kind in invert.OBJECTIVES:
+        outcome = invert._lm_multistart(profile, profile.y, z0 + 0.05, kind,
+                                        SolverOptions(kind))
+        assert outcome.converged
+        assert np.abs(profile.start(outcome.x) - z0 - 0.05).max() > 1e-3
+        design, d_design = outcome.evaluation
+        fresh = profile.layout.design_and_derivative(outcome.x[None, :])
+        assert np.array_equal(design, fresh[0])
+        assert np.array_equal(d_design, fresh[1])
+        handed = identify.jacobian_from_vector(proto, outcome.x,
+                                               outcome.evaluation)
+        own = identify.jacobian_from_vector(proto, outcome.x)
+        assert np.array_equal(handed.matrix, own.matrix)
+        assert handed.smallest_singular_value == own.smallest_singular_value
+        assert handed.condition_number == own.condition_number
+
+
+@pytest.mark.parametrize("name, most", [("A", 2), ("B", 3), ("V", 4)])
+def test_exact_solves_evaluate_each_point_once(monkeypatch, name, most):
+    # the refine's last evaluation serves the stage Jacobian and the held
+    # fit, one fit covers the twin family, and the polish's last one the
+    # report: A solves on 2 kernel calls, B on 3 and V on 4 (median)
+    from sctomo.forward import ProtocolLayout
+    proto = scenario(name)
+    invert._plan(proto)  # compiled before counting
+    calls = [0]
+    original = ProtocolLayout._label_rows
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProtocolLayout, "_label_rows", counted)
+    rng = np.random.default_rng(77)
+    per_solve = []
+    for _ in range(20):
+        state, unknowns = sample_truth(name, rng)
+        calls[0] = 0
+        reconstruct(predicted_statistics(proto, state, unknowns), proto)
+        per_solve.append(calls[0])
+    assert np.median(per_solve) <= most, per_solve
