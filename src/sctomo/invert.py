@@ -25,24 +25,28 @@ ratio of two Gram determinants that are cosine series of a degree fixed by
 the setting multipliers, so its stationary points come from the roots of one
 real polynomial in cos(lam), the eigenvalues of a colleague matrix built
 from the determinants at 2K+1 strengths (`_stage_starts`).  Other stages
-(C-alt's joint one) are scanned on a grid.  Either way the candidates that
-tie with the lowest are refined by damped Gauss-Newton, and exact ties are
-ordered by a stated rule (`_stage_minima`).  A stage that fits the data
-exactly along a whole curve of strengths (a vanished coherence: N is
-identically zero), or that a later stage holds at a near-singular fit (a
-degenerate strength), is re-solved with its coherence at zero.
+(C-alt's joint one, a stage with a fixed angle on its own generator) are
+scanned on a fixed grid, each sample valued by its residual |b - QQᵀb|².
+Either way the candidates that tie with the lowest are refined by damped
+Gauss-Newton, and exact ties are ordered by a stated rule
+(`_stage_minima`).  A stage that fits the data exactly along a whole curve
+of strengths (a vanished coherence: N is identically zero), or that a
+later stage holds at a near-singular fit (a degenerate strength), is
+re-solved with its coherence at zero.
 `reconstruct` polishes the scan's solution jointly and `block_solve_v`
 does not; the two must agree on exact data.
 
 What depends on the protocol alone is compiled once per protocol into a
 plan (`_plan`, a bounded cache keyed on the protocol's value, so a protocol
 loaded anew for each solve hits it too): the layout, shared with
-`identify`; the free coordinates; the structural verdict; the stages, each
-with its layout on its own settings, its degree and sample strengths; and
-for a stage with a degree its design at those samples, with the Q factor
-and Gram determinant of its columns.  A solve pays only for what depends on
-its counts: the stage determinants N from the plan's factors, the roots,
-the refines, the twin family, the polish and the report.
+`identify`; the free coordinates; the structural verdict; and the stages,
+each compiled alike: its layout on its own settings, its degree and sample
+strengths, its design at those samples, and the Q factor, Gram
+determinant and per-sample rank verdict of its columns.  A solve pays
+only for what depends on its counts: each stage's sample residuals from
+the plan's factors (the determinants N and the roots for an exact stage,
+the grid values for any other), the refines, the twin family, the polish
+and the report.
 
 The reflections lam_j -> 2*pi - lam_j are exact ties of the data, and every
 solver settles them by one rule, in one place: `resolve_twin_family`
@@ -80,8 +84,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import identify
-from .errors import (DimensionMismatch, InvalidRange, RankDeficient,
-                     SingularAtSolutionWarning, StructuralSingularity)
+from .errors import (DimensionMismatch, EmptyRegion, InvalidRange,
+                     RankDeficient, SingularAtSolutionWarning,
+                     StructuralSingularity)
 from .forward import ProtocolLayout, layout_of, observed_values, read_only
 from .model import (COHERENCE_PAIRS, DensityParams, PHASE_NAMES, TWO_PI,
                     state_matrix, state_params_from_matrix, wrap_phase)
@@ -93,6 +98,14 @@ TINY_MAG = 1e-8
 GRAD_TOL = 1e-10  # times max(1, |y|^2), on the largest gradient component
 STEP_TOL = 1e-12  # times 1 + max |z|, on the largest step component
 COUNT_MAX = 1e100  # largest |count|, so that sums of squares stay finite
+
+
+def _check_count(name: str, value, least: int, error=InvalidRange) -> None:
+    """Refuse, by `error`, a value that is not an integer (a bool is not)
+    of at least `least`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise error(f"{name} {value!r}: must be an integer >= {least}")
 
 
 @dataclass(frozen=True)
@@ -108,11 +121,7 @@ class SolverOptions:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise InvalidRange(f"objective {self.objective!r} not in {OBJECTIVES}")
-        if (isinstance(self.max_iter, bool)
-                or not isinstance(self.max_iter, (int, np.integer))
-                or self.max_iter < 1):
-            raise InvalidRange(
-                f"max_iter {self.max_iter!r}: must be an integer >= 1")
+        _check_count("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -216,10 +225,9 @@ def linear_invert(counts, protocol: Protocol) -> LinearInversionResult:
     """
     if protocol.process_unknown_names:
         raise InvalidRange("linear inversion needs fully known rotations")
-    y = _count_vector(counts, protocol)
-    profile = _Profile(protocol, y)
+    profile = _Profile(protocol, counts)
     no_strengths = np.zeros((1, 0))
-    a = profile.layout.design(profile._at(no_strengths))[0][:, profile.cols]
+    a = profile.layout.design(profile.plan.at(no_strengths))[0][:, profile.cols]
     rank = np.linalg.matrix_rank(a)
     if rank < a.shape[1]:
         raise RankDeficient(f"design matrix rank {rank} < {a.shape[1]}")
@@ -525,25 +533,21 @@ def _free_coordinates(protocol: Protocol) -> list:
 
 
 class _Profile:
-    """One count vector on its protocol's plan (`_plan`) as a function of
-    z = [Cartesian state coordinates `cols` (all that the declared unknowns
-    move), strengths in name order]; the other coordinates are 0.  `fit`
-    solves the coordinates at fixed strengths (the scan and the refine),
-    `model` gives the statistics of a whole z (the polish), `bounds` is the
-    box of z, and `start` and `point` convert from and to the parameter
-    vector in name order."""
+    """One count vector (checked by `_count_vector`) on its protocol's
+    plan (`_plan`) as a function of z = [Cartesian state coordinates `cols`
+    (all that the declared unknowns move), strengths in name order]; the
+    other coordinates are 0.  `fit` solves the coordinates at fixed
+    strengths (the scan and the refine), `model` gives the statistics of a
+    whole z (the polish), `bounds` is the box of z, and `start` and `point`
+    convert from and to the parameter vector in name order."""
 
-    def __init__(self, protocol: Protocol, y: np.ndarray):
+    def __init__(self, protocol: Protocol, counts):
         self.plan = _plan(protocol)
         self.layout = self.plan.layout
-        self.y = y
+        self.y = _count_vector(counts, protocol)
         self.lam_cols = self.layout.lam_cols
         self.cols = self.plan.cols
-        self.scale = max(1.0, float((y ** 2).sum()))
-
-    def _at(self, lam) -> np.ndarray:
-        """Parameter rows in name order carrying only the strengths lam."""
-        return self.plan.at(lam)
+        self.scale = max(1.0, float((self.y ** 2).sum()))
 
     def _full(self, coords) -> np.ndarray:
         """All coordinates: `coords` on `cols`, 0 elsewhere."""
@@ -572,7 +576,7 @@ class _Profile:
         ones on `cols`, and P⊥ = I - A A⁺, all on those settings, by
         `_lstsq`.
         """
-        x = self._at(np.atleast_2d(lam))
+        x = self.plan.at(np.atleast_2d(lam))
         layout = self.layout if layout is None else layout
         if free is None:
             return self.solve(layout, layout.design(x), cols, held=held)
@@ -605,7 +609,7 @@ class _Profile:
         the design and ∂design/∂lam."""
         z = np.atleast_2d(z)
         n = len(self.cols)
-        x, c_full = self._at(z[:, n:]), self._full(z[:, :n])
+        x, c_full = self.plan.at(z[:, n:]), self._full(z[:, :n])
         if not jacobian:
             return np.einsum("psc,pc->ps", self.layout.design(x), c_full)
         design, d_design = self.layout.design_and_derivative(x)
@@ -669,7 +673,7 @@ class _Profile:
         def residual(z):
             at = np.tile(lam[0], (len(z), 1))
             at[:, free] = z
-            design, d_design = layout.design_and_derivative(self._at(at))
+            design, d_design = layout.design_and_derivative(self.plan.at(at))
             d_design = d_design[..., free]
             coords, resid, jac = self.solve(layout, design, cols, d_design,
                                             held)
@@ -777,28 +781,31 @@ class _Stage:
     (`_stage_degree`) and `samples`, the values of its free strengths it is
     sampled at (`_stage_samples`).
 
-    A stage with a degree also holds `design`, the design at its samples,
-    and with A its columns `cols` padded with zero rows to len(cols) + 1
-    (missing rows count as zero rows), A's Q factor `q` and d = det Gram(A)
-    from the diagonal of R (`_gram_determinants`), and the frequencies
-    `freqs` and `cosines` its determinants are expanded in
-    (`_stage_starts`).  Its settings drive its own strength alone, so none
-    of these depends on the strengths that the scan holds.  `sparse` is the
-    stage on its populations alone (`prefer_sparse_coherences`)."""
+    Every stage holds `design`, the design at its samples, and with A its
+    columns `cols` padded with zero rows to len(cols) + 1 (missing rows
+    count as zero rows) and A = QR: `q`, Q on the stage's own rows (b is
+    zero on the padded ones, and so is its residual), d = det Gram(A) from
+    the diagonal of R (`_gram_determinants`), and `full_rank`, the verdict
+    of `_full_rank` on R per sample, the one a per-point solve (`_lstsq`)
+    reaches.  A stage with a degree also holds the frequencies `freqs` and
+    `cosines` its determinants are expanded in (`_stage_starts`).  A
+    per-strength stage's settings drive its own strength alone, and the
+    joint stage frees every strength, so none of these depends on the
+    strengths that the scan holds.  `sparse` is the stage on its
+    populations alone (`prefer_sparse_coherences`)."""
 
-    def __init__(self, free, rows, cols, layout, degree, samples,
-                 design=None):
+    def __init__(self, free, rows, cols, layout, degree, samples, design):
         self.free, self.rows, self.cols = free, rows, cols
         self.layout, self.degree, self.samples = layout, degree, samples
         self.design = design
-        self.q = self.d = self.freqs = self.cosines = None
-        if design is not None:
-            a = design[..., cols]
-            a = np.pad(a, ((0, 0), (0, max(0, len(cols) + 1 - a.shape[1])),
-                           (0, 0)))
-            self.q, r = np.linalg.qr(a)
-            self.d = (np.abs(np.diagonal(r, axis1=1, axis2=2)) ** 2).prod(
-                axis=1)
+        a = design[..., cols]
+        pad = max(0, len(cols) + 1 - a.shape[1])
+        q, r = np.linalg.qr(np.pad(a, ((0, 0), (0, pad), (0, 0))))
+        self.q = q[:, :a.shape[1]]
+        self.d = (np.abs(np.diagonal(r, axis1=1, axis2=2)) ** 2).prod(axis=1)
+        self.full_rank = _full_rank(r)[0]
+        self.freqs = self.cosines = None
+        if degree is not None:
             self.freqs = np.arange(len(samples)) - len(samples) // 2
             self.cosines = np.cos(np.outer(self.freqs, samples[:, 0]))
         self.sparse = self
@@ -810,9 +817,11 @@ class _Plan:
     `layout` (`forward.layout_of`, which `identify` shares), the free
     coordinates `cols` (`_free_coordinates`), the parameters the protocol
     carries no information about (`dead`,
-    `identify.structural_zero_columns`), and the `stages` of the scan
-    (`_Stage`).  Built once per protocol (`_plan`); it holds no tolerance,
-    and its arrays are read-only."""
+    `identify.structural_zero_columns`), and the `stages` of the scan,
+    every one compiled alike (`_Stage`), its design taken with the
+    strengths it does not free at pi, which its settings do not see.
+    Built once per protocol (`_plan`); it holds no tolerance (its rank
+    verdicts are taken at RANK_RTOL), and its arrays are read-only."""
 
     def __init__(self, protocol: Protocol):
         self.layout = layout_of(protocol)
@@ -833,11 +842,9 @@ class _Plan:
         layout = self.layout if rows is None else self.layout.restrict(rows)
         degree = _stage_degree(protocol, free, rows)
         samples = _stage_samples(degree, len(free))
-        design = None
-        if degree is not None:
-            at = np.full((len(samples), len(self.layout.lam_cols)), math.pi)
-            at[:, free] = samples
-            design = layout.design(self.at(at))
+        at = np.full((len(samples), len(self.layout.lam_cols)), math.pi)
+        at[:, free] = samples
+        design = layout.design(self.at(at))
         stage = _Stage(free, rows, cols, layout, degree, samples, design)
         pops = [c for c in cols if c < protocol.dim]
         stage.sparse = _Stage(free, rows, pops, layout, degree, samples,
@@ -866,18 +873,24 @@ def _stage_points(stage: _Stage, lam) -> np.ndarray:
     return pts
 
 
-def _gram_determinants(profile: _Profile, stage: _Stage, held) -> tuple:
-    """N = det Gram([A b]) and D = det Gram(A) at each of a stage's samples
-    (`_Stage`), with A the design's columns `cols` on the stage's settings
-    and b the counts there less design @ held; N/D is the stage's
-    least-squares objective.  D and the Q factor of A come from the plan,
-    so N = D |b - QQᵀb|² takes a few products per solve.  Missing rows
-    count as zero rows, which make N vanish."""
+def _residual_norms(profile: _Profile, stage: _Stage, held) -> np.ndarray:
+    """|b - QQᵀb|² at each of a stage's samples, with Q the plan's factor
+    of the design's columns `cols` on the stage's settings (`_Stage`) and
+    b the counts there less design @ held: the stage's least-squares
+    objective wherever the samples keep full rank (`_Stage.full_rank`)."""
     b = profile.counts(stage.layout) - stage.design @ held
-    b = np.pad(b, ((0, 0), (0, stage.q.shape[1] - b.shape[1])))
     q = stage.q
     resid = b - np.einsum("psc,pc->ps", q, np.einsum("psc,ps->pc", q, b))
-    return stage.d * (resid ** 2).sum(axis=1), stage.d
+    return (resid ** 2).sum(axis=1)
+
+
+def _gram_determinants(profile: _Profile, stage: _Stage, held) -> tuple:
+    """N = det Gram([A b]) and D = det Gram(A) at each of a stage's samples,
+    with A and b as in `_residual_norms`; N/D is the stage's least-squares
+    objective.  D comes from the plan, so N = D |b - QQᵀb|² takes a few
+    products per solve.  Missing rows count as zero rows, which make N
+    vanish."""
+    return stage.d * _residual_norms(profile, stage, held), stage.d
 
 
 def _stage_starts(profile: _Profile, stage: _Stage, pts, held) -> tuple:
@@ -904,15 +917,21 @@ def _stage_starts(profile: _Profile, stage: _Stage, pts, held) -> tuple:
     another candidate already fits exactly.  The refine starts from every
     candidate that can tie with the lowest, lowest first.
 
-    Any other stage is flat when its objective (`_Profile.objective`) is
-    at most TIE_ATOL * |y|^2 at more than half of its grid, and its refine
-    starts from the N_REFINE lowest grid minima (`_grid_minima`).
+    Any other stage values each grid sample by |b - QQᵀb|² from the plan
+    (`_residual_norms`), the value the per-point QR gives, and the samples
+    that fail the rank verdict by `fit`, which takes the pseudo-inverse
+    there.  It is flat when that objective is at most TIE_ATOL * |y|^2 at
+    more than half of its grid, and its refine starts from the N_REFINE
+    lowest grid minima (`_grid_minima`).
     """
     free, layout, cols = stage.free, stage.layout, stage.cols
     ysq = float((profile.y ** 2).sum())
     if stage.degree is None:
         g = SCAN_POINTS[len(free)]
-        f = profile.objective(pts, layout, cols, held)
+        f = _residual_norms(profile, stage, held)
+        lost = ~stage.full_rank
+        if lost.any():
+            f[lost] = profile.objective(pts[lost], layout, cols, held)
         flat = np.sum(f <= TIE_ATOL * ysq) > f.size / 2
         return pts[_grid_minima(f.reshape((g,) * len(free)), N_REFINE)], flat
     n, d = _gram_determinants(profile, stage, held)
@@ -1239,18 +1258,19 @@ def reconstruct(counts, protocol: Protocol,
     covers the twin family, and the polish's last one the diagnostics.
 
     The first solve on a protocol compiles its plan (`_plan`): the layout,
-    the structural check, the stages with their layouts, degrees and
-    sample strengths, and each exact stage's design at its samples with
-    the Q factor and Gram determinant of its columns.  Every solve on an
-    equal protocol reuses it, so per count vector only the steps above
-    run, on the stages' own settings.
+    the structural check, and the stages with their layouts, degrees and
+    sample strengths, each with its design at its samples and the Q
+    factor, Gram determinant and rank verdict of its columns.  Every solve
+    on an equal protocol reuses it, so per count vector only the steps
+    above run, on the stages' own settings, and a grid stage's samples are
+    valued from the plan's factors, not solved point by point.
     """
     options = options or SolverOptions()
-    y = _count_vector(counts, protocol)
-    profile = _Profile(protocol, y)
+    profile = _Profile(protocol, counts)
     _check_structure(profile.plan)
     z0, n_members = resolve_twin_family(profile, _scan(profile))
-    outcome = _lm_multistart(profile, y, z0, options.objective, options)
+    outcome = _lm_multistart(profile, profile.y, z0, options.objective,
+                             options)
     return _package_result(protocol, outcome.x, outcome.f, outcome.gradient_norm,
                            n_members, outcome.converged, options.objective,
                            outcome.evaluation)
@@ -1259,12 +1279,13 @@ def reconstruct(counts, protocol: Protocol,
 def polish(counts, protocol: Protocol, x0, options: SolverOptions = None
            ) -> _FitOutcome:
     """The polish of `reconstruct` from a parameter vector x0 in name order
-    (used after the oracle); the outcome's `x` is in name order too."""
+    (used after the oracle); the outcome's `x` is in name order too.  A
+    structurally singular protocol is refused, as by `reconstruct`."""
     options = options or SolverOptions()
-    y = _count_vector(counts, protocol)
-    profile = _Profile(protocol, y)
-    return _lm_multistart(profile, y, profile.start(x0), options.objective,
-                          options)
+    profile = _Profile(protocol, counts)
+    _check_structure(profile.plan)
+    return _lm_multistart(profile, profile.y, profile.start(x0),
+                          options.objective, options)
 
 
 # ---------------------------------------------------------------------------
@@ -1292,12 +1313,11 @@ def block_solve_v(counts, protocol: Protocol,
     options = options or SolverOptions()
     if protocol.name.split("~")[0] != "V" or protocol.dim != 3:
         raise InvalidRange("block solve is defined for the V-type protocol")
-    y = _count_vector(counts, protocol)
-    profile = _Profile(protocol, y)
+    profile = _Profile(protocol, counts)
     x, _, n_members = _settle_twins(profile, _scan(profile))
-    f, grad = objective_eval(x, y, protocol, options.objective)
+    f, grad = objective_eval(x, profile.y, protocol, options.objective)
     gnorm = float(np.abs(grad).max())
-    converged = gnorm <= GRAD_TOL * max(1.0, float((y ** 2).sum()))
+    converged = gnorm <= GRAD_TOL * profile.scale
     return _package_result(protocol, x, f, gnorm, n_members, converged,
                            options.objective)
 
@@ -1332,15 +1352,20 @@ def grid_oracle(counts, protocol: Protocol, grid: int = 15,
 
     The incumbent goes to the reflection rule of `reconstruct`
     (`_settle_twins`); `values` is the chosen member and `objective` its
-    least-squares objective.  The zoom keeps a single incumbent, so this
+    least-squares objective.  `grid` must be an integer >= 2 (else
+    `EmptyRegion`, as for `identify.singularity_scan`) and `refine_levels`
+    one >= 0, and a structurally singular protocol is refused, as by
+    `reconstruct`.  The zoom keeps a single incumbent, so this
     is not a global oracle everywhere: on draws 0-39 of `sample_truth`
     from default_rng(54) with exact counts, at the defaults, it misses
     the truth by more than 1e-3 on none of B and V but on 7/40 of C-alt,
     where a `polish` from its values still misses by more than 1e-6 on
     5/40.
     """
-    y = _count_vector(counts, protocol)
-    profile = _Profile(protocol, y)
+    _check_count("grid", grid, 2, EmptyRegion)
+    _check_count("refine_levels", refine_levels, 0)
+    profile = _Profile(protocol, counts)
+    _check_structure(profile.plan)
     n = len(profile.lam_cols)
     zoom = max(2.0, (grid - 1) / 2.0)
     windows = [(0.0, TWO_PI)] * n

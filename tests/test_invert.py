@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sctomo import invert
-from sctomo.errors import (DimensionMismatch, InvalidRange,
+from sctomo.errors import (DimensionMismatch, EmptyRegion, InvalidRange,
                            StructuralSingularity)
 from sctomo.forward import NoiseModel, predicted_statistics, simulate_counts
 from sctomo.invert import (SolverOptions, block_solve_v, grid_oracle,
@@ -197,6 +197,32 @@ def test_reconstruct_refuses_structurally_singular_protocol():
     counts = predicted_statistics(scenario("C"), truth, unknowns)
     with pytest.raises(StructuralSingularity, match="C-alt"):
         reconstruct(counts, scenario("C"))
+
+
+def test_oracle_and_polish_refuse_structurally_singular_protocol():
+    # scenario C's statistics carry nothing about lam_z: a search there
+    # returns an arbitrary lam_z and a state far off the truth, so the
+    # oracle and the polish refuse it, as `reconstruct` does
+    proto = scenario("C")
+    state, unknowns = sample_truth("C-alt", np.random.default_rng(104))
+    counts = predicted_statistics(proto, state, unknowns)
+    with pytest.raises(StructuralSingularity, match="C-alt"):
+        grid_oracle(counts, proto)
+    with pytest.raises(StructuralSingularity, match="C-alt"):
+        polish(counts, proto, pack_values(proto.unknown_names, state,
+                                          unknowns))
+
+
+@pytest.mark.parametrize("grid, refine_levels, error", [
+    (0, 4, EmptyRegion), (1, 4, EmptyRegion), (2.5, 4, EmptyRegion),
+    (15, -1, InvalidRange), (15, 1.5, InvalidRange), (15, True, InvalidRange),
+])
+def test_grid_oracle_refuses_a_degenerate_grid(grid, refine_levels, error):
+    proto = scenario("B")
+    state, unknowns = sample_truth("B", np.random.default_rng(105))
+    counts = predicted_statistics(proto, state, unknowns)
+    with pytest.raises(error):
+        grid_oracle(counts, proto, grid=grid, refine_levels=refine_levels)
 
 
 def test_reconstruct_c_alt_roundtrip():
@@ -862,7 +888,8 @@ def _pinv_fit(profile, lam, layout, cols, free):
     digits in proportion to the size of the coordinates."""
     rows = slice(None) if layout is None else layout.rows
     cols = profile.cols if cols is None else cols
-    design, d_design = profile.layout.design_and_derivative(profile._at(lam))
+    design, d_design = profile.layout.design_and_derivative(
+        profile.plan.at(lam))
     design, d_design = design[:, rows], d_design[:, rows][..., free]
     a = design[:, :, cols]
     y = np.broadcast_to(profile.y[rows], a.shape[:2])
@@ -903,7 +930,7 @@ def test_inner_solve_matches_pinv_reference():
         assert (np.abs(resid - ref_r).max(axis=1) <= 1e-10 * y_size).all(), label
         truncated = ratio <= invert.RANK_RTOL
         if truncated.any():
-            a = profile.layout.design(profile._at(lam[truncated]))
+            a = profile.layout.design(profile.plan.at(lam[truncated]))
             a = a[:, slice(None) if layout is None else layout.rows]
             a = a[:, :, profile.cols if cols is None else cols]
             if a.shape[1] >= a.shape[2]:
@@ -1018,7 +1045,7 @@ def test_stage_determinants_stay_within_their_degree(label):
             samples = (TWO_PI * np.arange(n_pts) / n_pts)[:, None]
             pts = np.tile(lam, (n_pts, 1))
             pts[:, stage.free] = samples
-            design = stage.layout.design(profile._at(pts))
+            design = stage.layout.design(profile.plan.at(pts))
             freq = np.abs(np.fft.fftfreq(n_pts, 1.0 / n_pts))
             for on in (stage, stage.sparse):
                 dense = invert._Stage(on.free, on.rows, on.cols, on.layout,
@@ -1091,6 +1118,91 @@ def test_grid_stage_keeps_one_strength_without_a_degree():
                 expected = pack_values(proto.unknown_names, state, unknowns)
                 assert max_param_error(proto.unknown_names, result.x,
                                        expected) < 1e-8, (label, i)
+
+
+def _grid_stage_protocols():
+    """C-alt, whose one scan stage is its joint grid, and B with a coupling
+    or a diagonal offset on setting 2, which sends its one stage to the
+    grid."""
+    from dataclasses import replace
+    b = scenario("B")
+    out = [("C-alt", scenario("C-alt"))]
+    for offset in ({"fixed_couplings": (0.3,)}, {"fixed_diag": 0.3}):
+        settings = list(b.settings)
+        settings[2] = replace(settings[2], **offset)
+        out.append(("B", Protocol("B", 2, tuple(settings), b.unknown_names)))
+    return out
+
+
+def test_grid_stage_samples_are_valued_as_the_profile_objective():
+    # each grid stage and its populations-only sibling: the plan's sample
+    # values |b - QQᵀb|² equal the per-point profile objective, on exact
+    # and on Poisson counts, at every sample that keeps full rank (here
+    # all of them)
+    rng = np.random.default_rng(106)
+    for base, proto in _grid_stage_protocols():
+        for i in range(3):
+            state, unknowns = sample_truth(base, rng)
+            noisy = simulate_counts(state, unknowns, proto,
+                                    NoiseModel("poisson", shots=10 ** 4,
+                                               seed=3000 + i))
+            for counts in (predicted_statistics(proto, state, unknowns),
+                           _count_values(noisy)):
+                profile = invert._Profile(proto, counts)
+                held = np.zeros(profile.layout.dim + 2 * profile.layout.npair)
+                [stage] = profile.plan.stages
+                assert stage.degree is None
+                for on in (stage, stage.sparse):
+                    assert on.full_rank.all(), (proto.name, i)
+                    pts = invert._stage_points(on, np.full(
+                        len(profile.lam_cols), 1.0))
+                    ref = profile.objective(pts, on.layout, on.cols, held)
+                    values = invert._residual_norms(profile, on, held)
+                    assert (np.abs(values - ref) <= 1e-12 * ref).all(), \
+                        (proto.name, i, on.cols)
+
+
+def test_stage_rank_verdict_matches_a_fresh_qr():
+    # every stage's per-sample verdict is `_full_rank` on the QR of a
+    # design evaluated afresh at its samples, whatever the strengths it
+    # holds; the exact stages sample lam = 0, where the coherence columns
+    # vanish and rank is lost
+    rng = np.random.default_rng(107)
+    protocols = [scenario("B"), scenario("V"), with_unknown_phase(
+        scenario("V"))] + [proto for _, proto in _grid_stage_protocols()]
+    for proto in protocols:
+        plan = invert._plan(proto)
+        for stage in plan.stages:
+            lam = rng.uniform(0.1, TWO_PI, len(plan.layout.lam_cols))
+            pts = invert._stage_points(stage, lam)
+            design = stage.layout.design(plan.at(pts))
+            for on in (stage, stage.sparse):
+                fresh = np.linalg.qr(design[..., on.cols])[1]
+                assert np.array_equal(on.full_rank,
+                                      invert._full_rank(fresh)[0]), proto.name
+                if on.degree is not None and len(on.cols) > 2:
+                    assert not on.full_rank[0], proto.name
+
+
+def test_warm_c_alt_solve_sends_small_batches(monkeypatch):
+    # the joint grid is valued from the plan: no 1024-row chunk of it
+    # reaches the inner solve, only the refines and the twin family do
+    proto = scenario("C-alt")
+    rng = np.random.default_rng(108)
+    inputs = [predicted_statistics(proto, *sample_truth("C-alt", rng))
+              for _ in range(3)]
+    reconstruct(inputs[0], proto)  # compiles the plan
+    sizes = []
+    original = invert._lstsq
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(invert, "_lstsq", recorded)
+    for counts in inputs:
+        reconstruct(counts, proto)
+    assert sizes and max(sizes) <= 4 * invert.N_REFINE, max(sizes)
 
 
 @pytest.mark.filterwarnings("ignore::sctomo.errors.SingularAtSolutionWarning")
@@ -1315,7 +1427,7 @@ def test_refine_hands_on_its_last_evaluation(monkeypatch):
     monkeypatch.undo()
     assert len(calls) > 2 and len(set(calls)) > 1  # rows stop at other steps
     assert (np.abs(cand - starts).max(axis=1) > 1e-3).sum() >= 2
-    fresh, d_fresh = stage.layout.design_and_derivative(profile._at(cand))
+    fresh, d_fresh = stage.layout.design_and_derivative(profile.plan.at(cand))
     d_fresh = d_fresh[..., stage.free]
     c_fresh, r_fresh, _ = profile.solve(stage.layout, fresh, stage.cols,
                                         d_fresh, held)
