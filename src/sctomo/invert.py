@@ -42,11 +42,13 @@ loaded anew for each solve hits it too): the layout, shared with
 `identify`; the free coordinates; the structural verdict; and the stages,
 each compiled alike: its layout on its own settings, its degree and sample
 strengths, its design at those samples, and the Q factor, Gram
-determinant and per-sample rank verdict of its columns.  A solve pays
-only for what depends on its counts: each stage's sample residuals from
-the plan's factors (the determinants N and the roots for an exact stage,
-the grid values for any other), the refines, the twin family, the polish
-and the report.
+determinant and per-sample rank verdict of its columns; a stage with a
+degree also the Fourier coefficients of its design, from which its
+refine takes the design and its derivative at any strength without the
+kernel (`_Stage.evaluate`).  A solve pays only for what depends on its
+counts: each stage's sample residuals from the plan's factors (the
+determinants N and the roots for an exact stage, the grid values for any
+other), the refines, the twin family, the polish and the report.
 
 The reflections lam_j -> 2*pi - lam_j are exact ties of the data, and every
 solver settles them by one rule, in one place: `resolve_twin_family`
@@ -70,7 +72,7 @@ its last evaluation of the rows it ends on: the refine's gives
 coordinates a later stage holds, the polish's gives `_package_result` its
 report.  `resolve_twin_family` fits the minima and all their reflections
 in one batch.  An exact solve whose refines start at their roots calls
-the kernel once per stage, once for the twin family and once to polish.
+the kernel twice: the twin family and the polish.
 """
 
 from __future__ import annotations
@@ -334,9 +336,9 @@ def _damped_gauss_newton(fun, z, lo, hi, y, kind, scale, max_iter, ftol=0.0):
     scale) or on a step that moves it by at most STEP_TOL, and unconverged
     when a rejected step leaves its damping at 1e12 or more; with `ftol` >
     0 also on an accepted step that gains at most `ftol` of its objective.
-    Returns the rows, their objectives, whether each converged, the largest
-    component of each one's projected gradient, and the further arrays at
-    the rows returned.
+    Returns the rows, their objectives, whether each converged, and the
+    last evaluation of `fun` at the rows returned (values, Jacobian and
+    the further arrays).
     """
     z = np.clip(np.array(z, dtype=float), lo, hi)
     n_model, jac, *extra = fun(z)
@@ -372,8 +374,7 @@ def _damped_gauss_newton(fun, z, lo, hi, y, kind, scale, max_iter, ftol=0.0):
         converged[acc[f[acc] <= floor]] = True
         done |= converged
         done[rej[mu[rej] >= 1e12]] = True
-    g, _ = _projected_descent(z, n_model, jac, f, y, kind, lo, hi)
-    return z, f, converged, np.abs(g).max(axis=1, initial=0.0), extra
+    return z, f, converged, (n_model, jac, *extra)
 
 
 @dataclass
@@ -389,13 +390,17 @@ def _lm_multistart(profile: _Profile, y: np.ndarray, start: np.ndarray,
                    kind: str, options: SolverOptions) -> _FitOutcome:
     """The polish: `_damped_gauss_newton` on the objective `kind` of
     `_Profile.model` from the z `start`, inside `_Profile.bounds`; the
-    outcome's `x` is in name order.  (`sctbench/tracer.py` hooks this name.)
+    outcome's `x` is in name order, and its `gradient_norm` the largest
+    component of the projected gradient at the end point
+    (`_projected_descent`).  (`sctbench/tracer.py` hooks this name.)
     """
-    z, f, converged, gnorm, evaluation = _damped_gauss_newton(
+    lo, hi = profile.bounds()
+    z, f, converged, (n_model, jac, *evaluation) = _damped_gauss_newton(
         lambda rows: profile.model(rows, jacobian=True), start[None, :],
-        *profile.bounds(), y, kind, profile.scale, options.max_iter)
+        lo, hi, y, kind, profile.scale, options.max_iter)
+    g, _ = _projected_descent(z, n_model, jac, f, y, kind, lo, hi)
     return _FitOutcome(profile.point(z[0]), float(f[0]), bool(converged[0]),
-                       float(gnorm[0]), tuple(evaluation))
+                       float(np.abs(g[0]).max(initial=0.0)), tuple(evaluation))
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +634,10 @@ class _Profile:
         return lo, hi
 
     def start(self, x) -> np.ndarray:
-        """z of a parameter vector in name order."""
+        """z of a parameter vector in name order, which must be finite."""
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise InvalidRange("a start must be finite")
         coords = self.layout.coordinates(x[None, :])[0]
         return np.concatenate([coords[self.cols], x[self.lam_cols]])
 
@@ -656,30 +663,29 @@ class _Profile:
                 out[k] = next(lam_values)
         return out
 
-    def refine(self, lam, free, layout, cols, held) -> tuple:
-        """`_damped_gauss_newton` on the projected residual of `fit` on the
-        settings of `layout` and the coordinates `cols`, with `held` held,
-        over the strengths `free` from each row of strengths `lam` (the
-        other strengths are the same in every row); returns the end rows,
-        their objectives and (coordinates, design, ∂design/∂free) at them.
-        A start also stops on an accepted step that gains at most
-        REFINE_FTOL of its objective: one that creeps towards a degenerate
-        strength (lam -> 0, 2*pi, or pi where sin(lam) silences settings)
-        gains that little per step, one that converges to a root orders of
-        magnitude more.
+    def refine(self, stage, lam, held) -> tuple:
+        """`_damped_gauss_newton` on the projected residual of `solve` on
+        the settings and coordinates of a `_Stage`, with `held` held, over
+        its strengths `free` from each row of strengths `lam` (the other
+        strengths are the same in every row); returns the end rows, their
+        objectives and (coordinates, design, ∂design/∂free) at them.  The
+        design and its derivative come from `_Stage.evaluate`: from the
+        plan's Fourier coefficients on a stage with a degree, from the
+        kernel on its settings otherwise.  A start also stops on an
+        accepted step that gains at most REFINE_FTOL of its objective: one
+        that creeps towards a degenerate strength (lam -> 0, 2*pi, or pi
+        where sin(lam) silences settings) gains that little per step, one
+        that converges to a root orders of magnitude more.
         """
-        lam = np.array(lam, dtype=float)
+        lam, free = np.array(lam, dtype=float), stage.free
 
         def residual(z):
-            at = np.tile(lam[0], (len(z), 1))
-            at[:, free] = z
-            design, d_design = layout.design_and_derivative(self.plan.at(at))
-            d_design = d_design[..., free]
-            coords, resid, jac = self.solve(layout, design, cols, d_design,
-                                            held)
+            design, d_design = stage.evaluate(z)
+            coords, resid, jac = self.solve(stage.layout, design, stage.cols,
+                                            d_design, held)
             return resid, jac, coords, design, d_design
 
-        lam[:, free], f, _, _, evaluation = _damped_gauss_newton(
+        lam[:, free], f, _, (_, _, *evaluation) = _damped_gauss_newton(
             residual, lam[:, free], LAM_FLOOR, TWO_PI, 0.0, "least_squares",
             self.scale, REFINE_ITER, REFINE_FTOL)
         return lam, f, evaluation
@@ -788,11 +794,16 @@ class _Stage:
     the diagonal of R (`_gram_determinants`), and `full_rank`, the verdict
     of `_full_rank` on R per sample, the one a per-point solve (`_lstsq`)
     reaches.  A stage with a degree also holds the frequencies `freqs` and
-    `cosines` its determinants are expanded in (`_stage_starts`).  A
-    per-strength stage's settings drive its own strength alone, and the
-    joint stage frees every strength, so none of these depends on the
-    strengths that the scan holds.  `sparse` is the stage on its
-    populations alone (`prefer_sparse_coherences`)."""
+    `cosines` its determinants are expanded in (`_stage_starts`), and
+    `fourier` (L+1, S, C), the one-sided Fourier coefficients of its design
+    up to L, the largest |m| of its strength over its settings: each design
+    row is a trigonometric polynomial of degree |m| (`_stage_degree`), and
+    the 2K+1 samples (K >= L) fix every frequency up to K, so c_0 is the
+    mean of the samples and c_k = (2/n) sum_j design(theta_j) e^{-ik theta_j}
+    exactly (`evaluate`).  A per-strength stage's settings drive its own
+    strength alone, and the joint stage frees every strength, so none of
+    these depends on the strengths that the scan holds.  `sparse` is the
+    stage on its populations alone (`prefer_sparse_coherences`)."""
 
     def __init__(self, free, rows, cols, layout, degree, samples, design):
         self.free, self.rows, self.cols = free, rows, cols
@@ -804,12 +815,41 @@ class _Stage:
         self.q = q[:, :a.shape[1]]
         self.d = (np.abs(np.diagonal(r, axis1=1, axis2=2)) ** 2).prod(axis=1)
         self.full_rank = _full_rank(r)[0]
-        self.freqs = self.cosines = None
+        self.freqs = self.cosines = self.fourier = None
         if degree is not None:
             self.freqs = np.arange(len(samples)) - len(samples) // 2
             self.cosines = np.cos(np.outer(self.freqs, samples[:, 0]))
+            protocol = layout.protocol
+            on = STRENGTHS[protocol.dim].index(
+                protocol.process_unknown_names[free[0]])
+            settings = protocol.settings if rows is None else [
+                protocol.settings[i] for i in rows]
+            top = max(abs(int((s.multipliers + (s.mz,))[on]))
+                      for s in settings)
+            waves = np.exp(-1j * np.outer(np.arange(top + 1), samples[:, 0]))
+            waves[1:] *= 2.0
+            self.fourier = np.tensordot(waves / len(samples), design, axes=1)
         self.sparse = self
         read_only(self)
+
+    def evaluate(self, z) -> tuple:
+        """The design on the stage's settings at each row of its free
+        strengths z (P, F), which its settings alone see, and its
+        derivative in them (P, S, C, F).  A stage with a degree takes both
+        from `fourier` in one product, design = Re sum_k c_k e^{ik lam} and
+        its derivative Re sum_k ik c_k e^{ik lam}; any other stage calls
+        the kernel."""
+        if self.fourier is None:
+            x = np.zeros((len(z), len(self.layout.protocol.unknown_names)))
+            x[:, np.asarray(self.layout.lam_cols)[self.free]] = z
+            design, d_design = self.layout.design_and_derivative(x)
+            return design, d_design[..., self.free]
+        k = np.arange(len(self.fourier))
+        waves = np.exp(1j * z * k)
+        out = (np.concatenate([waves, 1j * k * waves])
+               @ self.fourier.reshape(len(k), -1)).real.reshape(
+                   (2 * len(z),) + self.fourier.shape[1:])
+        return out[:len(z)], out[len(z):, ..., None]
 
 
 class _Plan:
@@ -913,8 +953,9 @@ def _stage_starts(profile: _Profile, stage: _Stage, pts, held) -> tuple:
     [LAM_FLOOR, 2*pi].  Each is ranked by N/D from the cosine sums, with
     the bound ROOT_EPS * (2K+1) * (sum |n_k| + N/D sum |d_k|) / D on its
     round-off.  Where D is at most ROOT_RTOL * sum |d_k| (rank lost) that
-    bound is void: those candidates are ranked by `fit` instead, unless
-    another candidate already fits exactly.  The refine starts from every
+    bound is void: those candidates are ranked by `_Profile.solve` on the
+    stage's design at them (`_Stage.evaluate`) instead, unless another
+    candidate already fits exactly.  The refine starts from every
     candidate that can tie with the lowest, lowest first.
 
     Any other stage values each grid sample by |b - QQᵀb|² from the plan
@@ -960,7 +1001,9 @@ def _stage_starts(profile: _Profile, stage: _Stage, pts, held) -> tuple:
     starts = np.tile(pts[0], (len(theta), 1))
     starts[:, free[0]] = theta
     if lost.any() and not np.any((value - err)[~lost] <= 0.0):
-        value[lost] = profile.objective(starts[lost], layout, cols, held)
+        design = stage.evaluate(theta[lost, None])[0]
+        resid = profile.solve(layout, design, cols, held=held)[1]
+        value[lost] = (resid ** 2).sum(axis=1)
         err[lost], lost[:] = 0.0, False
     best = (value + err)[~lost].min()
     tied = ~lost & (value - err <= best + max(TIE_RTOL * best,
@@ -1012,8 +1055,7 @@ def _stage_minima(profile: _Profile, stage: _Stage, starts, held) -> tuple:
     (values within SMIN_RTOL of each other count as equal, so copies of
     one root do not), then the first offered.  Distinct exact roots are
     ordered by their conditioning, which round-off cannot flip."""
-    cand, f, (coords, design, d_design) = profile.refine(
-        starts, stage.free, stage.layout, stage.cols, held)
+    cand, f, (coords, design, d_design) = profile.refine(stage, starts, held)
     ties = _ties(f, float((profile.y ** 2).sum()))
     n_large = (cand[ties] > math.pi + 1e-12).sum(axis=1)
     group = ties[n_large == n_large.min()]
@@ -1260,10 +1302,13 @@ def reconstruct(counts, protocol: Protocol,
     The first solve on a protocol compiles its plan (`_plan`): the layout,
     the structural check, and the stages with their layouts, degrees and
     sample strengths, each with its design at its samples and the Q
-    factor, Gram determinant and rank verdict of its columns.  Every solve
-    on an equal protocol reuses it, so per count vector only the steps
-    above run, on the stages' own settings, and a grid stage's samples are
-    valued from the plan's factors, not solved point by point.
+    factor, Gram determinant and rank verdict of its columns, and a stage
+    with a degree with the Fourier coefficients of its design.  Every
+    solve on an equal protocol reuses it, so per count vector only the
+    steps above run, on the stages' own settings; a grid stage's samples
+    are valued from the plan's factors, not solved point by point, and a
+    stage with a degree is refined on its Fourier design, so an exact
+    solve calls the kernel twice, for the twin family and the polish.
     """
     options = options or SolverOptions()
     profile = _Profile(protocol, counts)

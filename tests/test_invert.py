@@ -191,6 +191,19 @@ def test_reconstruct_rejects_non_finite_counts():
         reconstruct(np.full(5, 0.2 + 0j), scenario("B"))
 
 
+def test_polish_refuses_a_non_finite_start():
+    # a NaN start ran the whole loop on NaN rows; an infinite one raised a
+    # RuntimeWarning in the layout's decode
+    proto = scenario("B")
+    counts = predicted_statistics(proto, qubit_state(0.55, 0.45, 0.2, 2.0),
+                                  qubit_unknowns(lam_c=1.3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidRange, match="finite"):
+            polish(counts, proto, [bad] * 5)
+        with pytest.raises(InvalidRange, match="finite"):
+            polish(counts, proto, [0.55, 0.45, 0.2, 2.0, bad])
+
+
 def test_reconstruct_refuses_structurally_singular_protocol():
     truth = qubit_state(0.55, 0.45, 0.2, 2.0)
     unknowns = qubit_unknowns(lam_c=1.3, lam_z=1.1)
@@ -1063,6 +1076,37 @@ def test_stage_determinants_stay_within_their_degree(label):
                                            held=held)[0][0]
 
 
+@pytest.mark.parametrize("label", sorted(DEGREE_CASES))
+def test_stage_fourier_design_matches_the_kernel(label):
+    # each stage with a degree and its populations-only sibling: the design
+    # and its derivative from the plan's Fourier coefficients match the
+    # kernel on the stage's settings at random strengths and at the ends
+    # of the box and pi, and the samples carry no frequency above L, the
+    # largest multiplier of the stage's strength on its settings
+    proto, _ = DEGREE_CASES[label]
+    plan = invert._plan(proto)
+    rng = np.random.default_rng(109)
+    lam = np.concatenate([rng.uniform(0.0, TWO_PI, 40),
+                          [invert.LAM_FLOOR, math.pi, TWO_PI]])[:, None]
+    for k, stage in enumerate(plan.stages):
+        # multiplier 2 on every stage, 3 on setting 3 of the raised V
+        assert len(stage.fourier) == (4 if label == "V multiplier 3" and k == 0
+                                      else 3)
+        at = np.full((len(lam), len(plan.layout.lam_cols)), 2.0)
+        at[:, stage.free] = lam
+        ref, d_ref = stage.layout.design_and_derivative(plan.at(at))
+        d_ref = d_ref[..., stage.free]
+        spectrum = np.abs(np.fft.rfft(stage.design, axis=0))
+        assert spectrum[len(stage.fourier):].max() < 1e-13 * spectrum.max()
+        assert spectrum[len(stage.fourier) - 1].max() > 1e-3 * spectrum.max()
+        for on in (stage, stage.sparse):
+            assert on.fourier.shape == (len(stage.fourier), len(stage.rows),
+                                        ref.shape[2])
+            design, d_design = on.evaluate(lam)
+            assert np.abs(design - ref).max() <= 1e-13, label
+            assert np.abs(d_design - d_ref).max() <= 1e-13, label
+
+
 def test_stage_degree_needs_integer_multipliers_on_one_generator():
     # a non-integer multiplier, a setting that also drives another
     # generator, or a fixed angle on the stage's own generator (which breaks
@@ -1328,16 +1372,10 @@ def test_equal_protocols_share_one_plan(monkeypatch):
     assert cold.to_dict() == warm.to_dict()
 
 
-def test_stage_refine_evaluates_only_its_settings(monkeypatch):
-    # the scan's fits, refines and stage Jacobians evaluate the design on
-    # the settings of their stage alone, not on all 11 of V
+def _record_layout_calls(monkeypatch):
+    """Record (rows, design rows) of every `ProtocolLayout.design` and
+    `design_and_derivative` call."""
     from sctomo.forward import ProtocolLayout
-    rng = np.random.default_rng(102)
-    proto = scenario("V")
-    state, unknowns = sample_truth("V", rng)
-    counts = predicted_statistics(proto, state, unknowns) \
-        + 1e-3 * rng.standard_normal(proto.n_settings)
-    profile = invert._Profile(proto, counts)
     seen = []
     for method in ("design", "design_and_derivative"):
         original = getattr(ProtocolLayout, method)
@@ -1349,12 +1387,41 @@ def test_stage_refine_evaluates_only_its_settings(monkeypatch):
             return out
 
         monkeypatch.setattr(ProtocolLayout, method, recorded)
-    invert._scan(profile)
-    stage_rows = [stage.rows for stage in profile.plan.stages]
+    return seen
+
+
+def test_stage_refine_evaluates_only_its_settings(monkeypatch):
+    # V's stages have a degree: the scan evaluates their designs from the
+    # plan's Fourier coefficients, one row per setting of the stage, and
+    # calls no kernel.  B with a coupling offset on setting 2 is a grid
+    # stage: its fits, refines and stage Jacobians call the kernel on the
+    # settings of the stage alone
+    from dataclasses import replace
+    rng = np.random.default_rng(102)
+    b = scenario("B")
+    settings = list(b.settings)
+    settings[2] = replace(settings[2], fixed_couplings=(0.3,))
+    offset = Protocol("B", 2, tuple(settings), b.unknown_names)
+    profiles = []
+    for base, proto in (("V", scenario("V")), ("B", offset)):
+        state, unknowns = sample_truth(base, rng)
+        counts = predicted_statistics(proto, state, unknowns) \
+            + 1e-3 * rng.standard_normal(proto.n_settings)
+        profiles.append(invert._Profile(proto, counts))
+    v, grid = profiles
+    stage_rows = [stage.rows for stage in v.plan.stages]
     assert stage_rows == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
-    assert all(rows in stage_rows for rows, _ in seen)
-    assert all(n == len(rows) for rows, n in seen)
-    assert {tuple(rows) for rows, _ in seen} == set(map(tuple, stage_rows))
+    for stage in v.plan.stages:
+        for on in (stage, stage.sparse):
+            assert on.fourier.shape[1] == len(stage.rows)
+    seen = _record_layout_calls(monkeypatch)
+    invert._scan(v)
+    assert seen == []
+    [stage] = grid.plan.stages
+    assert stage.degree is None and stage.fourier is None
+    invert._scan(grid)
+    assert seen
+    assert all(rows == stage.rows and n == len(rows) for rows, n in seen)
 
 
 def test_plans_do_not_leak_between_protocols():
@@ -1409,26 +1476,23 @@ def _noisy_v_profile():
 def test_refine_hands_on_its_last_evaluation(monkeypatch):
     # the refine's evaluation is kept row by row for the accepted steps:
     # it equals, bit for bit, a fresh evaluation at the rows returned
-    from sctomo.forward import ProtocolLayout
     profile = _noisy_v_profile()
     stage = profile.plan.stages[0]
     held = np.zeros(profile.layout.dim + 2 * profile.layout.npair)
     starts = invert._stage_points(stage, np.full(2, math.pi / 2))[::4]
     calls = []
-    original = ProtocolLayout.design_and_derivative
+    original = invert._Stage.evaluate
 
-    def counted(self, x):
-        calls.append(len(x))
-        return original(self, x)
+    def counted(self, z):
+        calls.append(len(z))
+        return original(self, z)
 
-    monkeypatch.setattr(ProtocolLayout, "design_and_derivative", counted)
-    cand, f, (coords, design, d_design) = profile.refine(
-        starts, stage.free, stage.layout, stage.cols, held)
+    monkeypatch.setattr(invert._Stage, "evaluate", counted)
+    cand, f, (coords, design, d_design) = profile.refine(stage, starts, held)
     monkeypatch.undo()
     assert len(calls) > 2 and len(set(calls)) > 1  # rows stop at other steps
     assert (np.abs(cand - starts).max(axis=1) > 1e-3).sum() >= 2
-    fresh, d_fresh = stage.layout.design_and_derivative(profile.plan.at(cand))
-    d_fresh = d_fresh[..., stage.free]
+    fresh, d_fresh = stage.evaluate(cand[:, stage.free])
     c_fresh, r_fresh, _ = profile.solve(stage.layout, fresh, stage.cols,
                                         d_fresh, held)
     assert np.array_equal(design, fresh)
@@ -1462,11 +1526,13 @@ def test_polish_hands_on_its_end_point_evaluation():
         assert handed.condition_number == own.condition_number
 
 
-@pytest.mark.parametrize("name, most", [("A", 2), ("B", 3), ("V", 4)])
+@pytest.mark.parametrize("name, most", [("A", 2), ("B", 2), ("V", 2)])
 def test_exact_solves_evaluate_each_point_once(monkeypatch, name, most):
-    # the refine's last evaluation serves the stage Jacobian and the held
-    # fit, one fit covers the twin family, and the polish's last one the
-    # report: A solves on 2 kernel calls, B on 3 and V on 4 (median)
+    # the stages evaluate their designs from the plan's Fourier
+    # coefficients and the refine's last evaluation serves the stage
+    # Jacobian and the held fit, so the kernel runs twice per solve
+    # (median): one fit covers the twin family, and the polish's last
+    # evaluation serves the report
     from sctomo.forward import ProtocolLayout
     proto = scenario(name)
     invert._plan(proto)  # compiled before counting
